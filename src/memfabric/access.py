@@ -6,7 +6,9 @@ append-only log of grant/revoke events; snapshot queries answer "which
 agents can this user invoke at tick t" (and the resource analogue) by
 replaying the log up to t. Queries are served from per-edge sorted event
 indexes rather than materialized per-tick graphs, so long histories stay
-cheap to snapshot.
+cheap to snapshot. A per-source adjacency index over the same histories makes
+``agents_of`` / ``resources_of`` cost O(degree * log history) rather than a
+scan of every edge ever granted.
 
 Mutations must arrive in strictly increasing tick order. Granting a present
 edge or revoking an absent one is a hard error rather than a no-op: silent
@@ -38,6 +40,7 @@ class PermissionAction(str, Enum):
 
 
 Edge = tuple[PrincipalId, PrincipalId]
+History = tuple[list[int], list[PermissionAction]]  # parallel ticks and actions of one edge
 
 
 def classify_edge(edge: Edge) -> EdgeKind:
@@ -80,6 +83,13 @@ class PermissionEvent:
         )
 
 
+def _held(history: History, t: int) -> bool:
+    """Whether an edge with this (ticks, actions) history is granted at ``t``."""
+    ticks, actions = history
+    idx = bisect_right(ticks, t)
+    return idx > 0 and actions[idx - 1] is PermissionAction.GRANT
+
+
 class AccessTimeline:
     """Append-only permission history with snapshot queries.
 
@@ -98,8 +108,10 @@ class AccessTimeline:
         self._audit = audit
         self._admin_actor = admin_actor
         self._events: list[PermissionEvent] = []
-        # per-edge parallel (ticks, actions) lists, bisectable by tick
-        self._per_edge: dict[Edge, tuple[list[int], list[PermissionAction]]] = {}
+        # per-edge histories, bisectable by tick
+        self._per_edge: dict[Edge, History] = {}
+        # the same histories keyed source -> destination
+        self._out: dict[PrincipalId, dict[PrincipalId, History]] = {}
 
     # -- mutation
 
@@ -148,7 +160,11 @@ class AccessTimeline:
 
     def _append(self, event: PermissionEvent) -> PermissionEvent:
         self._events.append(event)
-        ticks, actions = self._per_edge.setdefault(event.edge, ([], []))
+        history = self._per_edge.get(event.edge)
+        if history is None:
+            history = self._per_edge[event.edge] = ([], [])
+            self._out.setdefault(event.edge[0], {})[event.edge[1]] = history
+        ticks, actions = history
         ticks.append(event.tick)
         actions.append(event.action)
         if self._audit is not None:
@@ -176,11 +192,12 @@ class AccessTimeline:
 
     def _present(self, edge: Edge, t: int) -> bool:
         history = self._per_edge.get(edge)
-        if history is None:
-            return False
-        ticks, actions = history
-        idx = bisect_right(ticks, t)
-        return idx > 0 and actions[idx - 1] is PermissionAction.GRANT
+        return history is not None and _held(history, t)
+
+    def _targets(self, source: PrincipalId, t: int) -> frozenset[PrincipalId]:
+        return frozenset(
+            dst for dst, history in self._out.get(source, {}).items() if _held(history, t)
+        )
 
     def edge_present(self, edge: Edge, t: int) -> bool:
         self._validate_edge(edge)
@@ -189,20 +206,12 @@ class AccessTimeline:
     def agents_of(self, u: PrincipalId, t: int) -> frozenset[PrincipalId]:
         """Agents user ``u`` may invoke at tick ``t``."""
         self.directory.require(u, PrincipalKind.USER)
-        return frozenset(
-            e[1]
-            for e in self._per_edge
-            if e[0] == u and e[1].kind is PrincipalKind.AGENT and self._present(e, t)
-        )
+        return self._targets(u, t)
 
     def resources_of(self, a: PrincipalId, t: int) -> frozenset[PrincipalId]:
         """Resources agent ``a`` may access at tick ``t``."""
         self.directory.require(a, PrincipalKind.AGENT)
-        return frozenset(
-            e[1]
-            for e in self._per_edge
-            if e[0] == a and e[1].kind is PrincipalKind.RESOURCE and self._present(e, t)
-        )
+        return self._targets(a, t)
 
     def edges_at(self, t: int, kind: EdgeKind | None = None) -> frozenset[Edge]:
         return frozenset(

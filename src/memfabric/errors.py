@@ -37,6 +37,10 @@ class InvalidFragment(MemFabricError):
     """A fragment violates a structural invariant (empty key/value, bad norm)."""
 
 
+class NonFiniteVector(MemFabricError):
+    """A fragment or query embedding holds a NaN or infinite component."""
+
+
 class UnknownPrincipalInProvenance(MemFabricError):
     """Fragment provenance references a principal outside the directory."""
 

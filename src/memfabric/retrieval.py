@@ -6,6 +6,14 @@ and the cross-user shared tier, keeping at most ``k_user`` / ``k_cross``
 results at or above the similarity threshold. Only admissible fragments are
 ever considered, and fragments newer than the query tick are not visible.
 
+A read asks the store for its admissible set once; that set carries the row
+snapshot, its columns and the admitted mask, so ranking walks nothing. The
+embedding matrix times the query only filters candidates: its products may
+differ from a row-by-row float dot product in the last bits, so candidates
+are kept within a rounding slack of the threshold and of the k-th best, then
+rescored one by one with ``float(np.dot(query, embedding))``. Ids and
+similarities are therefore exactly those of a full scan, ties included.
+
 The deterministic embedder hashes character n-grams into a fixed-dimension
 unit vector. Similarity is then a pure function of surface text: identical
 strings embed identically (cosine 1.0), which is what lets scripted agents
@@ -15,6 +23,7 @@ recognize an exact repeat without any remote model.
 from __future__ import annotations
 
 import json
+import math
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -24,9 +33,9 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .access import AccessTimeline
-from .errors import DimensionMismatch, EmptyText, RemoteUnavailable
+from .errors import DimensionMismatch, EmptyText, NonFiniteVector, RemoteUnavailable
 from .principals import PrincipalId
-from .store import MemoryStore, Tier
+from .store import AdmissibleSet, MemoryStore, Tier
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.1
 
@@ -158,6 +167,47 @@ def _rank(candidates: list[RankedFragment], k: int) -> list[RankedFragment]:
     return ordered[:k]
 
 
+def _top(
+    admitted: AdmissibleSet,
+    rows: np.ndarray,
+    query: np.ndarray,
+    slack: float,
+    threshold: float,
+    k: int,
+) -> list[RankedFragment]:
+    """Exact top ``k`` of the given snapshot rows at or above ``threshold``.
+
+    ``embeddings @ query`` is within ``slack`` of each row's float dot
+    product, so a row it puts below ``threshold - slack`` fails the threshold
+    and one more than ``2 * slack`` below the k-th best cannot reach the top
+    k. The survivors are rescored exactly and ranked.
+    """
+    if k == 0 or not len(rows):
+        return []
+    approx = admitted.columns.embeddings[rows] @ query
+    keep = approx >= threshold - slack
+    rows, approx = rows[keep], approx[keep]
+    if len(rows) > k:
+        kth = np.partition(approx, len(rows) - k)[len(rows) - k]
+        rows = rows[approx >= kth - 2 * slack]
+    hits = []
+    for i in rows.tolist():
+        fragment = admitted.rows[i]
+        similarity = float(np.dot(query, fragment.embedding))
+        if similarity >= threshold:
+            hits.append(
+                RankedFragment(
+                    fragment_id=fragment.id,
+                    similarity=similarity,
+                    tier=fragment.tier,
+                    key=fragment.key,
+                    value=fragment.value,
+                    created_at=fragment.provenance.created_at,
+                )
+            )
+    return _rank(hits, k)
+
+
 def retrieve(
     store: MemoryStore,
     timeline: AccessTimeline,
@@ -179,25 +229,18 @@ def retrieve(
         raise DimensionMismatch(
             f"query embedding shape {query.shape}, store dimension {store.dimension}"
         )
+    query_norm = float(np.linalg.norm(query))
+    if not math.isfinite(query_norm):
+        raise NonFiniteVector("query embedding is not finite")
     admitted = store.admissible(timeline, u, a, t)
-    user_tier: list[RankedFragment] = []
-    cross_tier: list[RankedFragment] = []
-    for fragment in store.fragments():
-        if fragment.id not in admitted or fragment.provenance.created_at > t:
-            continue
-        similarity = float(np.dot(query, fragment.embedding))
-        if similarity < config.threshold:
-            continue
-        hit = RankedFragment(
-            fragment_id=fragment.id,
-            similarity=similarity,
-            tier=fragment.tier,
-            key=fragment.key,
-            value=fragment.value,
-            created_at=fragment.provenance.created_at,
-        )
-        if fragment.tier is Tier.PRIVATE:
-            user_tier.append(hit)  # admissibility already pins creator == u
-        else:
-            cross_tier.append(hit)
-    return _rank(user_tier, config.k_user), _rank(cross_tier, config.k_cross)
+    cols = admitted.columns
+    visible = admitted.mask & (cols.created_at <= t)
+    # each computed d-term product is within d * 2**-53 * |q| * |e| of the real
+    # one, so the two computations differ by at most twice that; doubled again
+    slack = 4 * store.dimension * 2.0**-53 * query_norm * cols.max_norm
+    user_rows = np.flatnonzero(visible & ~cols.shared)  # admissibility pins creator == u
+    cross_rows = np.flatnonzero(visible & cols.shared)
+    return (
+        _top(admitted, user_rows, query, slack, config.threshold, config.k_user),
+        _top(admitted, cross_rows, query, slack, config.threshold, config.k_cross),
+    )

@@ -62,6 +62,15 @@ def _parse_edge(doc: dict):
     raise ApiError(400, "bad_request", "edge must name user/agent or agent/resource")
 
 
+def _int_param(params: dict[str, list[str]], name: str, default: int) -> int:
+    if name not in params:
+        return default
+    try:
+        return int(params[name][0])
+    except ValueError:
+        raise ApiError(400, "bad_request", f"{name} must be an integer") from None
+
+
 class MemoryService:
     """Request handlers bound to one runtime. Mutations are serialized
     through a single lock; snapshot reads are safe concurrently."""
@@ -109,7 +118,9 @@ class MemoryService:
             return 400, {"error": type(exc).__name__, "message": str(exc)}
 
     def handle_audit_stream(self, params: dict[str, list[str]]) -> str:
-        since = int(params.get("since_seq", ["0"])[0])
+        """Audit records from ``since_seq`` on, one JSON object per line.
+        Raises :class:`ApiError` (400) when ``since_seq`` is not an integer."""
+        since = _int_param(params, "since_seq", 0)
         return "".join(
             json.dumps(rec.to_dict(), sort_keys=True) + "\n"
             for rec in self.rt.audit.records
@@ -135,7 +146,7 @@ class MemoryService:
         return {"tick": tick, "applied": action.value}
 
     def _snapshot(self, params: dict[str, list[str]]) -> dict:
-        t = int(params["t"][0]) if "t" in params else self.rt.clock.now
+        t = _int_param(params, "t", self.rt.clock.now)
         if "user" in params:
             u = user(params["user"][0])
             names = sorted(a.name for a in self.rt.timeline.agents_of(u, t))
@@ -244,60 +255,75 @@ class MemoryService:
         }
 
 
-def _make_handler(service: MemoryService):
-    class Handler(BaseHTTPRequestHandler):
-        def log_message(self, format, *args):  # keep test output quiet
-            pass
+class _Handler(BaseHTTPRequestHandler):
+    """Request handler of every server; the service is ``self.server.service``.
 
-        def _reply(self, status: int, payload: object) -> None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    One module-level class, so a stopped server holds no per-server class
+    that keeps its runtime alive until a full garbage collection.
+    """
 
-        def _reply_stream(self, text: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def log_message(self, format, *args):  # keep test output quiet
+        pass
 
-        def do_GET(self) -> None:
-            parsed = urlparse(self.path)
-            params = parse_qs(parsed.query)
-            if parsed.path == "/audit":
-                self._reply_stream(service.handle_audit_stream(params))
-                return
-            identity = self.headers.get("X-Identity")
-            status, payload = service.handle("GET", parsed.path, params, identity, {})
-            self._reply(status, payload)
+    def _reply(self, status: int, payload: object) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def do_POST(self) -> None:
-            parsed = urlparse(self.path)
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length) if length else b"{}"
+    def _reply_stream(self, text: str) -> None:
+        body = text.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self) -> None:
+        service = self.server.service
+        parsed = urlparse(self.path)
+        params = parse_qs(parsed.query)
+        if parsed.path == "/audit":
             try:
-                body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
-                if not isinstance(body, dict):
-                    raise ValueError("body must be an object")
-            except ValueError:
-                self._reply(400, {"error": "bad_request", "message": "malformed JSON body"})
+                text = service.handle_audit_stream(params)
+            except ApiError as exc:
+                self._reply(exc.status, {"error": exc.code, "message": exc.message})
                 return
-            identity = self.headers.get("X-Identity")
-            status, payload = service.handle(
-                "POST", parsed.path, parse_qs(parsed.query), identity, body
-            )
-            self._reply(status, payload)
+            self._reply_stream(text)
+            return
+        identity = self.headers.get("X-Identity")
+        status, payload = service.handle("GET", parsed.path, params, identity, {})
+        self._reply(status, payload)
 
-    return Handler
+    def do_POST(self) -> None:
+        parsed = urlparse(self.path)
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            self._reply(400, {"error": "bad_request", "message": "malformed Content-Length"})
+            return
+        raw = self.rfile.read(length) if length > 0 else b"{}"
+        try:
+            body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
+            if not isinstance(body, dict):
+                raise ValueError("body must be an object")
+        except ValueError:
+            self._reply(400, {"error": "bad_request", "message": "malformed JSON body"})
+            return
+        identity = self.headers.get("X-Identity")
+        status, payload = self.server.service.handle(
+            "POST", parsed.path, parse_qs(parsed.query), identity, body
+        )
+        self._reply(status, payload)
 
 
 def make_server(service: MemoryService, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Build (but do not start) an HTTP server; ``port=0`` picks a free one."""
-    return ThreadingHTTPServer((host, port), _make_handler(service))
+    server = ThreadingHTTPServer((host, port), _Handler)
+    server.service = service
+    return server
 
 
 def serve_forever(service: MemoryService, host: str = "127.0.0.1", port: int = 8080) -> None:

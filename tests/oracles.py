@@ -7,6 +7,8 @@ everything ranking - and deliberately avoids the code paths under test.
 
 from __future__ import annotations
 
+import numpy as np
+
 from memfabric import PrincipalKind, Tier
 
 # events are plain (tick, "grant"/"revoke", (src PrincipalId, dst PrincipalId))
@@ -80,6 +82,28 @@ def oracle_retrieve(fragments, events, u, a, t, query_vec, k_user, k_cross, thre
     def ranked(rows, k):
         ordered = sorted(rows, key=lambda r: (-r[1], -r[2], r[0]))
         return [r[0] for r in ordered[:k]]
+
+    return ranked(user_rows, k_user), ranked(cross_rows, k_cross)
+
+
+def oracle_retrieve_scan(fragments, events, u, a, t, query_vec, k_user, k_cross, threshold):
+    """Per-tier ``(id, similarity)`` lists from a full scan that scores every
+    visible admissible fragment with one ``float(np.dot(query, embedding))``,
+    the float the store reports, so ids and similarities must match bit for
+    bit, ties included."""
+    admitted = oracle_admissible(fragments, events, u, a, t)
+    user_rows, cross_rows = [], []
+    for f in fragments:
+        if f.id not in admitted or f.provenance.created_at > t:
+            continue
+        sim = float(np.dot(query_vec, f.embedding))
+        if sim < threshold:
+            continue
+        row = (-sim, -f.provenance.created_at, f.id)
+        (user_rows if f.tier is Tier.PRIVATE else cross_rows).append(row)
+
+    def ranked(rows, k):
+        return [(fid, -neg_sim) for neg_sim, _, fid in sorted(rows)[:k]]
 
     return ranked(user_rows, k_user), ranked(cross_rows, k_cross)
 

@@ -23,8 +23,9 @@ from memfabric import (
     cosine,
     retrieve,
 )
+from memfabric.errors import NonFiniteVector
 from genutil import make_universe, random_store, random_timeline, random_unit_vector
-from oracles import naive_dot, oracle_retrieve
+from oracles import naive_dot, oracle_admissible, oracle_retrieve, oracle_retrieve_scan
 
 
 def test_embed_is_deterministic():
@@ -216,6 +217,82 @@ def test_tie_break_newest_then_id():
         )
     _, cross = retrieve(store, tl, users[0], agents[0], 99, emb, RetrievalConfig())
     assert [h.fragment_id for h in cross] == ["c", "a", "b"]
+
+
+def test_tie_heavy_ranking_equals_float_dot_scan_bit_for_bit():
+    # Keys drawn from a tiny vocabulary make tie groups larger than k; the
+    # thresholds are similarities the queries actually attain; 70 agents and
+    # 70 resources need two bitset words each; some fragments are newer
+    # than the read tick.
+    rng = random.Random(41)
+    embedder = DeterministicEmbedder(16)
+    vocabulary = ["alloy", "alloy grain", "grain", "kiln", "kiln glaze", "glaze", "ore"]
+    directory, users, agents, resources = make_universe(4, 70, 70)
+    timeline = AccessTimeline(directory)
+    events, tick = [], 0
+    for edge in [(u, a) for u in users for a in agents] + [
+        (a, r) for a in agents for r in resources
+    ]:
+        if rng.random() < 0.85:
+            tick += 1
+            timeline.grant(edge, tick)
+            events.append((tick, "grant", edge))
+    for _ in range(60):  # revoke a few, so some fragments are inadmissible
+        tick += 1
+        _, _, edge = rng.choice(events)
+        if timeline.edge_present(edge, tick):
+            timeline.revoke(edge, tick)
+            events.append((tick, "revoke", edge))
+    store = MemoryStore(16, directory=directory)
+    for i in range(600):
+        key = rng.choice(vocabulary)
+        store.insert(
+            MemoryFragment(
+                id=f"f{rng.randrange(10**6):06d}-{i}",
+                tier=rng.choice([Tier.PRIVATE, Tier.SHARED]),
+                key=key,
+                value=f"v{i}",
+                embedding=embedder.embed(key),
+                provenance=Provenance(
+                    created_at=tick + rng.randint(-3, 3),
+                    creator=rng.choice(users),
+                    agents=frozenset(rng.sample(agents, rng.randint(1, 3))),
+                    resources=frozenset(rng.sample(resources, rng.randint(0, 3))),
+                ),
+            )
+        )
+    fragments = list(store.fragments())
+    for _ in range(150):
+        u, a = rng.choice(users), rng.choice(agents)
+        t = tick + rng.randint(-2, 3)
+        query = embedder.embed(rng.choice(vocabulary + ["alloy kiln", "grain ore"]))
+        attained = sorted(
+            {s for s in (float(np.dot(query, f.embedding)) for f in fragments) if -1 <= s <= 1}
+        )
+        cfg = RetrievalConfig(
+            k_user=rng.randint(1, 3), k_cross=rng.randint(1, 3), threshold=rng.choice(attained)
+        )
+        assert store.admissible(timeline, u, a, t) == oracle_admissible(
+            fragments, events, u, a, t
+        )
+        user_tier, cross_tier = retrieve(store, timeline, u, a, t, query, cfg)
+        expected = oracle_retrieve_scan(
+            fragments, events, u, a, t, query, cfg.k_user, cfg.k_cross, cfg.threshold
+        )
+        got = (
+            [(h.fragment_id, h.similarity) for h in user_tier],
+            [(h.fragment_id, h.similarity) for h in cross_tier],
+        )
+        assert got == expected
+
+
+def test_non_finite_query_rejected():
+    directory, users, agents, resources = make_universe(1, 1, 1)
+    tl = full_graph_timeline(directory, users, agents, resources)
+    store = MemoryStore(4, directory=directory)
+    for bad in (np.array([np.nan, 0.0, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(NonFiniteVector):
+            retrieve(store, tl, users[0], agents[0], 0, bad, RetrievalConfig())
 
 
 def test_query_dimension_checked():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from memfabric import (
@@ -16,6 +18,8 @@ from memfabric import (
     resume_runtime,
     run_scenario,
 )
+from memfabric.service import ApiError
+from rtutil import make_runtime
 from scenarios import overlap_config, revocation_phase_config
 
 
@@ -282,3 +286,65 @@ def test_service_resumes_from_artifacts(tmp_path):
         server.server_close()
     finally:
         runtime.audit.close()
+
+
+# --- malformed requests ---
+
+
+def test_malformed_integer_parameters_are_bad_requests(tmp_path):
+    # MemoryService.handle and handle_audit_stream are called directly, no socket
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    svc = MemoryService(build_runtime(cfg, audit_path=tmp_path / "audit.jsonl"))
+    try:
+        for who in ({"user": ["user_1"]}, {"agent": ["domain1_agent"]}):
+            status, body = svc.handle(
+                "GET", "/permissions/snapshot", {**who, "t": ["abc"]}, "admin", {}
+            )
+            assert status == 400 and body["error"] == "bad_request"
+        with pytest.raises(ApiError) as raised:
+            svc.handle_audit_stream({"since_seq": ["abc"]})
+        assert (raised.value.status, raised.value.code) == (400, "bad_request")
+        assert svc.handle_audit_stream({"since_seq": ["0"]}) == svc.handle_audit_stream({})
+    finally:
+        svc.rt.audit.close()
+
+
+def test_malformed_since_seq_over_http_is_400(service):
+    client, *_ = service
+    status, text = client.request("GET", "/audit?since_seq=abc")
+    assert status == 400 and json.loads(text)["error"] == "bad_request"
+
+
+def test_malformed_content_length_is_400(service):
+    client, *_ = service
+    port = int(client.base.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(
+            b"POST /memory/read HTTP/1.0\r\nX-Identity: user_1\r\n"
+            b"Content-Length: abc\r\n\r\n{}"
+        )
+        reply = conn.makefile("rb").read()
+    assert reply.startswith(b"HTTP/1.0 400")
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
+
+
+class _NanEmbedder:
+    dimension = 16
+
+    def embed(self, text: str) -> np.ndarray:
+        return np.full(self.dimension, np.nan)
+
+
+def test_non_finite_embeddings_are_bad_requests():
+    runtime, _ = make_runtime()
+    runtime.embedder = _NanEmbedder()
+    svc = MemoryService(runtime)
+    status, body = svc.handle(
+        "POST", "/memory/write", {}, "u1", {"agent": "a1", "subquery": "q", "response": "r"}
+    )
+    assert status == 400 and body["error"] == "NonFiniteVector"
+    assert len(runtime.store) == 0
+    status, body = svc.handle(
+        "POST", "/memory/read", {}, "u1", {"user": "u1", "agent": "a1", "query": "q"}
+    )
+    assert status == 400 and body["error"] == "NonFiniteVector"

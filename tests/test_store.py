@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from memfabric import (
     resource,
     user,
 )
-from genutil import make_universe, random_store, random_timeline
+from memfabric import RetrievalConfig, retrieve
+from memfabric.errors import NonFiniteVector
+from genutil import make_universe, random_store, random_timeline, random_unit_vector
 from oracles import oracle_admissible
 
 
@@ -95,6 +99,15 @@ def test_non_unit_embedding_rejected(directory):
     )
     with pytest.raises(InvalidFragment):
         store.insert(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_embedding_rejected(directory, bad):
+    store = MemoryStore(4, directory=directory)
+    f = dataclasses.replace(fragment(), embedding=np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(NonFiniteVector):
+        store.insert(f)
+    assert len(store) == 0 and list(store.fragments()) == []
 
 
 def test_empty_key_or_value_rejected():
@@ -340,6 +353,75 @@ def test_export_reimport_byte_identical_10k():
     rebuilt = MemoryStore.from_jsonl(text)
     assert rebuilt.to_jsonl() == text
     assert len(rebuilt) == 10_000
+
+
+def test_loaded_store_admits_and_retrieves_like_the_saved_one(tmp_path):
+    rng = random.Random(5)
+    directory, users, agents, resources = make_universe(3, 4, 4)
+    timeline, _ = random_timeline(rng, directory, users, agents, resources, 40)
+    store = random_store(rng, directory, users, agents, resources, 8, 300)
+    store.save(tmp_path / "store.jsonl")
+    loaded = MemoryStore.load(tmp_path / "store.jsonl")
+    assert [f.id for f in loaded.fragments()] == [f.id for f in store.fragments()]
+    cfg = RetrievalConfig(k_user=5, k_cross=5, threshold=0.0)
+    for t in range(0, timeline.latest_tick + 2, 5):
+        for u in users:
+            for a in agents:
+                assert loaded.admissible(timeline, u, a, t) == store.admissible(timeline, u, a, t)
+                q = random_unit_vector(rng, 8)
+                assert retrieve(loaded, timeline, u, a, t, q, cfg) == retrieve(
+                    store, timeline, u, a, t, q, cfg
+                )
+
+
+def test_concurrent_reads_see_a_consistent_prefix(directory):
+    # One writer inserts f0000, f0001, ... in order while readers query: every
+    # read must see exactly the first m fragments for some m that never shrinks.
+    tl = scenario_timeline(directory)
+    store = MemoryStore(4, directory=directory)
+    n = 400
+    ids = [f"f{i:04d}" for i in range(n)]
+    errors: list[str] = []
+    done = threading.Event()
+
+    def write() -> None:
+        try:
+            for i, fid in enumerate(ids):
+                store.insert(fragment(fid=fid, created_at=i))
+        finally:
+            done.set()
+
+    def read() -> None:
+        seen = 0
+        cfg = RetrievalConfig(k_user=0, k_cross=n, threshold=-1.0)
+        while not done.is_set() or seen < n:
+            admitted = store.admissible(tl, user("u1"), agent("a1"), n)
+            m = len(admitted)
+            if set(admitted) != set(ids[:m]) or m < seen:
+                errors.append(f"admissible saw {m} rows after {seen}: not a prefix")
+                return
+            _, cross = retrieve(store, tl, user("u1"), agent("a1"), n, unit(4), cfg)
+            got = {h.fragment_id for h in cross}
+            if got != set(ids[: len(got)]) or len(got) < m:
+                errors.append(f"retrieve saw {len(got)} rows after {m}: not a prefix")
+                return
+            seen = len(got)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read) for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert set(store.admissible(tl, user("u1"), agent("a1"), n)) == set(ids)
 
 
 def test_published_sparse_phase_one_to_one_kb_admission():
