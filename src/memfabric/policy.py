@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from .access import AccessTimeline
 from .errors import (
     AmbiguousBinding,
@@ -323,7 +325,8 @@ def encode_and_write(
     isolated-memory runs disable cross-user transfer). Provenance is taken
     verbatim from the trace - transformers cannot influence it. All
     transformations run before any insert, so a transformer failure writes
-    nothing.
+    nothing. Each distinct key is embedded once, so under identity policies
+    the private and shared fragments share one embedding call.
     """
     permitted = timeline.resources_of(trace.agent, trace.timestamp)
     for r in trace.resources_invoked:
@@ -341,6 +344,7 @@ def encode_and_write(
     candidates = encode_candidates(trace, encoder)
 
     pending: list[MemoryFragment] = []
+    embeddings: dict[str, np.ndarray] = {}
     for direction, tier in (
         (Direction.WRITE_PRIVATE, Tier.PRIVATE),
         (Direction.WRITE_SHARED, Tier.SHARED),
@@ -349,13 +353,15 @@ def encode_and_write(
         for key, value in candidates:
             out_key = transformer.apply(key, context)
             out_value = transformer.apply(value, context)
+            if out_key not in embeddings:
+                embeddings[out_key] = embedder.embed(out_key)
             pending.append(
                 MemoryFragment(
                     id=id_factory(),
                     tier=Tier.PRIVATE if force_private else tier,
                     key=out_key,
                     value=out_value,
-                    embedding=embedder.embed(out_key),
+                    embedding=embeddings[out_key],
                     provenance=provenance,
                 )
             )

@@ -27,6 +27,7 @@ import math
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
 from typing import Protocol, runtime_checkable
 
@@ -47,6 +48,16 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
+# distinct n-grams whose hashes are kept; bounded, so memory stays flat
+# however much distinct text a long-running service embeds
+NGRAM_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=NGRAM_CACHE_SIZE)
+def _ngram_hash(gram: str) -> int:
+    return int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+
+
 class DeterministicEmbedder:
     """Hash character 2-/3-grams of the input into a unit vector.
 
@@ -63,19 +74,17 @@ class DeterministicEmbedder:
         if not text:
             raise EmptyText("cannot embed an empty string")
         marked = f"\x02{text}\x03"
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        # sums of +-1.0 are exact in any order, so a list accumulates the
+        # same vector as a float64 array would
+        counts = [0.0] * self.dimension
         for n in (2, 3):
             for i in range(len(marked) - n + 1):
-                digest = blake2b(
-                    marked[i : i + n].encode("utf-8"), digest_size=8
-                ).digest()
-                h = int.from_bytes(digest, "big")
-                vec[(h >> 1) % self.dimension] += 1.0 if h & 1 else -1.0
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:  # all n-gram contributions cancelled; keep output defined
-            vec[0] = 1.0
-            norm = 1.0
-        out = vec / norm
+                h = _ngram_hash(marked[i : i + n])
+                counts[(h >> 1) % self.dimension] += 1.0 if h & 1 else -1.0
+        # never zero: a text of L marked characters adds 2L - 3 terms of +-1,
+        # an odd count, so they cannot all cancel
+        vec = np.array(counts, dtype=np.float64)
+        out = vec / float(np.linalg.norm(vec))
         out.setflags(write=False)
         return out
 

@@ -9,15 +9,26 @@ reply carries the server's current logical tick):
 - ``POST /memory/read``   body ``{"user", "agent", "query"}``
 - ``POST /memory/write``  body ``{"agent", "subquery", "response", "resources"}``
 - ``POST /episodes``      body ``{"user", "query", "bin"?}``
-- ``GET  /audit?since_seq=N``  (line-delimited JSON stream)
+- ``GET  /audit?since_seq=N``  (line-delimited JSON stream) admin only
 
 Callers authenticate with the ``X-Identity`` header; authorization is the
 substrate's job. Provenance is always derived server-side - write bodies
 name the agent and resources used, both validated against the timeline, and
 the writing user is the authenticated caller. Ticks are assigned by the
 server's clock, never accepted from clients, so backdated writes cannot
-defeat retrospective checks. Handlers hold no state of their own: restart
-the service on the same files and it resumes where it left off.
+defeat retrospective checks. The runtime's timeline and store live in
+memory only: a restarted ``memfabric serve`` builds a fresh runtime, and
+continuing from a finished run's artifacts takes ``resume_runtime``.
+
+The server speaks HTTP/1.1 with persistent connections: a client may send
+its requests one after another on one connection, which the server closes
+after :data:`IDLE_TIMEOUT_S` seconds without a request. HTTP/1.0 requests
+and requests carrying ``Connection: close`` are closed after their reply.
+A request body is framed by one decimal ``Content-Length`` header only; a
+request whose body cannot be framed that way (a malformed, negative or
+repeated ``Content-Length``, or any ``Transfer-Encoding``) is answered 400
+and its connection closed, because the bytes after it cannot be told apart
+from a next request.
 
 Errors: 400 validation, 403 permission, 404 unknown id, 409 conflicts,
 503 remote backend unavailable - body ``{"error": code, "message": ...}``.
@@ -42,6 +53,10 @@ from .errors import (
 from .orchestration import Runtime, audited_retrieve, run_episode
 from .policy import InteractionTrace, encode_and_write
 from .principals import PrincipalKind, agent, resource, user
+
+
+# seconds an idle persistent connection is kept open
+IDLE_TIMEOUT_S = 30.0
 
 
 class ApiError(Exception):
@@ -85,6 +100,8 @@ class MemoryService:
     def handle(
         self, method: str, path: str, params: dict[str, list[str]], identity: str | None, body: dict
     ) -> tuple[int, object]:
+        """Status and reply of one request: a JSON-able object, or the text
+        of the ``/audit`` stream."""
         try:
             if identity is None:
                 raise ApiError(400, "bad_request", "missing X-Identity header")
@@ -101,6 +118,9 @@ class MemoryService:
                 return 200, self._memory_write(identity, body)
             if route == ("POST", "/episodes"):
                 return 200, self._episode(identity, body)
+            if route == ("GET", "/audit"):
+                self._require_admin(identity)
+                return 200, self.handle_audit_stream(params)
             raise ApiError(404, "not_found", f"no route {method} {path}")
         except ApiError as exc:
             return exc.status, {"error": exc.code, "message": exc.message}
@@ -262,49 +282,63 @@ class _Handler(BaseHTTPRequestHandler):
     that keeps its runtime alive until a full garbage collection.
     """
 
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # buffered, so handle_one_request's flush sends status line, headers
+    # and body in one write
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
     def log_message(self, format, *args):  # keep test output quiet
         pass
 
     def _reply(self, status: int, payload: object) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        if isinstance(payload, str):
+            body, content_type = payload.encode("utf-8"), "application/x-ndjson"
+        else:
+            body = json.dumps(payload, sort_keys=True).encode("utf-8")
+            content_type = "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_stream(self, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _read_body(self) -> bytes | None:
+        """The request body, or None after a 400 for a body that cannot be
+        framed by a single decimal Content-Length."""
+        lengths = self.headers.get_all("Content-Length", ["0"])
+        if (
+            len(lengths) != 1
+            or not (lengths[0].isascii() and lengths[0].isdigit())
+            or "Transfer-Encoding" in self.headers
+        ):
+            # the rest of the stream cannot be split into requests
+            self.close_connection = True
+            self._reply(
+                400, {"error": "bad_request", "message": "body needs one Content-Length"}
+            )
+            return None
+        return self.rfile.read(int(lengths[0]))
 
-    def do_GET(self) -> None:
-        service = self.server.service
+    def _dispatch(self, method: str, body: dict) -> None:
         parsed = urlparse(self.path)
-        params = parse_qs(parsed.query)
-        if parsed.path == "/audit":
-            try:
-                text = service.handle_audit_stream(params)
-            except ApiError as exc:
-                self._reply(exc.status, {"error": exc.code, "message": exc.message})
-                return
-            self._reply_stream(text)
-            return
-        identity = self.headers.get("X-Identity")
-        status, payload = service.handle("GET", parsed.path, params, identity, {})
+        status, payload = self.server.service.handle(
+            method, parsed.path, parse_qs(parsed.query), self.headers.get("X-Identity"), body
+        )
         self._reply(status, payload)
 
+    def do_GET(self) -> None:
+        # a GET body is read only to find where the next request starts
+        if self._read_body() is not None:
+            self._dispatch("GET", {})
+
     def do_POST(self) -> None:
-        parsed = urlparse(self.path)
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._reply(400, {"error": "bad_request", "message": "malformed Content-Length"})
+        raw = self._read_body()
+        if raw is None:
             return
-        raw = self.rfile.read(length) if length > 0 else b"{}"
         try:
             body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
             if not isinstance(body, dict):
@@ -312,11 +346,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             self._reply(400, {"error": "bad_request", "message": "malformed JSON body"})
             return
-        identity = self.headers.get("X-Identity")
-        status, payload = self.server.service.handle(
-            "POST", parsed.path, parse_qs(parsed.query), identity, body
-        )
-        self._reply(status, payload)
+        self._dispatch("POST", body)
 
 
 def make_server(service: MemoryService, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

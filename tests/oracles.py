@@ -7,6 +7,8 @@ everything ranking - and deliberately avoids the code paths under test.
 
 from __future__ import annotations
 
+from hashlib import blake2b
+
 import numpy as np
 
 from memfabric import PrincipalKind, Tier
@@ -56,6 +58,19 @@ def oracle_admissible(fragments, events, u, a, t):
             continue
         admitted.add(f.id)
     return admitted
+
+
+def oracle_embed(text, dimension):
+    """The deterministic embedding, one fresh blake2b per n-gram added
+    straight into a float64 array."""
+    marked = f"\x02{text}\x03"
+    vec = np.zeros(dimension, dtype=np.float64)
+    for n in (2, 3):
+        for i in range(len(marked) - n + 1):
+            digest = blake2b(marked[i : i + n].encode("utf-8"), digest_size=8).digest()
+            h = int.from_bytes(digest, "big")
+            vec[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+    return vec / float(np.linalg.norm(vec))
 
 
 def naive_dot(x, y):

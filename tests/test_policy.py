@@ -295,6 +295,43 @@ def test_shared_tier_redactor_strips_user_name():
                 assert name in f.value  # private keeps it verbatim
 
 
+class CountingEmbedder:
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.texts: list[str] = []
+
+    def embed(self, text: str):
+        self.texts.append(text)
+        return self.inner.embed(text)
+
+
+def test_encode_and_write_embeds_each_distinct_key_once():
+    directory, timeline, store, embedder, t = write_env()
+    counting, ids_factory = CountingEmbedder(embedder), counter_ids()
+    trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "what is x", "x is y")
+    ids = encode_and_write(trace, PolicyTable(), store, timeline, counting, ids_factory)
+    assert counting.texts == ["what is x"]
+    private, shared = (store.get(i) for i in ids)
+    assert (private.tier, shared.tier) == (Tier.PRIVATE, Tier.SHARED)
+    assert private.embedding.tobytes() == shared.embedding.tobytes()
+
+    # a shared-tier rule that rewrites the key gives that fragment its own embedding
+    redact_key = PolicyTable(
+        [
+            PolicyBinding(
+                Scope.everywhere(), Direction.WRITE_SHARED, Redactor((("{user}", "[user]"),))
+            )
+        ]
+    )
+    trace = InteractionTrace(user("u1"), agent("a1"), t + 2, "ask u1 about x", "x is y")
+    ids = encode_and_write(trace, redact_key, store, timeline, counting, ids_factory)
+    assert counting.texts[1:] == ["ask u1 about x", "ask [user] about x"]
+    private, shared = (store.get(i) for i in ids)
+    assert private.embedding.tobytes() == embedder.embed("ask u1 about x").tobytes()
+    assert shared.embedding.tobytes() == embedder.embed("ask [user] about x").tobytes()
+
+
 def test_force_private_writes_both_fragments_private():
     directory, timeline, store, embedder, t = write_env()
     trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "q", "r")

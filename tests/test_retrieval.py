@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -7,6 +8,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memfabric import (
     AccessTimeline,
@@ -25,7 +28,13 @@ from memfabric import (
 )
 from memfabric.errors import NonFiniteVector
 from genutil import make_universe, random_store, random_timeline, random_unit_vector
-from oracles import naive_dot, oracle_admissible, oracle_retrieve, oracle_retrieve_scan
+from oracles import (
+    naive_dot,
+    oracle_admissible,
+    oracle_embed,
+    oracle_retrieve,
+    oracle_retrieve_scan,
+)
 
 
 def test_embed_is_deterministic():
@@ -52,6 +61,28 @@ def test_different_texts_below_exact_match():
     a = emb.embed("chemistry: question 000")
     b = emb.embed("chemistry: question 001")
     assert cosine(a, b) < 1.0 - 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(min_size=1, max_size=40), dimension=st.sampled_from([2, 3, 16, 32, 97]))
+@example(text="x", dimension=16)  # 3 terms cancel down to one
+@example(text="ayy", dimension=16)  # 7 terms cancel down to one
+@example(text="é", dimension=32)
+@example(text="日本語のテキスト", dimension=32)
+@example(text="\x00\U0001f600", dimension=2)
+def test_embed_equals_per_ngram_oracle(text, dimension):
+    got = DeterministicEmbedder(dimension).embed(text)
+    assert got.tobytes() == oracle_embed(text, dimension).tobytes()
+
+
+def test_embed_terms_never_cancel_out():
+    # 2L - 3 terms of +-1 for L marked characters: odd, so never all zero,
+    # even at the smallest dimension where collisions are most frequent
+    emb = DeterministicEmbedder(2)
+    for n in (1, 2, 3):
+        for chars in itertools.product("abcxyz", repeat=n):
+            v = emb.embed("".join(chars))
+            assert np.all(np.isfinite(v)) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 def test_empty_text_rejected():

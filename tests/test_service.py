@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -18,6 +19,7 @@ from memfabric import (
     resume_runtime,
     run_scenario,
 )
+from memfabric import service as service_module
 from memfabric.service import ApiError
 from rtutil import make_runtime
 from scenarios import overlap_config, revocation_phase_config
@@ -315,6 +317,98 @@ def test_malformed_since_seq_over_http_is_400(service):
     assert status == 400 and json.loads(text)["error"] == "bad_request"
 
 
+def port_of(client: Client) -> int:
+    return int(client.base.rsplit(":", 1)[1])
+
+
+def exchange(port: int, raw: bytes) -> bytes:
+    """Send ``raw`` and read until the server closes the connection; a
+    connection left open fails the read by timeout."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(raw)
+        return conn.makefile("rb").read()
+
+
+def test_audit_stream_is_admin_only(service):
+    client, *_ = service
+    status, text = client.request("GET", "/audit", identity="user_1")
+    assert status == 403 and json.loads(text)["error"] == "forbidden"
+    reply = exchange(port_of(client), b"GET /audit HTTP/1.1\r\nConnection: close\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 400")
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
+
+
+def test_requests_reuse_one_connection(service):
+    client, *_ = service
+    conn = http.client.HTTPConnection("127.0.0.1", port_of(client), timeout=5)
+    try:
+        statuses, sockets = [], []
+        for _ in range(2):
+            conn.request("GET", "/permissions/snapshot?user=user_1", headers={"X-Identity": "admin"})
+            response = conn.getresponse()
+            statuses.append(response.status)
+            response.read()
+            sockets.append(conn.sock)
+        assert statuses == [200, 200]
+        assert sockets[0] is not None and sockets[0] is sockets[1]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "request_head",
+    [
+        b"GET /permissions/snapshot?user=user_1 HTTP/1.0\r\n",
+        b"GET /permissions/snapshot?user=user_1 HTTP/1.1\r\nConnection: close\r\n",
+    ],
+)
+def test_closing_requests_are_closed_after_reply(service, request_head):
+    client, *_ = service
+    reply = exchange(port_of(client), request_head + b"X-Identity: admin\r\n\r\n")
+    assert reply.startswith(b"HTTP/1.1 200") and reply.count(b"HTTP/1.") == 1
+
+
+def test_idle_connection_is_closed(service, monkeypatch):
+    client, *_ = service
+    assert service_module._Handler.timeout == service_module.IDLE_TIMEOUT_S > 0
+    monkeypatch.setattr(service_module._Handler, "timeout", 0.2)
+    with socket.create_connection(("127.0.0.1", port_of(client)), timeout=5) as conn:
+        conn.sendall(
+            b"GET /permissions/snapshot?user=user_1 HTTP/1.1\r\nX-Identity: admin\r\n\r\n"
+        )
+        replies = conn.makefile("rb")
+        assert replies.readline().startswith(b"HTTP/1.1 200")
+        # the reply leaves the connection open; after the idle timeout the
+        # server closes it, which ends the stream well before the 5 s timeout
+        assert b"Connection: close" not in replies.read()
+
+
+@pytest.mark.parametrize(
+    "framing",
+    [
+        b"Content-Length: -1\r\n",
+        b"Content-Length: 2\r\nContent-Length: 0\r\n",
+        b"Transfer-Encoding: chunked\r\n",
+    ],
+)
+def test_unframeable_body_is_refused_and_closes(service, framing):
+    client, runtime, _, _ = service
+    grant = json.dumps({"edge": {"user": "user_1", "agent": "domain1_agent"}}).encode()
+    smuggled = (
+        b"POST /permissions/grant HTTP/1.1\r\nX-Identity: admin\r\n"
+        b"Content-Length: " + str(len(grant)).encode() + b"\r\n\r\n" + grant
+    )
+    audit_before, events_before = len(runtime.audit), runtime.timeline.events
+    reply = exchange(
+        port_of(client),
+        b"POST /memory/read HTTP/1.1\r\nX-Identity: user_1\r\n" + framing + b"\r\n" + smuggled,
+    )
+    assert reply.startswith(b"HTTP/1.1 400") and reply.count(b"HTTP/1.") == 1
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
+    assert len(runtime.audit) == audit_before
+    assert runtime.timeline.events == events_before
+
+
 def test_malformed_content_length_is_400(service):
     client, *_ = service
     port = int(client.base.rsplit(":", 1)[1])
@@ -324,7 +418,7 @@ def test_malformed_content_length_is_400(service):
             b"Content-Length: abc\r\n\r\n{}"
         )
         reply = conn.makefile("rb").read()
-    assert reply.startswith(b"HTTP/1.0 400")
+    assert reply.startswith(b"HTTP/1.1 400")
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
 
 
