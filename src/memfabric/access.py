@@ -17,13 +17,13 @@ idempotence hides schedule bugs.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
+from . import wire
 from .audit import AuditAction, AuditLog
 from .errors import DuplicateEdge, EdgeNotPresent, NonMonotonicTimestamp
 from .principals import PrincipalDirectory, PrincipalId, PrincipalKind, agent, resource, user
@@ -225,18 +225,11 @@ class AccessTimeline:
 
     # -- line-delimited JSON event log
 
-    def export_jsonl(self, fp: IO[str]) -> None:
-        for event in self._events:
-            fp.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self._events
-        )
+        return "".join(wire.encode(e.to_dict()) for e in self._events)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fp:
-            self.export_jsonl(fp)
+        wire.dump(path, (e.to_dict() for e in self._events))
 
     @classmethod
     def from_jsonl(
@@ -251,24 +244,16 @@ class AccessTimeline:
         is supplied (or added to the supplied one), so a bare event log is
         self-describing.
         """
-        if isinstance(lines, str):
-            lines = lines.splitlines()
         directory = directory if directory is not None else PrincipalDirectory()
         timeline = cls(directory, audit=audit)
-        for line in lines:
-            if not line.strip():
-                continue
-            event = PermissionEvent.from_dict(json.loads(line))
+        for doc in wire.decode(lines):
+            event = PermissionEvent.from_dict(doc)
             directory.register(event.edge[0])
             directory.register(event.edge[1])
             timeline.apply(event.action, event.edge, event.tick)
         return timeline
 
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        directory: PrincipalDirectory | None = None,
-        audit: AuditLog | None = None,
-    ) -> "AccessTimeline":
-        return cls.from_jsonl(Path(path).read_text(encoding="utf-8"), directory, audit)
+    def load(cls, path: str | Path, **kwargs) -> "AccessTimeline":
+        with Path(path).open(encoding="utf-8") as fp:
+            return cls.from_jsonl(fp, **kwargs)

@@ -8,13 +8,13 @@ are line-delimited JSON when persisted, flushed per record.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+from . import wire
 from .errors import EmptyWindow, NonMonotonicTimestamp
 
 
@@ -77,14 +77,12 @@ class AuditLog:
     def __init__(self, path: str | Path | None = None, resume: bool = False) -> None:
         self._records: list[AuditRecord] = []
         self._fp: IO[str] | None = None
-        self._lock = threading.Lock()  # appender is shared by parallel episodes
+        self._lock = threading.Lock()  # a service appends from many request threads
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
-                self._records = records_from_jsonl(
-                    self.path.read_text(encoding="utf-8")
-                )
+                self._records = load_audit_file(self.path)
                 self._fp = self.path.open("a", encoding="utf-8")
             else:
                 self._fp = self.path.open("w", encoding="utf-8")
@@ -112,7 +110,7 @@ class AuditLog:
             )
             self._records.append(record)
             if self._fp is not None:
-                self._fp.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                self._fp.write(wire.encode(record.to_dict()))
                 self._fp.flush()
             return record.seq
 
@@ -127,9 +125,7 @@ class AuditLog:
         return iter(self._records)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in self._records
-        )
+        return "".join(wire.encode(r.to_dict()) for r in self._records)
 
     def close(self) -> None:
         if self._fp is not None:
@@ -138,13 +134,11 @@ class AuditLog:
 
 
 def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:
-    if isinstance(lines, str):
-        lines = lines.splitlines()
-    return [AuditRecord.from_dict(json.loads(line)) for line in lines if line.strip()]
+    return [AuditRecord.from_dict(doc) for doc in wire.decode(lines)]
 
 
 def load_audit_file(path: str | Path) -> list[AuditRecord]:
-    return records_from_jsonl(Path(path).read_text(encoding="utf-8"))
+    return [AuditRecord.from_dict(doc) for doc in wire.load(path)]
 
 
 # --- metrics -----------------------------------------------------------------

@@ -23,9 +23,7 @@ from .verify import verify_files
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    artifacts = run_scenario(
-        cfg, args.out, mode=args.mode, seed=args.seed, parallel=args.parallel
-    )
+    artifacts = run_scenario(cfg, args.out, mode=args.mode, seed=args.seed)
     for b in artifacts.metrics.bins:
         print(
             f"{b.label}: queries={b.queries} agents/query={b.agent_utilization:.3f} "
@@ -101,12 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--mode", choices=["shared", "isolated"], default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="episodes per concurrent batch (default 1: sequential, byte-reproducible)",
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run shared vs isolated and compare")

@@ -32,14 +32,13 @@ import dataclasses
 import json
 import math
 import random
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import yaml
 
+from . import wire
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction
 from .audit import AuditAction, AuditLog, MetricsReport, access_matrix, compute_metrics
 from .clock import LogicalClock
@@ -482,14 +481,6 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
 # --- runtime construction --------------------------------------------------------
 
 
-def _load_documents(path: str | Path) -> list[dict]:
-    docs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            docs.append(json.loads(line))
-    return docs
-
-
 def build_runtime(cfg: ScenarioConfig, audit_path: str | Path | None = None) -> Runtime:
     """Wire a bare runtime from a config. Permission edges are *not* applied
     here; the run (or an API driver) issues them so that both paths produce
@@ -511,10 +502,10 @@ def build_runtime(cfg: ScenarioConfig, audit_path: str | Path | None = None) -> 
     )
     store = MemoryStore(embedder.dimension, directory=directory, audit=audit)
 
-    shared_docs = _load_documents(cfg.documents) if cfg.documents else []
+    shared_docs = list(wire.load(cfg.documents)) if cfg.documents else []
     resources: dict[PrincipalId, Resource] = {}
     for rc in cfg.resources:
-        docs = _load_documents(rc.documents) if rc.documents else [
+        docs = list(wire.load(rc.documents)) if rc.documents else [
             d for d in shared_docs if d.get("category") == rc.category
         ]
         rid = resource(rc.id)
@@ -601,7 +592,7 @@ def resume_runtime(cfg: ScenarioConfig, artifacts_dir: str | Path) -> Runtime:
         rt.timeline = AccessTimeline.load(timeline_path, directory=rt.directory)
     rt.timeline.attach_audit(audit)
     store_path = out / "store.jsonl"
-    if store_path.exists() and store_path.read_text(encoding="utf-8").strip():
+    if store_path.exists():
         rt.store = MemoryStore.load(
             store_path, dimension=rt.embedder.dimension, directory=rt.directory
         )
@@ -634,30 +625,21 @@ class RunArtifacts:
     phase_windows: dict[str, tuple[int, int]]
 
 
-def _transcript_line(item: WorkloadItem, bin_label: str, t: int, episode) -> str:
-    return json.dumps(
-        {
-            "episode_id": episode.episode_id,
-            "user": item.user,
-            "query": item.query,
-            "kind": item.kind,
-            "bin": bin_label,
-            "t": t,
-            "final_answer": episode.final_answer,
-            "failure": episode.failure,
-        },
-        sort_keys=True,
-    )
+def _write_json(path: Path, doc: object) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _locked_factory(factory):
-    lock = threading.Lock()
-
-    def locked() -> str:
-        with lock:
-            return factory()
-
-    return locked
+def _transcript_doc(item: WorkloadItem, bin_label: str, t: int, episode) -> dict:
+    return {
+        "episode_id": episode.episode_id,
+        "user": item.user,
+        "query": item.query,
+        "kind": item.kind,
+        "bin": bin_label,
+        "t": t,
+        "final_answer": episode.final_answer,
+        "failure": episode.failure,
+    }
 
 
 def run_scenario(
@@ -665,60 +647,35 @@ def run_scenario(
     out_dir: str | Path,
     mode: str | None = None,
     seed: int | None = None,
-    parallel: int = 1,
 ) -> RunArtifacts:
     """Execute a scenario and write its artifact directory.
 
-    Episodes run sequentially by default: permission edits of a phase first,
-    then the phase's episodes in workload order, each at a fresh tick, which
-    makes reruns byte-identical. ``parallel > 1`` is an opt-in mode that runs
-    episodes in concurrent batches sharing one logical tick - mutations stay
-    serialized through the store/audit writer locks, so every safety property
-    still holds, but record interleaving (and memory-reuse timing) is no
-    longer byte-reproducible. Failed episodes are recorded, not fatal.
+    Permission edits of a phase come first, then the phase's episodes in
+    workload order, each at a fresh tick, which makes reruns byte-identical.
+    Failed episodes are recorded, not fatal.
     """
     cfg = cfg.resolved(mode=mode, seed=seed)
-    if parallel < 1:
-        raise ValueError("parallel must be >= 1")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plan = plan_scenario(cfg)
     rt = build_runtime(cfg, audit_path=out / "audit.jsonl")
-    if parallel > 1:
-        rt.id_factory = _locked_factory(rt.id_factory)
 
-    transcript_lines: list[str] = []
+    transcript_path = out / "transcript.jsonl"
     phase_windows: dict[str, tuple[int, int]] = {}
-    for edge in plan.setup_edges:
-        rt.timeline.grant(edge, rt.clock.tick())
-    for phase in plan.phases:
-        for action, edge in phase.permission_edits:
-            rt.timeline.apply(action, edge, rt.clock.tick())
-        window_start = rt.clock.now + 1
-        if parallel == 1:
+    with transcript_path.open("w", encoding="utf-8") as transcript:
+        for edge in plan.setup_edges:
+            rt.timeline.grant(edge, rt.clock.tick())
+        for phase in plan.phases:
+            for action, edge in phase.permission_edits:
+                rt.timeline.apply(action, edge, rt.clock.tick())
+            window_start = rt.clock.now + 1
             for item in phase.episodes:
                 t = rt.clock.tick()
                 episode = run_episode(
                     rt, user(item.user), item.query, t, bin_label=phase.label
                 )
-                transcript_lines.append(_transcript_line(item, phase.label, t, episode))
-        else:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                batch: list[WorkloadItem] = list(phase.episodes)
-                for start in range(0, len(batch), parallel):
-                    chunk = batch[start : start + parallel]
-                    t = rt.clock.tick()  # concurrent episodes share an instant
-                    futures = [
-                        pool.submit(
-                            run_episode, rt, user(item.user), item.query, t, phase.label
-                        )
-                        for item in chunk
-                    ]
-                    for item, future in zip(chunk, futures):
-                        transcript_lines.append(
-                            _transcript_line(item, phase.label, t, future.result())
-                        )
-        phase_windows[phase.label] = (window_start, rt.clock.now)
+                transcript.write(wire.encode(_transcript_doc(item, phase.label, t, episode)))
+            phase_windows[phase.label] = (window_start, rt.clock.now)
 
     rt.audit.close()
     records = rt.audit.records
@@ -735,10 +692,7 @@ def run_scenario(
     metrics_csv_path = out / "metrics.csv"
     metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
     metrics_json_path = out / "metrics.json"
-    metrics_json_path.write_text(
-        json.dumps(metrics.to_summary(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(metrics_json_path, metrics.to_summary())
 
     matrices_doc = []
     for phase in plan.phases:
@@ -762,17 +716,10 @@ def run_scenario(
             }
         )
     matrices_path = out / "access_matrices.json"
-    matrices_path.write_text(
-        json.dumps(matrices_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-    transcript_path = out / "transcript.jsonl"
-    transcript_path.write_text("\n".join(transcript_lines) + "\n", encoding="utf-8")
+    _write_json(matrices_path, matrices_doc)
 
     config_echo_path = out / "config.echo.json"
-    config_echo_path.write_text(
-        json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(config_echo_path, cfg.to_dict())
 
     return RunArtifacts(
         out_dir=out,
@@ -878,9 +825,7 @@ def compare_modes(cfg: ScenarioConfig, out_dir: str | Path) -> ComparisonReport:
         if total_isolated
         else 0.0,
     )
-    (out / "comparison.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "comparison.json", report.to_dict())
     csv_lines = ["bin,shared_calls,isolated_calls,reduction"]
     for row in per_bin:
         csv_lines.append(

@@ -26,8 +26,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -50,6 +48,7 @@ from .policy import (
 from .principals import PrincipalDirectory, PrincipalId, PrincipalKind
 from .retrieval import Embedder, RankedFragment, RetrievalConfig, retrieve
 from .store import MemoryStore, new_fragment_id
+from .wire import chat
 
 NO_AGENTS_ANSWER = "No agents were able to process the query."
 
@@ -180,7 +179,7 @@ class RemoteCoordinator:
             "agents": [{"id": b.id.name, "specialization": b.specialization} for b in agents],
             "history": [{"subquery": s, "response": r} for s, r in history],
         }
-        raw = _chat(self.endpoint, self.system_prompt, json.dumps(payload, sort_keys=True), self.timeout)
+        raw = chat(self.endpoint, self.system_prompt, json.dumps(payload, sort_keys=True), self.timeout)
         return CoordinationMessage.from_wire(raw)
 
 
@@ -206,19 +205,7 @@ class RemoteAggregator:
             "query": query,
             "history": [{"subquery": s, "response": r} for s, r in history],
         }
-        return _chat(self.endpoint, self.system_prompt, json.dumps(payload, sort_keys=True), self.timeout)
-
-
-def _chat(endpoint: str, system: str, user_input: str, timeout: float) -> str:
-    body = json.dumps({"system": system, "input": user_input}).encode("utf-8")
-    request = urllib.request.Request(
-        endpoint, data=body, headers={"Content-Type": "application/json"}
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return str(json.loads(response.read().decode("utf-8"))["output"])
-    except (urllib.error.URLError, OSError, ValueError, KeyError) as exc:
-        raise RemoteUnavailable(f"chat backend at {endpoint}: {exc}") from exc
+        return chat(self.endpoint, self.system_prompt, json.dumps(payload, sort_keys=True), self.timeout)
 
 
 # --- resources ----------------------------------------------------------------
@@ -240,7 +227,7 @@ class Resource:
 
     def call(self, query: str) -> str:
         if self.endpoint is not None:
-            return _chat(self.endpoint, f"resource:{self.id.name}", query, timeout=30.0)
+            return chat(self.endpoint, f"resource:{self.id.name}", query, timeout=30.0)
         needle = query.lower()
         tokens = [w for w in re.split(r"\W+", needle) if len(w) >= 4]
         for doc in self.documents:
@@ -314,8 +301,9 @@ def remote_agent_respond(
     """Single-shot remote agent: one chat call with the view inlined.
 
     The reply may request resource lookups via {"invoke": [names...],
-    "answer": ...}; requested resources outside the permitted set are an
-    error surfaced to the caller, never silently honored.
+    "answer": ...}; any other reply is the answer verbatim. Requested
+    resources outside the permitted set are an error surfaced to the caller,
+    never silently honored.
     """
     assert isinstance(spec.backend, RemoteAgentBackend)
     payload = json.dumps(
@@ -326,10 +314,12 @@ def remote_agent_respond(
         },
         sort_keys=True,
     )
-    raw = _chat(spec.backend.endpoint, spec.backend.system_prompt, payload, timeout=30.0)
+    raw = chat(spec.backend.endpoint, spec.backend.system_prompt, payload, timeout=30.0)
     try:
         data = json.loads(raw)
     except ValueError:
+        data = None
+    if not isinstance(data, dict):
         return raw, []
     names = data.get("invoke", [])
     invoked: list[PrincipalId] = []

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from . import wire
 from .access import AccessTimeline
 from .errors import (
     AmbiguousBinding,
@@ -178,16 +177,7 @@ class PromptedRemote:
     timeout: float = 30.0
 
     def apply(self, text: str, context: Context | None = None) -> str:
-        payload = json.dumps({"system": self.system_prompt, "input": text}).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-            return str(body["output"])
-        except (urllib.error.URLError, OSError, ValueError, KeyError) as exc:
-            raise RemoteUnavailable(f"transformer at {self.endpoint}: {exc}") from exc
+        return wire.chat(self.endpoint, self.system_prompt, text, self.timeout)
 
 
 @dataclass(frozen=True)
@@ -325,8 +315,11 @@ def encode_and_write(
     isolated-memory runs disable cross-user transfer). Provenance is taken
     verbatim from the trace - transformers cannot influence it. All
     transformations run before any insert, so a transformer failure writes
-    nothing. Each distinct key is embedded once, so under identity policies
-    the private and shared fragments share one embedding call.
+    nothing, and every fragment passes the store's insert checks before the
+    first insert, so a rejected fragment (say, a remote embedder's zero
+    vector) leaves none of the pair stored or audited. Each distinct key is
+    embedded once, so under identity policies the private and shared
+    fragments share one embedding call.
     """
     permitted = timeline.resources_of(trace.agent, trace.timestamp)
     for r in trace.resources_invoked:
@@ -365,4 +358,6 @@ def encode_and_write(
                     provenance=provenance,
                 )
             )
+    for fragment in pending:
+        store.check(fragment)
     return [store.insert(fragment) for fragment in pending]

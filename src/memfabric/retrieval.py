@@ -22,10 +22,7 @@ recognize an exact repeat without any remote model.
 
 from __future__ import annotations
 
-import json
 import math
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
@@ -33,6 +30,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from . import wire
 from .access import AccessTimeline
 from .errors import DimensionMismatch, EmptyText, NonFiniteVector, RemoteUnavailable
 from .principals import PrincipalId
@@ -100,18 +98,10 @@ class RemoteEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed an empty string")
-        payload = json.dumps({"input": text}).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
+        embedding = wire.post_json(self.endpoint, {"input": text}, "embedding", self.timeout)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise RemoteUnavailable(f"embedder at {self.endpoint}: {exc}") from exc
-        try:
-            vec = np.array(body["embedding"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
+            vec = np.array(embedding, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
             raise RemoteUnavailable(f"embedder returned malformed payload: {exc}") from exc
         if vec.shape != (self.dimension,):
             raise DimensionMismatch(

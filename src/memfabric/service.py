@@ -41,6 +41,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from . import wire
 from .access import PermissionAction
 from .errors import (
     DuplicateEdge,
@@ -142,9 +143,7 @@ class MemoryService:
         Raises :class:`ApiError` (400) when ``since_seq`` is not an integer."""
         since = _int_param(params, "since_seq", 0)
         return "".join(
-            json.dumps(rec.to_dict(), sort_keys=True) + "\n"
-            for rec in self.rt.audit.records
-            if rec.seq >= since
+            wire.encode(rec.to_dict()) for rec in self.rt.audit.records if rec.seq >= since
         )
 
     # -- handlers

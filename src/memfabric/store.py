@@ -31,7 +31,6 @@ clauses above as one boolean mask over those columns, returned as an
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import threading
@@ -40,10 +39,11 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from . import wire
 from .access import AccessTimeline
 from .audit import AuditAction, AuditLog
 from .errors import (
@@ -354,9 +354,8 @@ class MemoryStore:
                 )
         return fragment.id
 
-    def _append(self, fragment: MemoryFragment) -> None:
-        """Validate and record one fragment; the next read fills its columns.
-        The caller holds the write lock."""
+    def check(self, fragment: MemoryFragment) -> None:
+        """Raise what :meth:`insert` would raise for ``fragment``; store nothing."""
         if fragment.id in self._fragments:
             raise DuplicateId(fragment.id)
         if fragment.embedding.shape != (self.dimension,):
@@ -376,6 +375,11 @@ class MemoryStore:
             for pid in [prov.creator, *prov.agents, *prov.resources]:
                 if not self.directory.known(pid):
                     raise UnknownPrincipalInProvenance(str(pid))
+
+    def _append(self, fragment: MemoryFragment) -> None:
+        """Check and record one fragment; the next read fills its columns.
+        The caller holds the write lock."""
+        self.check(fragment)
         self._fragments[fragment.id] = fragment
         self._rows.append(fragment)
 
@@ -508,18 +512,11 @@ class MemoryStore:
 
     # -- line-delimited JSON snapshot
 
-    def export_jsonl(self, fp: IO[str]) -> None:
-        for fragment in self.fragments():
-            fp.write(json.dumps(fragment.to_dict(), sort_keys=True) + "\n")
-
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in self.fragments()
-        )
+        return "".join(wire.encode(f.to_dict()) for f in self.fragments())
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fp:
-            self.export_jsonl(fp)
+        wire.dump(path, (f.to_dict() for f in self.fragments()))
 
     @classmethod
     def from_jsonl(
@@ -535,28 +532,22 @@ class MemoryStore:
         principals named in provenance are auto-registered into a fresh
         directory when none is supplied.
         """
-        if isinstance(lines, str):
-            lines = lines.splitlines()
-        fragments = [
-            MemoryFragment.from_dict(json.loads(line)) for line in lines if line.strip()
-        ]
-        if dimension is None:
-            if not fragments:
-                raise ValueError("cannot infer dimension from an empty snapshot")
-            dimension = fragments[0].embedding.shape[0]
         own_directory = directory if directory is not None else PrincipalDirectory()
-        for f in fragments:
-            own_directory.register(f.provenance.creator)
-            for a in f.provenance.agents:
-                own_directory.register(a)
-            for r in f.provenance.resources:
-                own_directory.register(r)
-        store = cls(dimension, directory=own_directory, audit=audit)
-        with store._write_lock:
-            for f in fragments:
-                store._append(f)
+        store = None if dimension is None else cls(dimension, own_directory, audit)
+        for doc in wire.decode(lines):
+            fragment = MemoryFragment.from_dict(doc)
+            if store is None:
+                store = cls(fragment.embedding.shape[0], own_directory, audit)
+            prov = fragment.provenance
+            for pid in (prov.creator, *prov.agents, *prov.resources):
+                own_directory.register(pid)
+            with store._write_lock:
+                store._append(fragment)
+        if store is None:
+            raise ValueError("cannot infer dimension from an empty snapshot")
         return store
 
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> "MemoryStore":
-        return cls.from_jsonl(Path(path).read_text(encoding="utf-8"), **kwargs)
+        with Path(path).open(encoding="utf-8") as fp:
+            return cls.from_jsonl(fp, **kwargs)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import wire
 from .access import AccessTimeline
 from .audit import AuditAction, AuditRecord, load_audit_file
 from .errors import UnknownPrincipal
@@ -223,9 +224,8 @@ def verify_files(
     artifacts themselves, so no extra declaration is needed."""
     directory = PrincipalDirectory()
     timeline = AccessTimeline.load(timeline_path, directory=directory)
-    store_text = Path(store_path).read_text(encoding="utf-8")
-    if store_text.strip():
-        store = MemoryStore.from_jsonl(store_text, directory=directory)
+    if next(wire.load(store_path), None) is not None:
+        store = MemoryStore.load(store_path, directory=directory)
     else:
         store = MemoryStore(dimension=1, directory=directory)
     records = load_audit_file(audit_path)

@@ -1,0 +1,68 @@
+"""JSON in and out of the process: artifact lines on disk, remote calls over HTTP.
+
+The audit log, permission event log, store snapshot and transcript are
+JSON-lines files, one document per line with sorted keys, so equal runs give
+equal bytes. Both directions stream a line at a time.
+
+Every remote backend is one JSON POST whose reply object carries the answer
+in one field. Every way that call can fail - transport, HTTP protocol, an
+undecodable reply, a reply that is not an object or lacks the field - raises
+:class:`RemoteUnavailable`, which the service answers 503.
+"""
+
+from __future__ import annotations
+
+import http.client
+import io
+import json
+import urllib.request
+from pathlib import Path
+from typing import Iterable, Iterator
+
+from .errors import RemoteUnavailable
+
+
+def encode(doc: object) -> str:
+    """One JSON-lines record: sorted keys and a trailing newline."""
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def dump(path: str | Path, docs: Iterable[object]) -> None:
+    """Write ``docs`` to ``path`` one line at a time, replacing the file."""
+    with Path(path).open("w", encoding="utf-8") as fp:
+        fp.writelines(map(encode, docs))
+
+
+def decode(lines: Iterable[str] | str) -> Iterator:
+    """Documents of JSON-lines text, parsed lazily; blank lines are skipped."""
+    for line in io.StringIO(lines) if isinstance(lines, str) else lines:
+        if line.strip():
+            yield json.loads(line)
+
+
+def load(path: str | Path) -> Iterator:
+    """Documents of the JSON-lines file at ``path``, parsed lazily."""
+    with Path(path).open(encoding="utf-8") as fp:
+        yield from decode(fp)
+
+
+def post_json(endpoint: str, payload: object, field: str, timeout: float):
+    """POST ``payload`` as JSON and return ``field`` of the reply object."""
+    request = urllib.request.Request(
+        endpoint,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            reply = json.loads(response.read())
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        raise RemoteUnavailable(f"backend at {endpoint}: {exc!r}") from exc
+    if not isinstance(reply, dict) or field not in reply:
+        raise RemoteUnavailable(f"backend at {endpoint}: reply has no {field!r} field")
+    return reply[field]
+
+
+def chat(endpoint: str, system: str, text: str, timeout: float) -> str:
+    """The chat contract: ``{"system", "input"} -> {"output"}``."""
+    return str(post_json(endpoint, {"system": system, "input": text}, "output", timeout))

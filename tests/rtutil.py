@@ -1,6 +1,11 @@
-"""Shared scripted-runtime builder for orchestration-level tests."""
+"""Shared scripted-runtime builder and stub remote backend for tests."""
 
 from __future__ import annotations
+
+import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from memfabric import (
     AccessTimeline,
@@ -102,3 +107,48 @@ def resource_calls(rt: Runtime, episode_id: str) -> int:
     )
 
 
+class StubServer:
+    """Loopback HTTP backend answering every POST with ``reply(request)``.
+
+    ``reply`` receives the decoded JSON request body. A returned document is
+    sent as a 200 JSON reply; returned ``bytes`` are written to the socket as
+    they are, in place of a whole HTTP response. Use as a context manager.
+    """
+
+    def __init__(self, reply) -> None:
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                answer = reply(json.loads(self.rfile.read(length)))
+                if isinstance(answer, bytes):
+                    self.wfile.write(answer)
+                    return
+                body = json.dumps(answer).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/"
+        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+
+    def __enter__(self) -> "StubServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(timeout=5)
+
+
+def refused_url() -> str:
+    """URL of a loopback port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/"

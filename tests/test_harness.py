@@ -274,26 +274,6 @@ def test_resource_utilization_drops_in_later_grant_phases(tmp_path):
     assert utils[0] > utils[1] > utils[2]
 
 
-# --- opt-in parallel execution ---
-
-
-def test_parallel_mode_preserves_safety_and_episode_count(tmp_path):
-    cfg = ScenarioConfig.from_dict(overlap_config(count=30, n_users=4, overlap=0.5, seed=6))
-    artifacts = run_scenario(cfg, tmp_path / "par", parallel=4)
-    plan = plan_scenario(cfg)
-    transcript = artifacts.transcript_path.read_text().strip().splitlines()
-    assert len(transcript) == len(plan.workload.items)
-    assert verify_files(
-        artifacts.audit_path, artifacts.timeline_path, artifacts.store_path
-    ) == []
-    records = load_audit_file(artifacts.audit_path)
-    starts = sum(1 for r in records if r.action is AuditAction.EPISODE_START)
-    ends = sum(1 for r in records if r.action is AuditAction.EPISODE_END)
-    assert starts == ends == len(plan.workload.items)
-    seqs = [r.seq for r in records]
-    assert seqs == list(range(len(seqs)))
-
-
 # --- corpus-backed resources ---
 
 

@@ -2,8 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -21,7 +19,7 @@ from memfabric import (
     run_episode,
     user,
 )
-from rtutil import make_runtime, resource_calls
+from rtutil import StubServer, make_runtime, resource_calls
 
 
 def test_message_shapes_validated():
@@ -209,38 +207,12 @@ def test_every_surfaced_fragment_has_a_read_record():
 # --- remote backends ---
 
 
-class _StubChat:
-    def __init__(self, reply):
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                request = json.loads(self.rfile.read(length))
-                body = json.dumps({"output": reply(request)}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/chat"
-        threading.Thread(target=self.server.serve_forever, daemon=True).start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-
-
 def test_remote_agent_and_judge_round_trip():
     def agent_reply(request):
         payload = json.loads(request["input"])
-        return json.dumps({"invoke": payload["resources"][:1], "answer": "remote answer"})
+        return {"output": json.dumps({"invoke": payload["resources"][:1], "answer": "remote answer"})}
 
-    chat = _StubChat(agent_reply)
-    judge = _StubChat(lambda request: "0.75")
-    try:
+    with StubServer(agent_reply) as chat, StubServer(lambda request: {"output": "0.75"}) as judge:
         rt, users = make_runtime()
         aid = agent("a1")
         rt.agents[aid] = AgentSpec(
@@ -254,9 +226,21 @@ def test_remote_agent_and_judge_round_trip():
         assert resource_calls(rt, episode.episode_id) == 1
         report = compute_metrics(rt.audit.records)
         assert report.bins[0].accuracy == pytest.approx(0.75)
-    finally:
-        chat.close()
-        judge.close()
+
+
+@pytest.mark.parametrize("output", ["42", "[1, 2]", "plain text"])
+def test_remote_agent_reply_that_is_not_a_request_is_the_answer(output):
+    with StubServer(lambda request: {"output": output}) as chat:
+        rt, users = make_runtime()
+        aid = agent("a1")
+        rt.agents[aid] = AgentSpec(
+            id=aid,
+            specialization="remote d1",
+            backend=RemoteAgentBackend(endpoint=chat.url, system_prompt="be brief"),
+        )
+        episode = run_episode(rt, users[0], "d1 question", rt.clock.tick())
+        assert episode.final_answer == output
+        assert resource_calls(rt, episode.episode_id) == 0
 
 
 def test_remote_coordinator_speaks_the_wire_protocol():
@@ -269,12 +253,14 @@ def test_remote_coordinator_speaks_the_wire_protocol():
         state["round"] += 1
         if state["round"] == 1:
             assert payload["agents"][0]["id"] == "a1"
-            return json.dumps({"agent": "a1", "subquery": "d1 wire subquery"})
-        return json.dumps({"stop": True})
+            return {"output": json.dumps({"agent": "a1", "subquery": "d1 wire subquery"})}
+        return {"output": json.dumps({"stop": True})}
 
-    coord_stub = _StubChat(coordinator_reply)
-    agg_stub = _StubChat(lambda request: "aggregated: " + json.loads(request["input"])["history"][0]["response"])
-    try:
+    def aggregator_reply(request):
+        history = json.loads(request["input"])["history"]
+        return {"output": "aggregated: " + history[0]["response"]}
+
+    with StubServer(coordinator_reply) as coord_stub, StubServer(aggregator_reply) as agg_stub:
         rt, users = make_runtime(n_agents=1)
         rt.coordinator = RemoteCoordinator(endpoint=coord_stub.url, system_prompt="route")
         rt.aggregator = RemoteAggregator(endpoint=agg_stub.url, system_prompt="merge")
@@ -283,9 +269,6 @@ def test_remote_coordinator_speaks_the_wire_protocol():
         assert len(episode.steps) == 1
         assert episode.steps[0][0].subquery == "d1 wire subquery"
         assert episode.final_answer.startswith("aggregated: According to r1:")
-    finally:
-        coord_stub.close()
-        agg_stub.close()
 
 
 def test_remote_coordinator_malformed_json_fails_episode_after_retries():
@@ -295,14 +278,11 @@ def test_remote_coordinator_malformed_json_fails_episode_after_retries():
 
     def garbled(request):
         calls["n"] += 1
-        return "definitely not json {"
+        return {"output": "definitely not json {"}
 
-    stub = _StubChat(garbled)
-    try:
+    with StubServer(garbled) as stub:
         rt, users = make_runtime(n_agents=1)
         rt.coordinator = RemoteCoordinator(endpoint=stub.url, system_prompt="route")
         episode = run_episode(rt, users[0], "d1 q", rt.clock.tick())
         assert episode.failure == "coordinator_protocol"
         assert calls["n"] == rt.limits.coordinator_retries + 1
-    finally:
-        stub.close()

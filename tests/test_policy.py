@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +11,12 @@ from hypothesis import strategies as st
 from memfabric import (
     AccessTimeline,
     AmbiguousBinding,
+    AuditLog,
     DeterministicEmbedder,
     Direction,
     IdentityTransform,
     InteractionTrace,
+    InvalidFragment,
     MemoryStore,
     PolicyBinding,
     PolicyTable,
@@ -34,6 +35,7 @@ from memfabric import (
     user,
 )
 from oracles import oracle_resolve
+from rtutil import StubServer
 
 
 def table(*bindings) -> PolicyTable:
@@ -392,44 +394,41 @@ def test_provenance_untouched_by_content_transformers():
         assert f.provenance.created_at == t + 1
 
 
+class ZeroForEmbedder:
+    """Embeds like ``inner`` except ``text``, which gets a zero vector, as a
+    remote embedder may return."""
+
+    def __init__(self, inner, text: str) -> None:
+        self.inner, self.text = inner, text
+        self.dimension = inner.dimension
+
+    def embed(self, text: str):
+        return np.zeros(self.dimension) if text == self.text else self.inner.embed(text)
+
+
+def test_rejected_shared_fragment_leaves_no_half_pair():
+    directory, timeline, store, embedder, t = write_env()
+    audit = AuditLog()
+    store.attach_audit(audit)
+    trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "ask u1 about x", "x is y")
+    with pytest.raises(InvalidFragment):
+        encode_and_write(
+            trace,
+            default_policies(),
+            store,
+            timeline,
+            ZeroForEmbedder(embedder, "ask [user] about x"),
+            counter_ids(),
+        )
+    assert len(store) == 0
+    assert len(audit) == 0
+
+
 # --- remote transformer and encoder ---
 
 
-class _StubChatServer:
-    """Chat stub: returns a canned output, or echoes candidates for encoders."""
-
-    def __init__(self, reply):
-        outer_reply = reply
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                request = json.loads(self.rfile.read(length))
-                output = outer_reply(request)
-                body = json.dumps({"output": output}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/chat"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.server.shutdown()
-        self.server.server_close()
-
-
 def test_prompted_remote_round_trip():
-    with _StubChatServer(lambda req: req["input"].upper()) as stub:
+    with StubServer(lambda req: {"output": req["input"].upper()}) as stub:
         tf = PromptedRemote(system_prompt="shout", endpoint=stub.url)
         assert tf.apply("hello") == "HELLO"
 
@@ -443,14 +442,13 @@ def test_prompted_remote_unavailable():
 def test_remote_encoder_emits_multiple_candidates():
     def reply(request):
         trace = json.loads(request["input"])
-        return json.dumps(
-            [
-                {"key": trace["subquery"], "value": trace["response"]},
-                {"key": "extra topic", "value": "extra detail"},
-            ]
-        )
+        candidates = [
+            {"key": trace["subquery"], "value": trace["response"]},
+            {"key": "extra topic", "value": "extra detail"},
+        ]
+        return {"output": json.dumps(candidates)}
 
-    with _StubChatServer(reply) as stub:
+    with StubServer(reply) as stub:
         directory, timeline, store, embedder, t = write_env()
         trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "q1", "r1")
         ids = encode_and_write(

@@ -1,10 +1,7 @@
 from __future__ import annotations
 
 import itertools
-import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -35,6 +32,7 @@ from oracles import (
     oracle_retrieve,
     oracle_retrieve_scan,
 )
+from rtutil import StubServer
 
 
 def test_embed_is_deterministic():
@@ -344,40 +342,13 @@ def test_config_validation():
 # --- remote embedder ---
 
 
-class _StubEmbedServer:
-    def __init__(self, dimension: int):
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", 0))
-                text = json.loads(self.rfile.read(length))["input"]
-                rng = random.Random(len(text))
-                vec = [rng.gauss(0, 1) for _ in range(dimension)]
-                body = json.dumps({"embedding": vec}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_port}/embed"
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.server.shutdown()
-        self.server.server_close()
+def _embed_reply(request):
+    rng = random.Random(len(request["input"]))
+    return {"embedding": [rng.gauss(0, 1) for _ in range(8)]}
 
 
 def test_remote_embedder_round_trip():
-    with _StubEmbedServer(8) as stub:
+    with StubServer(_embed_reply) as stub:
         emb = RemoteEmbedder(stub.url, 8)
         vec = emb.embed("hello")
         assert vec.shape == (8,)

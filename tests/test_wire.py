@@ -1,0 +1,123 @@
+"""The JSON-lines codec of the artifacts and the remote-call client."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from memfabric import (
+    AccessTimeline,
+    AuditAction,
+    AuditLog,
+    MemoryService,
+    MemoryStore,
+    PromptedRemote,
+    RemoteCoordinator,
+    RemoteEmbedder,
+    RemoteUnavailable,
+    load_audit_file,
+    records_from_jsonl,
+)
+from memfabric import wire
+from genutil import make_universe, random_store, random_timeline
+from rtutil import StubServer, make_runtime, refused_url
+
+
+def _spread_blank_lines(text: str) -> str:
+    """The same records with blank and whitespace-only lines around them."""
+    return "\n" + "".join(line + "\n  \n" for line in text.splitlines(keepends=True)) + "\n"
+
+
+def _artifacts():
+    rng = random.Random(5)
+    directory, users, agents, resources = make_universe(3, 3, 3)
+    timeline, _ = random_timeline(rng, directory, users, agents, resources, 40)
+    store = random_store(rng, directory, users, agents, resources, 8, 25)
+    return timeline, store
+
+
+def test_save_writes_exactly_to_jsonl(tmp_path):
+    timeline, store = _artifacts()
+    timeline.save(tmp_path / "timeline.jsonl")
+    store.save(tmp_path / "store.jsonl")
+    assert (tmp_path / "timeline.jsonl").read_text(encoding="utf-8") == timeline.to_jsonl()
+    assert (tmp_path / "store.jsonl").read_text(encoding="utf-8") == store.to_jsonl()
+    assert timeline.to_jsonl().count("\n") == len(timeline.events)
+    assert store.to_jsonl().count("\n") == len(store)
+
+
+def test_audit_file_sink_equals_to_jsonl(tmp_path):
+    log = AuditLog(tmp_path / "audit.jsonl")
+    for at in range(6):
+        log.append(at, "u1", AuditAction.FRAGMENT_READ, ("f1",), {"user": "u1", "n": at})
+    log.close()
+    assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8") == log.to_jsonl()
+
+
+def test_blank_lines_are_skipped_on_load(tmp_path):
+    timeline, store = _artifacts()
+    log = AuditLog()
+    log.append(0, "admin", AuditAction.GRANT, ("u1", "a1"))
+    log.append(1, "u1", AuditAction.FRAGMENT_READ, ("f1",), {"user": "u1"})
+
+    spread = _spread_blank_lines(timeline.to_jsonl())
+    assert AccessTimeline.from_jsonl(spread).to_jsonl() == timeline.to_jsonl()
+    (tmp_path / "timeline.jsonl").write_text(spread, encoding="utf-8")
+    assert AccessTimeline.load(tmp_path / "timeline.jsonl").to_jsonl() == timeline.to_jsonl()
+
+    spread = _spread_blank_lines(store.to_jsonl())
+    assert MemoryStore.from_jsonl(spread).to_jsonl() == store.to_jsonl()
+    (tmp_path / "store.jsonl").write_text(spread, encoding="utf-8")
+    assert MemoryStore.load(tmp_path / "store.jsonl").to_jsonl() == store.to_jsonl()
+
+    spread = _spread_blank_lines(log.to_jsonl())
+    assert records_from_jsonl(spread) == list(log.records)
+    (tmp_path / "audit.jsonl").write_text(spread, encoding="utf-8")
+    assert load_audit_file(tmp_path / "audit.jsonl") == list(log.records)
+
+
+def test_decode_parses_one_line_at_a_time():
+    def lines():
+        yield '{"b": 2, "a": 1}\n'
+        raise AssertionError("read past the first record")
+
+    assert next(wire.decode(lines())) == {"a": 1, "b": 2}
+    assert wire.encode({"b": 2, "a": 1}) == '{"a": 1, "b": 2}\n'
+
+
+# --- one remote-call client: every failure is RemoteUnavailable ---
+
+CLIENTS = {
+    "transformer": lambda url: PromptedRemote(system_prompt="s", endpoint=url, timeout=5).apply("x"),
+    "coordinator": lambda url: RemoteCoordinator(url, "route", timeout=5).decide("q", [], []),
+    "embedder": lambda url: RemoteEmbedder(url, 8, timeout=5).embed("x"),
+}
+
+BAD_REPLIES = {
+    "non_object_body": lambda request: [1, 2],
+    "missing_field": lambda request: {"unrelated": "x"},
+    "garbage_status_line": lambda request: b"garbage\r\n\r\n",
+}
+
+
+@pytest.mark.parametrize("failure", [*BAD_REPLIES, "refused_port"])
+@pytest.mark.parametrize("client", CLIENTS)
+def test_every_remote_failure_is_remote_unavailable(client, failure):
+    if failure == "refused_port":
+        with pytest.raises(RemoteUnavailable):
+            CLIENTS[client](refused_url())
+        return
+    with StubServer(BAD_REPLIES[failure]) as stub, pytest.raises(RemoteUnavailable):
+        CLIENTS[client](stub.url)
+
+
+def test_service_answers_503_for_a_malformed_remote_reply():
+    with StubServer(BAD_REPLIES["non_object_body"]) as stub:
+        runtime, _ = make_runtime()
+        runtime.coordinator = RemoteCoordinator(stub.url, "route", timeout=5)
+        status, body = MemoryService(runtime).handle(
+            "POST", "/episodes", {}, "u1", {"user": "u1", "query": "d1 q"}
+        )
+    assert status == 503
+    assert body["error"] == "remote_unavailable"
