@@ -70,7 +70,6 @@ from .harness import (
     generate_workload,
     load_config,
     plan_scenario,
-    resume_runtime,
     run_scenario,
 )
 from .orchestration import (

@@ -32,6 +32,7 @@ import dataclasses
 import json
 import math
 import random
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -481,10 +482,21 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
 # --- runtime construction --------------------------------------------------------
 
 
-def build_runtime(cfg: ScenarioConfig, audit_path: str | Path | None = None) -> Runtime:
-    """Wire a bare runtime from a config. Permission edges are *not* applied
-    here; the run (or an API driver) issues them so that both paths produce
-    identical event and audit logs."""
+def build_runtime(
+    cfg: ScenarioConfig, audit_path: str | Path | None = None, resume: bool = False
+) -> Runtime:
+    """Wire a runtime from a config, fresh or continuing a previous run.
+
+    Fresh, the audit log at ``audit_path`` is truncated and the runtime holds
+    nothing. With ``resume``, the log is reopened in append mode and the
+    ``timeline.jsonl`` and ``store.jsonl`` beside it are reloaded when present.
+    Both ways the runtime continues from what it holds: the audit ``seq`` from
+    the log, the clock from the last tick seen, episode ids from the
+    ``episode_start`` records and the seeded fragment ids past the fragments
+    stored, all of which start at zero when nothing was loaded. Permission
+    edges are *not* applied here; the run (or an API driver) issues them so
+    that both paths produce identical event and audit logs.
+    """
     directory = PrincipalDirectory()
     for u in cfg.users:
         directory.add_user(u)
@@ -493,14 +505,21 @@ def build_runtime(cfg: ScenarioConfig, audit_path: str | Path | None = None) -> 
     for r in cfg.resources:
         directory.add_resource(r.id)
 
-    audit = AuditLog(audit_path)
-    timeline = AccessTimeline(directory, audit=audit)
     embedder = build_embedder(
         str(cfg.embedder.get("kind", "deterministic")),
         int(cfg.embedder.get("dimension", 32)),
         cfg.embedder.get("endpoint"),
     )
-    store = MemoryStore(embedder.dimension, directory=directory, audit=audit)
+    timeline = AccessTimeline(directory)
+    store = MemoryStore(embedder.dimension, directory=directory)
+    if resume and audit_path is not None:
+        saved = Path(audit_path).parent
+        if (saved / "timeline.jsonl").exists():
+            timeline = AccessTimeline.load(saved / "timeline.jsonl", directory=directory)
+        if (saved / "store.jsonl").exists():
+            store = MemoryStore.load(
+                saved / "store.jsonl", dimension=embedder.dimension, directory=directory
+            )
 
     shared_docs = list(wire.load(cfg.documents)) if cfg.documents else []
     resources: dict[PrincipalId, Resource] = {}
@@ -545,66 +564,45 @@ def build_runtime(cfg: ScenarioConfig, audit_path: str | Path | None = None) -> 
     judge = None
     if cfg.judge is not None:
         judge = _build_transformer(cfg.judge)
+    policies = build_policies(cfg)
+    retrieval = RetrievalConfig(
+        k_user=int(cfg.retrieval.get("k_user", 10)),
+        k_cross=int(cfg.retrieval.get("k_cross", 10)),
+        threshold=float(cfg.retrieval.get("threshold", 0.1)),
+    )
+    limits = EpisodeLimits(
+        max_rounds=int(cfg.limits.get("max_rounds", 6)),
+        coordinator_retries=int(cfg.limits.get("coordinator_retries", 2)),
+    )
 
+    # opened last, so a failed load or a bad config leaves no file open, and
+    # attached after loading, so loaded history is not logged again
+    audit = AuditLog(audit_path, resume=resume)
+    timeline.attach_audit(audit)
+    store.attach_audit(audit)
+    id_factory = seeded_id_factory(cfg.seed)
+    for _ in range(len(store)):  # every stored fragment drew exactly one id
+        id_factory()
+    last_at = max((r.at for r in audit), default=0)
     return Runtime(
         directory=directory,
-        clock=LogicalClock(),
+        clock=LogicalClock(max(timeline.latest_tick, last_at, 0)),
         timeline=timeline,
         store=store,
-        policies=build_policies(cfg),
+        policies=policies,
         audit=audit,
         embedder=embedder,
-        retrieval=RetrievalConfig(
-            k_user=int(cfg.retrieval.get("k_user", 10)),
-            k_cross=int(cfg.retrieval.get("k_cross", 10)),
-            threshold=float(cfg.retrieval.get("threshold", 0.1)),
-        ),
+        retrieval=retrieval,
         agents=agents,
         resources=resources,
         coordinator=coordinator,
         aggregator=aggregator,
-        limits=EpisodeLimits(
-            max_rounds=int(cfg.limits.get("max_rounds", 6)),
-            coordinator_retries=int(cfg.limits.get("coordinator_retries", 2)),
-        ),
-        id_factory=seeded_id_factory(cfg.seed),
+        limits=limits,
+        id_factory=id_factory,
         force_private=cfg.memory_mode == "isolated",
         judge=judge,
+        _episode_counter=sum(1 for r in audit if r.action is AuditAction.EPISODE_START),
     )
-
-
-def resume_runtime(cfg: ScenarioConfig, artifacts_dir: str | Path) -> Runtime:
-    """Rebuild a runtime from a previous run's files and continue it.
-
-    All state lives in the artifacts: the timeline and store are reloaded,
-    the audit log is reopened in append mode with its sequence continued,
-    the clock resumes past the last tick seen, and the seeded id factory is
-    fast-forwarded past the ids already minted. Restarting a service on the
-    same directory therefore picks up exactly where it stopped.
-    """
-    out = Path(artifacts_dir)
-    rt = build_runtime(cfg, audit_path=None)
-    rt.audit.close()
-    audit = AuditLog(out / "audit.jsonl", resume=True)
-    rt.audit = audit
-    timeline_path = out / "timeline.jsonl"
-    if timeline_path.exists():
-        rt.timeline = AccessTimeline.load(timeline_path, directory=rt.directory)
-    rt.timeline.attach_audit(audit)
-    store_path = out / "store.jsonl"
-    if store_path.exists():
-        rt.store = MemoryStore.load(
-            store_path, dimension=rt.embedder.dimension, directory=rt.directory
-        )
-    rt.store.attach_audit(audit)
-    last_at = max((rec.at for rec in audit.records), default=0)
-    rt.clock = LogicalClock(start=max(rt.timeline.latest_tick, last_at, 0))
-    for _ in range(len(rt.store)):
-        rt.id_factory()
-    rt._episode_counter = sum(
-        1 for rec in audit.records if rec.action is AuditAction.EPISODE_START
-    )
-    return rt
 
 
 # --- running ----------------------------------------------------------------------
@@ -662,7 +660,8 @@ def run_scenario(
 
     transcript_path = out / "transcript.jsonl"
     phase_windows: dict[str, tuple[int, int]] = {}
-    with transcript_path.open("w", encoding="utf-8") as transcript:
+    # the audit log is closed however the episodes end
+    with closing(rt.audit), transcript_path.open("w", encoding="utf-8") as transcript:
         for edge in plan.setup_edges:
             rt.timeline.grant(edge, rt.clock.tick())
         for phase in plan.phases:
@@ -677,7 +676,6 @@ def run_scenario(
                 transcript.write(wire.encode(_transcript_doc(item, phase.label, t, episode)))
             phase_windows[phase.label] = (window_start, rt.clock.now)
 
-    rt.audit.close()
     records = rt.audit.records
 
     timeline_path = out / "timeline.jsonl"

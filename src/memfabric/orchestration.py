@@ -223,7 +223,6 @@ class Resource:
     kind: str = "knowledge_base"
     documents: Sequence[Mapping[str, str]] = ()
     endpoint: str | None = None
-    argument_schema: Mapping[str, str] = field(default_factory=lambda: {"query": "string"})
 
     def call(self, query: str) -> str:
         if self.endpoint is not None:
@@ -368,7 +367,6 @@ class Runtime:
     limits: EpisodeLimits = field(default_factory=EpisodeLimits)
     id_factory: Callable[[], str] = new_fragment_id
     force_private: bool = False
-    encoder: Transformer | None = None
     judge: Transformer | None = None
     _episode_counter: int = 0
     _counter_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -502,7 +500,6 @@ def _agent_round(
         rt.embedder,
         id_factory=rt.id_factory,
         force_private=rt.force_private,
-        encoder=rt.encoder,
     )
     return trace
 

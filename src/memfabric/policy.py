@@ -31,6 +31,7 @@ from . import wire
 from .access import AccessTimeline
 from .errors import (
     AmbiguousBinding,
+    InvalidFragment,
     RemoteUnavailable,
     ResourceNotPermitted,
 )
@@ -316,10 +317,12 @@ def encode_and_write(
     verbatim from the trace - transformers cannot influence it. All
     transformations run before any insert, so a transformer failure writes
     nothing, and every fragment passes the store's insert checks before the
-    first insert, so a rejected fragment (say, a remote embedder's zero
-    vector) leaves none of the pair stored or audited. Each distinct key is
-    embedded once, so under identity policies the private and shared
-    fragments share one embedding call.
+    first insert, so a rejected fragment (say, an empty response) leaves none
+    of the pair stored or audited. Ids are drawn from ``id_factory`` only
+    after every check has passed, so a rejected write draws none and the ids
+    drawn always equal the fragments stored. Each distinct key is embedded
+    once, so under identity policies the private and shared fragments share
+    one embedding call.
     """
     permitted = timeline.resources_of(trace.agent, trace.timestamp)
     for r in trace.resources_invoked:
@@ -336,7 +339,7 @@ def encode_and_write(
     context = trace.context()
     candidates = encode_candidates(trace, encoder)
 
-    pending: list[MemoryFragment] = []
+    pending: list[tuple[Tier, str, str]] = []
     embeddings: dict[str, np.ndarray] = {}
     for direction, tier in (
         (Direction.WRITE_PRIVATE, Tier.PRIVATE),
@@ -346,18 +349,21 @@ def encode_and_write(
         for key, value in candidates:
             out_key = transformer.apply(key, context)
             out_value = transformer.apply(value, context)
+            if not out_key or not out_value:
+                raise InvalidFragment("fragment key and value must be non-empty")
             if out_key not in embeddings:
                 embeddings[out_key] = embedder.embed(out_key)
-            pending.append(
-                MemoryFragment(
-                    id=id_factory(),
-                    tier=Tier.PRIVATE if force_private else tier,
-                    key=out_key,
-                    value=out_value,
-                    embedding=embeddings[out_key],
-                    provenance=provenance,
-                )
-            )
-    for fragment in pending:
-        store.check(fragment)
-    return [store.insert(fragment) for fragment in pending]
+                store.check(embeddings[out_key], provenance)
+            pending.append((Tier.PRIVATE if force_private else tier, out_key, out_value))
+    fragments = [
+        MemoryFragment(
+            id=id_factory(),
+            tier=tier,
+            key=key,
+            value=value,
+            embedding=embeddings[key],
+            provenance=provenance,
+        )
+        for tier, key, value in pending
+    ]
+    return [store.insert(fragment) for fragment in fragments]

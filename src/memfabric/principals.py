@@ -79,18 +79,6 @@ class PrincipalDirectory:
     def add_resource(self, name: str) -> PrincipalId:
         return self.register(resource(name))
 
-    @property
-    def users(self) -> tuple[PrincipalId, ...]:
-        return tuple(sorted(self._known[PrincipalKind.USER].values()))
-
-    @property
-    def agents(self) -> tuple[PrincipalId, ...]:
-        return tuple(sorted(self._known[PrincipalKind.AGENT].values()))
-
-    @property
-    def resources(self) -> tuple[PrincipalId, ...]:
-        return tuple(sorted(self._known[PrincipalKind.RESOURCE].values()))
-
     def known(self, pid: PrincipalId) -> bool:
         return pid.name in self._known[pid.kind]
 
@@ -101,9 +89,3 @@ class PrincipalDirectory:
         if not self.known(pid):
             raise UnknownPrincipal(f"{pid} is not registered")
         return pid
-
-    def lookup(self, kind: PrincipalKind, name: str) -> PrincipalId:
-        try:
-            return self._known[kind][name]
-        except KeyError:
-            raise UnknownPrincipal(f"{kind.value}:{name} is not registered") from None

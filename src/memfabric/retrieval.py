@@ -108,8 +108,10 @@ class RemoteEmbedder:
                 f"remote embedding has shape {vec.shape}, expected ({self.dimension},)"
             )
         norm = float(np.linalg.norm(vec))
-        if norm > 0:
-            vec = vec / norm
+        if not math.isfinite(norm) or norm == 0.0:
+            # the backend is at fault, not the caller
+            raise RemoteUnavailable(f"embedder returned a vector of norm {norm}")
+        vec = vec / norm
         vec.setflags(write=False)
         return vec
 

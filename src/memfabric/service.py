@@ -17,8 +17,9 @@ name the agent and resources used, both validated against the timeline, and
 the writing user is the authenticated caller. Ticks are assigned by the
 server's clock, never accepted from clients, so backdated writes cannot
 defeat retrospective checks. The runtime's timeline and store live in
-memory only: a restarted ``memfabric serve`` builds a fresh runtime, and
-continuing from a finished run's artifacts takes ``resume_runtime``.
+memory only: a restarted ``memfabric serve`` builds a fresh runtime, and a
+runtime that continues a finished run's artifacts comes from
+``build_runtime(cfg, audit_path, resume=True)``.
 
 The server speaks HTTP/1.1 with persistent connections: a client may send
 its requests one after another on one connection, which the server closes
@@ -249,7 +250,6 @@ class MemoryService:
                 self.rt.embedder,
                 id_factory=self.rt.id_factory,
                 force_private=self.rt.force_private,
-                encoder=self.rt.encoder,
             )
         return {"tick": t, "fragment_ids": ids}
 

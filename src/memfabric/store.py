@@ -354,32 +354,29 @@ class MemoryStore:
                 )
         return fragment.id
 
-    def check(self, fragment: MemoryFragment) -> None:
-        """Raise what :meth:`insert` would raise for ``fragment``; store nothing."""
-        if fragment.id in self._fragments:
-            raise DuplicateId(fragment.id)
-        if fragment.embedding.shape != (self.dimension,):
+    def check(self, embedding: np.ndarray, provenance: Provenance) -> None:
+        """Raise what :meth:`insert` would raise for a fragment of this
+        embedding and provenance, a duplicate id aside; store nothing."""
+        if embedding.shape != (self.dimension,):
             raise DimensionMismatch(
-                f"fragment {fragment.id}: embedding shape {fragment.embedding.shape}, "
-                f"store dimension {self.dimension}"
+                f"embedding shape {embedding.shape}, store dimension {self.dimension}"
             )
-        norm = float(np.linalg.norm(fragment.embedding))
+        norm = float(np.linalg.norm(embedding))
         if not math.isfinite(norm):
-            raise NonFiniteVector(f"fragment {fragment.id}: embedding is not finite")
+            raise NonFiniteVector("embedding is not finite")
         if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-            raise InvalidFragment(
-                f"fragment {fragment.id}: embedding norm {norm} is not unit"
-            )
+            raise InvalidFragment(f"embedding norm {norm} is not unit")
         if self.directory is not None:
-            prov = fragment.provenance
-            for pid in [prov.creator, *prov.agents, *prov.resources]:
+            for pid in [provenance.creator, *provenance.agents, *provenance.resources]:
                 if not self.directory.known(pid):
                     raise UnknownPrincipalInProvenance(str(pid))
 
     def _append(self, fragment: MemoryFragment) -> None:
         """Check and record one fragment; the next read fills its columns.
         The caller holds the write lock."""
-        self.check(fragment)
+        if fragment.id in self._fragments:
+            raise DuplicateId(fragment.id)
+        self.check(fragment.embedding, fragment.provenance)
         self._fragments[fragment.id] = fragment
         self._rows.append(fragment)
 

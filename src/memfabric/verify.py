@@ -221,28 +221,12 @@ def verify_files(
     store_path: str | Path,
 ) -> list[Violation]:
     """Verify a run from its three files; principals are taken from the
-    artifacts themselves, so no extra declaration is needed."""
+    timeline and the store themselves, so no extra declaration is needed. A
+    record naming a principal that neither file knows is a violation."""
     directory = PrincipalDirectory()
     timeline = AccessTimeline.load(timeline_path, directory=directory)
     if next(wire.load(store_path), None) is not None:
         store = MemoryStore.load(store_path, directory=directory)
     else:
         store = MemoryStore(dimension=1, directory=directory)
-    records = load_audit_file(audit_path)
-    for rec in records:
-        # register names so snapshot queries never see unknown principals
-        if rec.action is AuditAction.AGENT_INVOKE:
-            directory.add_user(rec.actor)
-            for name in rec.subjects:
-                directory.add_agent(name)
-        elif rec.action is AuditAction.RESOURCE_INVOKE:
-            directory.add_agent(rec.actor)
-            for name in rec.subjects:
-                directory.add_resource(name)
-            if "user" in rec.detail:
-                directory.add_user(str(rec.detail["user"]))
-        elif rec.action is AuditAction.FRAGMENT_READ:
-            directory.add_user(str(rec.detail.get("user", rec.actor)))
-            if "agent" in rec.detail:
-                directory.add_agent(str(rec.detail["agent"]))
-    return verify_run(records, timeline, store)
+    return verify_run(load_audit_file(audit_path), timeline, store)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import pytest
 import yaml
@@ -9,8 +11,10 @@ from memfabric import (
     AuditAction,
     ConfigError,
     InsufficientQueries,
+    RemoteUnavailable,
     ScenarioConfig,
     Tier,
+    build_runtime,
     compare_modes,
     generate_workload,
     load_audit_file,
@@ -151,6 +155,65 @@ def test_library_runs_byte_identical_under_same_seed(tmp_path):
     assert a.audit_path.read_bytes() == b.audit_path.read_bytes()
     assert a.metrics_csv_path.read_bytes() == b.metrics_csv_path.read_bytes()
     assert a.store_path.read_bytes() == b.store_path.read_bytes()
+
+
+def resource_warnings(action) -> list[warnings.WarningMessage]:
+    """ResourceWarnings (unclosed files) raised by ``action`` or by collecting
+    what it left behind."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        action()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_failed_run_closes_its_audit_log(tmp_path):
+    doc = overlap_config(count=4, n_users=2, n_agents=2)
+    doc["coordinator"] = {"endpoint": "http://127.0.0.1:1/never"}
+
+    def run():
+        with pytest.raises(RemoteUnavailable):
+            run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "run")
+
+    assert resource_warnings(run) == []
+
+
+# --- runtime construction ---
+
+
+def test_fresh_runtime_ignores_and_truncates_a_previous_run(tmp_path):
+    # a benchmark round rebuilds its runtime where the last round left
+    # audit.jsonl, timeline.jsonl and store.jsonl
+    cfg = ScenarioConfig.from_dict(revocation_phase_config())
+    artifacts = run_scenario(cfg, tmp_path)
+    rt = build_runtime(cfg, audit_path=artifacts.audit_path)
+    try:
+        assert (len(rt.store), rt.timeline.events, len(rt.audit), rt.clock.now) == (0, (), 0, 0)
+        assert rt.next_episode_id() == "ep-00000"
+        assert artifacts.audit_path.read_bytes() == b""
+    finally:
+        rt.audit.close()
+
+
+def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
+    cfg = ScenarioConfig.from_dict(revocation_phase_config())
+    artifacts = run_scenario(cfg, tmp_path)
+    log = artifacts.audit_path.read_bytes()
+    artifacts.store_path.write_text("not json\n")
+    doc = revocation_phase_config()
+    doc["policies"] = {"read": {"kind": "unknown"}}
+
+    def resume():
+        with pytest.raises(ValueError):
+            build_runtime(cfg, artifacts.audit_path, resume=True)
+
+    def misconfigured():
+        with pytest.raises(ConfigError):
+            build_runtime(ScenarioConfig.from_dict(doc), artifacts.audit_path)
+
+    assert resource_warnings(resume) == []
+    assert resource_warnings(misconfigured) == []
+    assert artifacts.audit_path.read_bytes() == log
 
 
 # --- schedule run ---

@@ -411,6 +411,7 @@ def test_rejected_shared_fragment_leaves_no_half_pair():
     audit = AuditLog()
     store.attach_audit(audit)
     trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "ask u1 about x", "x is y")
+    ids = counter_ids()
     with pytest.raises(InvalidFragment):
         encode_and_write(
             trace,
@@ -418,10 +419,11 @@ def test_rejected_shared_fragment_leaves_no_half_pair():
             store,
             timeline,
             ZeroForEmbedder(embedder, "ask [user] about x"),
-            counter_ids(),
+            ids,
         )
     assert len(store) == 0
     assert len(audit) == 0
+    assert ids() == "id-001"  # the rejected write drew no id
 
 
 # --- remote transformer and encoder ---

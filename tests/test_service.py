@@ -16,12 +16,11 @@ from memfabric import (
     build_runtime,
     make_server,
     plan_scenario,
-    resume_runtime,
     run_scenario,
 )
 from memfabric import service as service_module
 from memfabric.service import ApiError
-from rtutil import make_runtime
+from rtutil import StubServer, make_runtime
 from scenarios import overlap_config, revocation_phase_config
 
 
@@ -264,7 +263,7 @@ def test_missing_identity_header_rejected(service):
 def test_service_resumes_from_artifacts(tmp_path):
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path / "run")
-    runtime = resume_runtime(cfg, artifacts.out_dir)
+    runtime = build_runtime(cfg, artifacts.audit_path, resume=True)
     try:
         # state carried over: store, timeline, clock, audit sequence
         assert len(runtime.store) > 0
@@ -288,6 +287,70 @@ def test_service_resumes_from_artifacts(tmp_path):
         server.server_close()
     finally:
         runtime.audit.close()
+
+
+def granted_service(cfg: ScenarioConfig, audit_path=None, resume=False) -> MemoryService:
+    svc = MemoryService(build_runtime(cfg, audit_path, resume=resume))
+    if not resume:
+        for edge in plan_scenario(cfg).setup_edges:
+            svc.rt.timeline.grant(edge, svc.rt.clock.tick())
+    return svc
+
+
+def test_resume_after_a_rejected_write_continues_ids_exactly(tmp_path):
+    # the rejected write must draw no fragment id, or the resumed runtime's
+    # fast-forward (one id per stored fragment) falls one id short
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    rejected = {"agent": "domain1_agent", "subquery": "domain1: q0", "response": ""}
+
+    def requests(svc, n):
+        return [
+            svc.handle(
+                "POST",
+                "/memory/write",
+                {},
+                "user_1",
+                {"agent": "domain1_agent", "subquery": f"domain1: q{n}", "response": f"a{n}"},
+            ),
+            svc.handle(
+                "POST", "/episodes", {}, "user_2", {"user": "user_2", "query": f"domain2: e{n}"}
+            ),
+        ]
+
+    replies = {}
+    for name in ("uninterrupted", "resumed"):
+        audit_path = tmp_path / name / "audit.jsonl"
+        svc = granted_service(cfg, audit_path)
+        status, body = svc.handle("POST", "/memory/write", {}, "user_1", rejected)
+        assert (status, body["error"]) == (400, "InvalidFragment")
+        assert [status for status, _ in requests(svc, 1)] == [200, 200]
+        if name == "resumed":
+            svc.rt.timeline.save(audit_path.parent / "timeline.jsonl")
+            svc.rt.store.save(audit_path.parent / "store.jsonl")
+            svc.rt.audit.close()
+            svc = granted_service(cfg, audit_path, resume=True)
+        replies[name] = requests(svc, 2)
+        svc.rt.audit.close()
+    assert replies["resumed"] == replies["uninterrupted"]
+    assert [status for status, _ in replies["resumed"]] == [200, 200]
+    assert (tmp_path / "resumed" / "audit.jsonl").read_bytes() == (
+        tmp_path / "uninterrupted" / "audit.jsonl"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("component", [0.0, float("nan")])
+def test_unusable_remote_embedding_is_503(component):
+    # a zero or NaN vector is the embedding backend's fault, not the caller's
+    with StubServer(lambda request: {"embedding": [component] * 8}) as stub:
+        doc = overlap_config(count=6, n_users=3, n_agents=2)
+        doc["embedder"] = {"kind": "remote", "dimension": 8, "endpoint": stub.url}
+        svc = granted_service(ScenarioConfig.from_dict(doc))
+        write = {"agent": "domain1_agent", "subquery": "q", "response": "r"}
+        read = {"user": "user_1", "agent": "domain1_agent", "query": "q"}
+        for route, body in (("/memory/write", write), ("/memory/read", read)):
+            status, reply = svc.handle("POST", route, {}, "user_1", body)
+            assert (status, reply["error"]) == (503, "remote_unavailable")
+        assert len(svc.rt.store) == 0
 
 
 # --- malformed requests ---

@@ -203,7 +203,7 @@ def test_verify_files_round_trip(tmp_path):
     store.save(store_path)
     assert verify_files(audit_path, timeline_path, store_path) == []
 
-    # inject one illegal read at the tail of the log file
+    # inject a read by a user that neither the timeline nor the store knows
     lines = audit_path.read_text().splitlines()
     last = json.loads(lines[-1])
     lines.append(
@@ -220,4 +220,5 @@ def test_verify_files_round_trip(tmp_path):
         )
     )
     audit_path.write_text("\n".join(lines) + "\n")
-    assert verify_files(audit_path, timeline_path, store_path) != []
+    violations = verify_files(audit_path, timeline_path, store_path)
+    assert [v.code for v in violations] == ["unknown_principal"]
