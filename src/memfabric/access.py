@@ -53,6 +53,17 @@ def classify_edge(edge: Edge) -> EdgeKind:
     raise ValueError(f"not a user->agent or agent->resource edge: {a}, {b}")
 
 
+def edge_from_doc(doc: object) -> Edge:
+    """The edge a ``{"user", "agent"}`` or ``{"agent", "resource"}`` document
+    names; raise ``ValueError`` for any other document or an empty name."""
+    keys = set(doc) if isinstance(doc, Mapping) else None
+    if keys == {"user", "agent"}:
+        return (user(str(doc["user"])), agent(str(doc["agent"])))
+    if keys == {"agent", "resource"}:
+        return (agent(str(doc["agent"])), resource(str(doc["resource"])))
+    raise ValueError(f"edge must name user/agent or agent/resource: {doc!r}")
+
+
 @dataclass(frozen=True)
 class PermissionEvent:
     tick: int
@@ -69,17 +80,10 @@ class PermissionEvent:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PermissionEvent":
-        edge_doc = data["edge"]
-        if "user" in edge_doc:
-            edge: Edge = (user(edge_doc["user"]), agent(edge_doc["agent"]))
-        elif "resource" in edge_doc:
-            edge = (agent(edge_doc["agent"]), resource(edge_doc["resource"]))
-        else:
-            raise ValueError(f"unrecognized edge document: {edge_doc!r}")
         return cls(
             tick=int(data["tick"]),
             action=PermissionAction(data["action"]),
-            edge=edge,
+            edge=edge_from_doc(data["edge"]),
         )
 
 
@@ -233,10 +237,7 @@ class AccessTimeline:
 
     @classmethod
     def from_jsonl(
-        cls,
-        lines: Iterable[str] | str,
-        directory: PrincipalDirectory | None = None,
-        audit: AuditLog | None = None,
+        cls, lines: Iterable[str] | str, directory: PrincipalDirectory | None = None
     ) -> "AccessTimeline":
         """Rebuild a timeline from an event log.
 
@@ -245,7 +246,7 @@ class AccessTimeline:
         self-describing.
         """
         directory = directory if directory is not None else PrincipalDirectory()
-        timeline = cls(directory, audit=audit)
+        timeline = cls(directory)
         for doc in wire.decode(lines):
             event = PermissionEvent.from_dict(doc)
             directory.register(event.edge[0])

@@ -9,7 +9,7 @@ are line-delimited JSON when persisted, flushed per record.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -156,17 +156,6 @@ class BinMetrics:
     memory_hits_cross: float
     accuracy: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "queries": self.queries,
-            "agent_utilization": self.agent_utilization,
-            "resource_utilization": self.resource_utilization,
-            "memory_hits_user": self.memory_hits_user,
-            "memory_hits_cross": self.memory_hits_cross,
-            "accuracy": self.accuracy,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -189,7 +178,7 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
     def to_summary(self) -> dict:
-        return {"bins": [b.to_dict() for b in self.bins]}
+        return asdict(self)
 
     def bin(self, label: str) -> BinMetrics:
         for b in self.bins:
@@ -301,7 +290,7 @@ class AccessMatrices:
     user_resource: dict[str, dict[str, int]]
 
     def to_dict(self) -> dict:
-        return {"user_agent": self.user_agent, "user_resource": self.user_resource}
+        return asdict(self)
 
 
 def access_matrix(

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from . import wire
-from .access import AccessTimeline, Edge, EdgeKind, PermissionAction
+from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc
 from .audit import AuditAction, AuditLog, MetricsReport, access_matrix, compute_metrics
 from .clock import LogicalClock
 from .errors import ConfigError, InsufficientQueries
@@ -149,14 +149,13 @@ class ScenarioConfig:
         return dataclasses.replace(self, **changes) if changes else self
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["users"] = list(self.users)
-        doc["agents"] = [dataclasses.asdict(a) for a in self.agents]
-        doc["resources"] = [dataclasses.asdict(r) for r in self.resources]
-        return doc
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             agents = tuple(AgentConfig(**a) for a in data.get("agents", ()))
             resources = tuple(ResourceConfig(**r) for r in data.get("resources", ()))
@@ -422,10 +421,11 @@ def _static_user_agent_edges(cfg: ScenarioConfig) -> list[Edge]:
     return sorted((user(str(u)), agent(str(a))) for u, a in spec)
 
 
-def _parse_edge_doc(doc: Mapping) -> Edge:
-    if "user" in doc:
-        return (user(str(doc["user"])), agent(str(doc["agent"])))
-    return (agent(str(doc["agent"])), resource(str(doc["resource"])))
+def _phase_event(doc: Mapping) -> tuple[PermissionAction, Edge]:
+    try:
+        return PermissionAction(doc["action"]), edge_from_doc(doc["edge"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad phase event {doc!r}: {exc}") from exc
 
 
 def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
@@ -438,10 +438,7 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
         phases = tuple(
             ScenarioPhase(
                 label=str(ph.get("label", f"t{i}")),
-                permission_edits=tuple(
-                    (PermissionAction(ev["action"]), _parse_edge_doc(ev["edge"]))
-                    for ev in ph.get("events", ())
-                ),
+                permission_edits=tuple(_phase_event(ev) for ev in ph.get("events", ())),
                 episodes=workload.items,
             )
             for i, ph in enumerate(doc["phases"])

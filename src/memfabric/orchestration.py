@@ -80,14 +80,10 @@ class CoordinationMessage:
     def halt(cls) -> "CoordinationMessage":
         return cls(stop=True)
 
-    def to_dict(self) -> dict:
-        if self.stop:
-            return {"stop": True}
-        return {"agent": self.agent.name, "subquery": self.subquery}
-
     @classmethod
     def from_wire(cls, raw: str) -> "CoordinationMessage":
-        """Parse the wire form; raises on anything malformed."""
+        """Parse the wire form; raises :class:`CoordinatorProtocolViolation`
+        on anything malformed, an empty agent name included."""
         try:
             data = json.loads(raw)
         except ValueError as exc:
@@ -96,11 +92,9 @@ class CoordinationMessage:
             raise CoordinatorProtocolViolation(f"not an object: {raw!r}")
         if data.get("stop") is True:
             return cls.halt()
-        if "agent" in data and "subquery" in data:
-            return cls.route(
-                PrincipalId(PrincipalKind.AGENT, str(data["agent"])),
-                str(data["subquery"]),
-            )
+        name = str(data.get("agent", ""))
+        if name and "subquery" in data:
+            return cls.route(PrincipalId(PrincipalKind.AGENT, name), str(data["subquery"]))
         raise CoordinatorProtocolViolation(f"unrecognized message shape: {raw!r}")
 
 

@@ -204,10 +204,6 @@ class PolicyTable:
                 )
         self._bindings.append(binding)
 
-    @property
-    def bindings(self) -> tuple[PolicyBinding, ...]:
-        return tuple(self._bindings)
-
     def resolve(
         self, u: PrincipalId, a: PrincipalId, t: int, direction: Direction
     ) -> Transformer:

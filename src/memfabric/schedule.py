@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction
-from .audit import AuditLog
 from .errors import UnreachableTarget
 from .principals import PrincipalDirectory, PrincipalId, PrincipalKind
 
@@ -177,8 +176,6 @@ def generate_schedule(
     schedule: GraphSchedule,
     users: Sequence[PrincipalId],
     agents: Sequence[PrincipalId],
-    directory: PrincipalDirectory | None = None,
-    audit: AuditLog | None = None,
 ) -> tuple[AccessTimeline, list[PhaseBoundary]]:
     """Materialize a schedule into a standalone timeline.
 
@@ -186,11 +183,10 @@ def generate_schedule(
     carries the tick of its phase's last event and the (exact) edge count
     there.
     """
-    if directory is None:
-        directory = PrincipalDirectory()
+    directory = PrincipalDirectory()
     for pid in list(users) + list(agents):
         directory.register(pid)
-    timeline = AccessTimeline(directory, audit=audit)
+    timeline = AccessTimeline(directory)
     boundaries: list[PhaseBoundary] = []
     t = 0
     for edits in plan_schedule(schedule, users, agents):

@@ -16,10 +16,13 @@ substrate's job. Provenance is always derived server-side - write bodies
 name the agent and resources used, both validated against the timeline, and
 the writing user is the authenticated caller. Ticks are assigned by the
 server's clock, never accepted from clients, so backdated writes cannot
-defeat retrospective checks. The runtime's timeline and store live in
-memory only: a restarted ``memfabric serve`` builds a fresh runtime, and a
-runtime that continues a finished run's artifacts comes from
-``build_runtime(cfg, audit_path, resume=True)``.
+defeat retrospective checks. Requests run one at a time. A grant, revoke
+or write takes its tick only once it is stored, so every tick is held by a
+record, the rule a resumed runtime rebuilds its clock by; an episode takes
+its tick first, as its ``episode_start`` record holds it. The runtime's
+timeline and store live in memory only: a restarted ``memfabric serve``
+builds a fresh runtime, and a runtime that continues a finished run's
+artifacts comes from ``build_runtime(cfg, audit_path, resume=True)``.
 
 The server speaks HTTP/1.1 with persistent connections: a client may send
 its requests one after another on one connection, which the server closes
@@ -31,8 +34,10 @@ repeated ``Content-Length``, or any ``Transfer-Encoding``) is answered 400
 and its connection closed, because the bytes after it cannot be told apart
 from a next request.
 
-Errors: 400 validation, 403 permission, 404 unknown id, 409 conflicts,
-503 remote backend unavailable - body ``{"error": code, "message": ...}``.
+Errors: 400 validation (``bad_request`` also for an empty principal name or
+a malformed edge), 403 permission (``forbidden`` also for an agent asking
+for a resource it is not granted), 404 unknown id, 409 conflicts, 503
+remote backend unavailable - body ``{"error": code, "message": ...}``.
 """
 
 from __future__ import annotations
@@ -43,12 +48,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import wire
-from .access import PermissionAction
+from .access import PermissionAction, edge_from_doc
 from .errors import (
     DuplicateEdge,
     EdgeNotPresent,
     MemFabricError,
     RemoteUnavailable,
+    ResourceNotPermitted,
     UnknownFragment,
     UnknownPrincipal,
 )
@@ -69,16 +75,6 @@ class ApiError(Exception):
         self.message = message
 
 
-def _parse_edge(doc: dict):
-    if not isinstance(doc, dict):
-        raise ApiError(400, "bad_request", "edge must be an object")
-    if "user" in doc and "agent" in doc:
-        return (user(str(doc["user"])), agent(str(doc["agent"])))
-    if "agent" in doc and "resource" in doc:
-        return (agent(str(doc["agent"])), resource(str(doc["resource"])))
-    raise ApiError(400, "bad_request", "edge must name user/agent or agent/resource")
-
-
 def _int_param(params: dict[str, list[str]], name: str, default: int) -> int:
     if name not in params:
         return default
@@ -89,13 +85,14 @@ def _int_param(params: dict[str, list[str]], name: str, default: int) -> int:
 
 
 class MemoryService:
-    """Request handlers bound to one runtime. Mutations are serialized
-    through a single lock; snapshot reads are safe concurrently."""
+    """Request handlers bound to one runtime. :meth:`handle` runs one
+    request at a time; each handler parses its body, authorizes the caller
+    and leaves every other check to the library."""
 
     def __init__(self, runtime: Runtime, admin_identity: str = "admin") -> None:
         self.rt = runtime
         self.admin = admin_identity
-        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # -- dispatch
 
@@ -108,21 +105,22 @@ class MemoryService:
             if identity is None:
                 raise ApiError(400, "bad_request", "missing X-Identity header")
             route = (method, path)
-            if route == ("POST", "/permissions/grant"):
-                return 200, self._permission(identity, body, PermissionAction.GRANT)
-            if route == ("POST", "/permissions/revoke"):
-                return 200, self._permission(identity, body, PermissionAction.REVOKE)
-            if route == ("GET", "/permissions/snapshot"):
-                return 200, self._snapshot(params)
-            if route == ("POST", "/memory/read"):
-                return 200, self._memory_read(identity, body)
-            if route == ("POST", "/memory/write"):
-                return 200, self._memory_write(identity, body)
-            if route == ("POST", "/episodes"):
-                return 200, self._episode(identity, body)
-            if route == ("GET", "/audit"):
-                self._require_admin(identity)
-                return 200, self.handle_audit_stream(params)
+            with self._lock:
+                if route == ("POST", "/permissions/grant"):
+                    return 200, self._permission(identity, body, PermissionAction.GRANT)
+                if route == ("POST", "/permissions/revoke"):
+                    return 200, self._permission(identity, body, PermissionAction.REVOKE)
+                if route == ("GET", "/permissions/snapshot"):
+                    return 200, self._snapshot(params)
+                if route == ("POST", "/memory/read"):
+                    return 200, self._memory_read(identity, body)
+                if route == ("POST", "/memory/write"):
+                    return 200, self._memory_write(identity, body)
+                if route == ("POST", "/episodes"):
+                    return 200, self._episode(identity, body)
+                if route == ("GET", "/audit"):
+                    self._require_admin(identity)
+                    return 200, self.handle_audit_stream(params)
             raise ApiError(404, "not_found", f"no route {method} {path}")
         except ApiError as exc:
             return exc.status, {"error": exc.code, "message": exc.message}
@@ -134,10 +132,14 @@ class MemoryService:
             return 404, {"error": "unknown_fragment", "message": str(exc)}
         except UnknownPrincipal as exc:
             return 400, {"error": "unknown_principal", "message": str(exc)}
+        except ResourceNotPermitted as exc:
+            return 403, {"error": "forbidden", "message": str(exc)}
         except RemoteUnavailable as exc:
             return 503, {"error": "remote_unavailable", "message": str(exc)}
         except MemFabricError as exc:
             return 400, {"error": type(exc).__name__, "message": str(exc)}
+        except ValueError as exc:  # an empty principal name or a malformed edge
+            return 400, {"error": "bad_request", "message": str(exc)}
 
     def handle_audit_stream(self, params: dict[str, list[str]]) -> str:
         """Audit records from ``since_seq`` on, one JSON object per line.
@@ -147,7 +149,7 @@ class MemoryService:
             wire.encode(rec.to_dict()) for rec in self.rt.audit.records if rec.seq >= since
         )
 
-    # -- handlers
+    # -- handlers; each runs under the service lock
 
     def _require_admin(self, identity: str) -> None:
         if identity != self.admin:
@@ -159,11 +161,10 @@ class MemoryService:
 
     def _permission(self, identity: str, body: dict, action: PermissionAction) -> dict:
         self._require_admin(identity)
-        edge = _parse_edge(body.get("edge", {}))
-        with self._write_lock:
-            tick = self.rt.clock.tick()
-            self.rt.timeline.apply(action, edge, tick)
-        return {"tick": tick, "applied": action.value}
+        t = self.rt.clock.now + 1
+        self.rt.timeline.apply(action, edge_from_doc(body.get("edge")), t)
+        self.rt.clock.tick()  # only once the event is stored
+        return {"tick": t, "applied": action.value}
 
     def _snapshot(self, params: dict[str, list[str]]) -> dict:
         t = _int_param(params, "t", self.rt.clock.now)
@@ -185,15 +186,12 @@ class MemoryService:
         except KeyError as exc:
             raise ApiError(400, "bad_request", f"missing field {exc}") from exc
         self._require_user(identity, u.name)
-        self.rt.directory.require(u, PrincipalKind.USER)
-        self.rt.directory.require(a, PrincipalKind.AGENT)
         t = self.rt.clock.now
         if not self.rt.timeline.edge_present((u, a), t):
             raise ApiError(403, "forbidden", f"{u.name} cannot invoke {a.name} at t={t}")
-        with self._write_lock:
-            view = audited_retrieve(self.rt, u, a, t, query)
+        view = audited_retrieve(self.rt, u, a, t, query)
         return {
-            "tick": self.rt.clock.now,
+            "tick": t,
             "t": t,
             "view": [
                 {
@@ -216,41 +214,28 @@ class MemoryService:
             raise ApiError(400, "bad_request", f"missing field {exc}") from exc
         if "user" in body and str(body["user"]) != identity and identity != self.admin:
             raise ApiError(403, "forbidden", "trace user must be the caller")
-        creator_name = str(body.get("user", identity))
-        u = user(creator_name)
-        self.rt.directory.require(u, PrincipalKind.USER)
-        self.rt.directory.require(a, PrincipalKind.AGENT)
-        resources_used = tuple(resource(str(r)) for r in body.get("resources", ()))
-        with self._write_lock:
-            # validate against the head snapshot before consuming a tick, so
-            # rejected writes leave no hole in the clock
-            now = self.rt.clock.now
-            if not self.rt.timeline.edge_present((u, a), now):
-                raise ApiError(403, "forbidden", f"{u.name} cannot invoke {a.name} at t={now}")
-            permitted = self.rt.timeline.resources_of(a, now)
-            for r in resources_used:
-                if r not in permitted:
-                    raise ApiError(
-                        403, "forbidden", f"{a.name} cannot access {r.name} at t={now}"
-                    )
-            t = self.rt.clock.tick()
-            trace = InteractionTrace(
-                user=u,
-                agent=a,
-                timestamp=t,
-                subquery=subquery,
-                response=response,
-                resources_invoked=resources_used,
-            )
-            ids = encode_and_write(
-                trace,
-                self.rt.policies,
-                self.rt.store,
-                self.rt.timeline,
-                self.rt.embedder,
-                id_factory=self.rt.id_factory,
-                force_private=self.rt.force_private,
-            )
+        u = user(str(body.get("user", identity)))
+        t = self.rt.clock.now + 1
+        if not self.rt.timeline.edge_present((u, a), t):
+            raise ApiError(403, "forbidden", f"{u.name} cannot invoke {a.name} at t={t}")
+        trace = InteractionTrace(
+            user=u,
+            agent=a,
+            timestamp=t,
+            subquery=subquery,
+            response=response,
+            resources_invoked=tuple(resource(str(r)) for r in body.get("resources", ())),
+        )
+        ids = encode_and_write(
+            trace,
+            self.rt.policies,
+            self.rt.store,
+            self.rt.timeline,
+            self.rt.embedder,
+            id_factory=self.rt.id_factory,
+            force_private=self.rt.force_private,
+        )
+        self.rt.clock.tick()  # only once the fragments are stored
         return {"tick": t, "fragment_ids": ids}
 
     def _episode(self, identity: str, body: dict) -> dict:
@@ -260,11 +245,11 @@ class MemoryService:
         except KeyError as exc:
             raise ApiError(400, "bad_request", f"missing field {exc}") from exc
         self._require_user(identity, u.name)
+        # an unknown user must not use up a tick: the episode_start record
+        # that holds it is never written
         self.rt.directory.require(u, PrincipalKind.USER)
-        bin_label = str(body.get("bin", "all"))
-        with self._write_lock:
-            t = self.rt.clock.tick()
-            episode = run_episode(self.rt, u, query, t, bin_label=bin_label)
+        t = self.rt.clock.tick()
+        episode = run_episode(self.rt, u, query, t, bin_label=str(body.get("bin", "all")))
         return {
             "tick": t,
             "episode_id": episode.episode_id,

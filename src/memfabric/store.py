@@ -521,7 +521,6 @@ class MemoryStore:
         lines: Iterable[str] | str,
         dimension: int | None = None,
         directory: PrincipalDirectory | None = None,
-        audit: AuditLog | None = None,
     ) -> "MemoryStore":
         """Rebuild a store from a snapshot.
 
@@ -530,11 +529,11 @@ class MemoryStore:
         directory when none is supplied.
         """
         own_directory = directory if directory is not None else PrincipalDirectory()
-        store = None if dimension is None else cls(dimension, own_directory, audit)
+        store = None if dimension is None else cls(dimension, own_directory)
         for doc in wire.decode(lines):
             fragment = MemoryFragment.from_dict(doc)
             if store is None:
-                store = cls(fragment.embedding.shape[0], own_directory, audit)
+                store = cls(fragment.embedding.shape[0], own_directory)
             prov = fragment.provenance
             for pid in (prov.creator, *prov.agents, *prov.resources):
                 own_directory.register(pid)

@@ -122,6 +122,19 @@ def test_config_validation_errors():
     orphan["agents"][0]["resource"] = "nowhere_kb"
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict(orphan)
+    # a misspelt key would otherwise fall back to its default silently
+    typo = overlap_config()
+    typo["memory_mod"] = typo.pop("memory_mode")
+    with pytest.raises(ConfigError, match="memory_mod"):
+        ScenarioConfig.from_dict(typo)
+    for event in (
+        {"action": "grant", "edge": {"user": "user_1"}},
+        {"action": "grnt", "edge": {"user": "user_1", "agent": "lab_agent"}},
+    ):
+        phased = revocation_phase_config()
+        phased["timeline"]["phases"][0]["events"][0] = event
+        with pytest.raises(ConfigError):
+            plan_scenario(ScenarioConfig.from_dict(phased))
 
 
 # --- static run ---

@@ -286,3 +286,23 @@ def test_remote_coordinator_malformed_json_fails_episode_after_retries():
         episode = run_episode(rt, users[0], "d1 q", rt.clock.tick())
         assert episode.failure == "coordinator_protocol"
         assert calls["n"] == rt.limits.coordinator_retries + 1
+
+
+def test_remote_coordinator_empty_agent_name_fails_episode_after_retries():
+    from memfabric import CoordinatorProtocolViolation, RemoteCoordinator
+
+    unnamed = '{"agent": "", "subquery": "s"}'
+    with pytest.raises(CoordinatorProtocolViolation):
+        CoordinationMessage.from_wire(unnamed)
+    calls = {"n": 0}
+
+    def reply(request):
+        calls["n"] += 1
+        return {"output": unnamed}
+
+    with StubServer(reply) as stub:
+        rt, users = make_runtime(n_agents=1)
+        rt.coordinator = RemoteCoordinator(endpoint=stub.url, system_prompt="route")
+        episode = run_episode(rt, users[0], "d1 q", rt.clock.tick())
+        assert episode.failure == "coordinator_protocol"
+        assert calls["n"] == rt.limits.coordinator_retries + 1

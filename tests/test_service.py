@@ -2,18 +2,28 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memfabric import (
+    AgentSpec,
     MemoryService,
+    RemoteAgentBackend,
     ScenarioConfig,
+    agent,
     build_runtime,
+    load_audit_file,
     make_server,
     plan_scenario,
     run_scenario,
@@ -505,3 +515,233 @@ def test_non_finite_embeddings_are_bad_requests():
         "POST", "/memory/read", {}, "u1", {"user": "u1", "agent": "a1", "query": "q"}
     )
     assert status == 400 and body["error"] == "NonFiniteVector"
+
+
+# --- one request at a time, ticks on commit ---
+
+
+@pytest.fixture
+def fine_switching():
+    """Switch threads as often as the interpreter can, to expose races."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_reads_racing_a_writer_all_answer_200(fine_switching):
+    # a read that sampled the clock before a write committed used to log
+    # behind the write's record and answer 400 NonMonotonicTimestamp
+    runtime, _ = make_runtime()
+    svc = MemoryService(runtime)
+    done = threading.Event()
+    writes = Counter()
+
+    def writer():
+        while not done.is_set():
+            n = sum(writes.values())
+            body = {"agent": "a1", "subquery": f"d1 w{n}", "response": f"r{n}"}
+            writes[svc.handle("POST", "/memory/write", {}, "u2", body)[0]] += 1
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        read = {"user": "u1", "agent": "a1", "query": "d1 question"}
+        reads = Counter(svc.handle("POST", "/memory/read", {}, "u1", read)[0] for _ in range(3000))
+    finally:
+        done.set()
+        thread.join()
+    assert reads == {200: 3000}
+    assert set(writes) == {200}
+
+
+def test_snapshots_racing_first_time_grants_never_raise(fine_switching):
+    # a snapshot used to iterate the user's adjacency while a first-time
+    # grant added to it: "dictionary changed size during iteration"
+    errors: list[Exception] = []
+    statuses = Counter()
+    for _ in range(20):
+        runtime, _ = make_runtime(n_users=1, n_agents=400, grant_all=False)
+        svc = MemoryService(runtime)
+        done = threading.Event()
+
+        def poll():
+            while not done.is_set():
+                try:
+                    statuses[svc.handle("GET", "/permissions/snapshot", {"user": ["u1"]}, "admin", {})[0]] += 1
+                except Exception as exc:
+                    errors.append(exc)
+
+        thread = threading.Thread(target=poll)
+        thread.start()
+        try:
+            grants = Counter(
+                svc.handle(
+                    "POST", "/permissions/grant", {}, "admin", {"edge": {"user": "u1", "agent": f"a{i}"}}
+                )[0]
+                for i in range(1, 401)
+            )
+        finally:
+            done.set()
+            thread.join()
+        assert grants == {200: 400}
+    assert errors == []
+    assert set(statuses) == {200}
+
+
+@pytest.mark.parametrize(
+    "route, identity, body, status",
+    [
+        ("/memory/write", "user_1", {"agent": "domain1_agent", "subquery": "q", "response": ""}, 400),
+        ("/permissions/grant", "admin", {"edge": {"user": "user_1", "agent": "domain1_agent"}}, 409),
+    ],
+    ids=["write-400", "grant-409"],
+)
+def test_a_rejected_request_takes_no_tick(tmp_path, route, identity, body, status):
+    # a resumed runtime starts its clock at the last recorded tick, so a tick
+    # that no record holds would make it answer one tick lower
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    write = {"agent": "domain1_agent", "subquery": "domain1: q", "response": "a"}
+    ticks = {}
+    for name in ("uninterrupted", "resumed"):
+        audit_path = tmp_path / name / "audit.jsonl"
+        svc = granted_service(cfg, audit_path)
+        try:
+            assert svc.handle("POST", "/memory/write", {}, "user_1", write)[0] == 200
+            before = svc.rt.clock.now
+            assert svc.handle("POST", route, {}, identity, body)[0] == status
+            assert svc.rt.clock.now == before
+            if name == "resumed":
+                svc.rt.timeline.save(audit_path.parent / "timeline.jsonl")
+                svc.rt.store.save(audit_path.parent / "store.jsonl")
+                svc.rt.audit.close()
+                svc = granted_service(cfg, audit_path, resume=True)
+            reply = svc.handle("POST", "/memory/write", {}, "user_1", write)
+        finally:
+            svc.rt.audit.close()
+        assert reply[0] == 200
+        ticks[name] = reply[1]["tick"]
+    assert ticks["resumed"] == ticks["uninterrupted"] == before + 1
+
+
+def test_episode_for_an_unknown_user_takes_no_tick():
+    runtime, _ = make_runtime()
+    svc = MemoryService(runtime)
+    before = (runtime.clock.now, len(runtime.audit))
+    status, body = svc.handle("POST", "/episodes", {}, "admin", {"user": "nobody", "query": "d1 q"})
+    assert (status, body["error"]) == (400, "unknown_principal")
+    assert (runtime.clock.now, len(runtime.audit)) == before
+
+
+@pytest.mark.parametrize(
+    "method, route, params, body",
+    [
+        ("POST", "/permissions/grant", {}, {"edge": {"user": "", "agent": "a1"}}),
+        ("POST", "/permissions/revoke", {}, {"edge": {"agent": "a1", "resource": ""}}),
+        ("POST", "/permissions/grant", {}, {"edge": {"user": "u1"}}),
+        ("POST", "/permissions/grant", {}, {"edge": {"user": "u1", "agent": "a1", "resource": "r1"}}),
+        ("POST", "/permissions/grant", {}, {"edge": "u1->a1"}),
+        ("POST", "/permissions/revoke", {}, {}),
+        ("GET", "/permissions/snapshot", {"user": [""]}, {}),
+        ("GET", "/permissions/snapshot", {"agent": [""]}, {}),
+        ("POST", "/memory/read", {}, {"user": "u1", "agent": "", "query": "q"}),
+        ("POST", "/memory/write", {}, {"user": "", "agent": "a1", "subquery": "q", "response": "r"}),
+        (
+            "POST",
+            "/memory/write",
+            {},
+            {"user": "u1", "agent": "a1", "subquery": "q", "response": "r", "resources": [""]},
+        ),
+        ("POST", "/episodes", {}, {"user": "", "query": "q"}),
+    ],
+    ids=[
+        "grant-empty-user",
+        "revoke-empty-resource",
+        "grant-half-edge",
+        "grant-three-names",
+        "grant-edge-not-object",
+        "revoke-no-edge",
+        "snapshot-empty-user",
+        "snapshot-empty-agent",
+        "read-empty-agent",
+        "write-empty-user",
+        "write-empty-resource",
+        "episode-empty-user",
+    ],
+)
+def test_empty_names_and_malformed_edges_are_bad_requests(method, route, params, body):
+    runtime, _ = make_runtime()
+    svc = MemoryService(runtime)
+    before = (runtime.clock.now, len(runtime.audit), len(runtime.store))
+    status, reply = svc.handle(method, route, params, "admin", body)
+    assert (status, reply["error"]) == (400, "bad_request")
+    assert (runtime.clock.now, len(runtime.audit), len(runtime.store)) == before
+
+
+def test_remote_agent_asking_for_an_ungranted_resource_is_403():
+    invoke_r2 = {"output": json.dumps({"invoke": ["r2"], "answer": "x"})}
+    with StubServer(lambda request: invoke_r2) as chat:
+        runtime, _ = make_runtime()
+        a1 = agent("a1")  # granted r1 only
+        runtime.agents[a1] = AgentSpec(
+            id=a1, specialization="remote d1", backend=RemoteAgentBackend(chat.url, "")
+        )
+        svc = MemoryService(runtime)
+        status, body = svc.handle(
+            "POST", "/episodes", {}, "u1", {"user": "u1", "query": "d1 question"}
+        )
+    assert (status, body["error"]) == (403, "forbidden")
+
+
+# --- the serve command ---
+
+
+def test_serve_command_answers_and_audits(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overlap_config(count=6, n_users=3, n_agents=2)))
+    audit = tmp_path / "audit.jsonl"
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "memfabric.cli", "serve", "--config", str(config)]
+    command += ["--port", str(port), "--audit", str(audit)]
+    with subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL) as server:
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                assert server.poll() is None, "serve exited"
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, "serve never accepted a connection"
+                    time.sleep(0.05)
+            client = Client(f"http://127.0.0.1:{port}")
+            granted = client.post(
+                "/permissions/grant", {"edge": {"user": "user_1", "agent": "domain1_agent"}}
+            )
+            write = {"agent": "domain1_agent", "subquery": "domain1: topic", "response": "details"}
+            written = client.post("/memory/write", write, identity="user_1")
+            read = {"user": "user_1", "agent": "domain1_agent", "query": "domain1: topic"}
+            view = client.post("/memory/read", read, identity="user_1")
+        finally:
+            server.terminate()
+            server.wait(timeout=30)
+    assert granted == (200, {"tick": 1, "applied": "grant"})
+    status, body = written
+    assert status == 200 and body["tick"] == 2 and len(body["fragment_ids"]) == 2
+    ids = body["fragment_ids"]
+    status, body = view
+    assert status == 200 and body["t"] == 2
+    assert sorted(hit["id"] for hit in body["view"]) == sorted(ids)
+    records = load_audit_file(audit)
+    assert [(r.at, r.action.value) for r in records] == [
+        (1, "grant"),
+        (2, "fragment_write"),
+        (2, "fragment_write"),
+        (2, "fragment_read"),
+    ]
+    assert [r.subjects[0] for r in records[1:3]] == ids
+    assert sorted(records[3].subjects) == sorted(ids)
