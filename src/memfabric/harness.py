@@ -99,6 +99,15 @@ class ResourceConfig:
     endpoint: str | None = None
 
 
+# the keys each nested section is read with; any other key is a misspelling
+_SECTION_KEYS = {
+    "retrieval": {"k_user", "k_cross", "threshold"},
+    "embedder": {"kind", "dimension", "endpoint"},
+    "limits": {"max_rounds", "coordinator_retries"},
+    "timeline": {"agent_resources", "user_agents", "phases", "schedule"},
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str
@@ -156,6 +165,10 @@ class ScenarioConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for section, known in _SECTION_KEYS.items():
+            doc = data.get(section)
+            if isinstance(doc, Mapping) and not set(doc) <= known:
+                raise ConfigError(f"unknown {section} config keys: {sorted(set(doc) - known)}")
         try:
             agents = tuple(AgentConfig(**a) for a in data.get("agents", ()))
             resources = tuple(ResourceConfig(**r) for r in data.get("resources", ()))

@@ -8,16 +8,20 @@ ever considered, and fragments newer than the query tick are not visible.
 
 A read asks the store for its admissible set once; that set carries the row
 snapshot, its columns and the admitted mask, so ranking walks nothing. The
-embedding matrix times the query only filters candidates: its products may
-differ from a row-by-row float dot product in the last bits, so candidates
-are kept within a rounding slack of the threshold and of the k-th best, then
-rescored one by one with ``float(np.dot(query, embedding))``. Ids and
-similarities are therefore exactly those of a full scan, ties included.
+visible admitted rows of both tiers are scored in one exact pass,
+``np.vecdot(embeddings[rows], query)``: it runs the same per-row dot kernel
+as ``float(np.dot(query, embedding))``, so the scores equal a row-by-row
+scan bit for bit (a matrix product may differ in the last bits). The
+threshold and the k-th best are applied to those scores, ties at the k-th
+kept, and only the final k hits are sorted and built. Ids and similarities
+are therefore exactly those of a full scan, ties included.
 
 The deterministic embedder hashes character n-grams into a fixed-dimension
 unit vector. Similarity is then a pure function of surface text: identical
 strings embed identically (cosine 1.0), which is what lets scripted agents
-recognize an exact repeat without any remote model.
+recognize an exact repeat without any remote model. Each embedder keeps
+the vectors of the texts it embedded last, so a repeated text costs one
+lookup.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-# distinct n-grams whose hashes are kept; bounded, so memory stays flat
-# however much distinct text a long-running service embeds
+# distinct n-grams whose hashes are kept, and distinct texts whose vectors
+# each deterministic embedder keeps; bounded, so memory stays flat however
+# much distinct text a long-running service embeds
 NGRAM_CACHE_SIZE = 1 << 14
+EMBED_CACHE_SIZE = 1 << 10
 
 
 @lru_cache(maxsize=NGRAM_CACHE_SIZE)
@@ -60,17 +66,22 @@ class DeterministicEmbedder:
     """Hash character 2-/3-grams of the input into a unit vector.
 
     Pure function of the text: stable across processes (keyed on blake2b,
-    not Python's randomized ``hash``).
+    not Python's randomized ``hash``). The read-only vectors of the last
+    ``EMBED_CACHE_SIZE`` distinct texts are kept and returned again.
     """
 
     def __init__(self, dimension: int = 32) -> None:
         if dimension < 2:
             raise ValueError("dimension must be at least 2")
         self.dimension = dimension
+        self._cached = lru_cache(maxsize=EMBED_CACHE_SIZE)(self._vector)
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed an empty string")
+        return self._cached(text)
+
+    def _vector(self, text: str) -> np.ndarray:
         marked = f"\x02{text}\x03"
         # sums of +-1.0 are exact in any order, so a list accumulates the
         # same vector as a float64 array would
@@ -161,52 +172,23 @@ class RankedFragment:
     created_at: int
 
 
-def _rank(candidates: list[RankedFragment], k: int) -> list[RankedFragment]:
-    ordered = sorted(
-        candidates, key=lambda c: (-c.similarity, -c.created_at, c.fragment_id)
-    )
-    return ordered[:k]
-
-
 def _top(
-    admitted: AdmissibleSet,
-    rows: np.ndarray,
-    query: np.ndarray,
-    slack: float,
-    threshold: float,
-    k: int,
+    admitted: AdmissibleSet, rows: np.ndarray, sims: np.ndarray, k: int
 ) -> list[RankedFragment]:
-    """Exact top ``k`` of the given snapshot rows at or above ``threshold``.
-
-    ``embeddings @ query`` is within ``slack`` of each row's float dot
-    product, so a row it puts below ``threshold - slack`` fails the threshold
-    and one more than ``2 * slack`` below the k-th best cannot reach the top
-    k. The survivors are rescored exactly and ranked.
-    """
-    if k == 0 or not len(rows):
-        return []
-    approx = admitted.columns.embeddings[rows] @ query
-    keep = approx >= threshold - slack
-    rows, approx = rows[keep], approx[keep]
+    """The ``k`` best of the given snapshot rows by their exact scores,
+    sorted by (similarity desc, created_at desc, id asc)."""
     if len(rows) > k:
-        kth = np.partition(approx, len(rows) - k)[len(rows) - k]
-        rows = rows[approx >= kth - 2 * slack]
-    hits = []
-    for i in rows.tolist():
-        fragment = admitted.rows[i]
-        similarity = float(np.dot(query, fragment.embedding))
-        if similarity >= threshold:
-            hits.append(
-                RankedFragment(
-                    fragment_id=fragment.id,
-                    similarity=similarity,
-                    tier=fragment.tier,
-                    key=fragment.key,
-                    value=fragment.value,
-                    created_at=fragment.provenance.created_at,
-                )
-            )
-    return _rank(hits, k)
+        if k == 0:
+            return []
+        kth = np.partition(sims, len(sims) - k)[len(sims) - k]
+        keep = sims >= kth  # ties at the k-th are ranked by the sort below
+        rows, sims = rows[keep], sims[keep]
+    hits = [(sim, admitted.rows[i]) for sim, i in zip(sims.tolist(), rows.tolist())]
+    hits.sort(key=lambda hit: (-hit[0], -hit[1].provenance.created_at, hit[1].id))
+    return [
+        RankedFragment(f.id, sim, f.tier, f.key, f.value, f.provenance.created_at)
+        for sim, f in hits[:k]
+    ]
 
 
 def retrieve(
@@ -235,13 +217,13 @@ def retrieve(
         raise NonFiniteVector("query embedding is not finite")
     admitted = store.admissible(timeline, u, a, t)
     cols = admitted.columns
-    visible = admitted.mask & (cols.created_at <= t)
-    # each computed d-term product is within d * 2**-53 * |q| * |e| of the real
-    # one, so the two computations differ by at most twice that; doubled again
-    slack = 4 * store.dimension * 2.0**-53 * query_norm * cols.max_norm
-    user_rows = np.flatnonzero(visible & ~cols.shared)  # admissibility pins creator == u
-    cross_rows = np.flatnonzero(visible & cols.shared)
+    rows = np.flatnonzero(admitted.mask & (cols.created_at <= t))
+    sims = np.vecdot(cols.embeddings[rows], query)
+    keep = sims >= config.threshold
+    rows, sims = rows[keep], sims[keep]
+    shared = cols.shared[rows]
+    private = ~shared  # admissibility pins creator == u
     return (
-        _top(admitted, user_rows, query, slack, config.threshold, config.k_user),
-        _top(admitted, cross_rows, query, slack, config.threshold, config.k_cross),
+        _top(admitted, rows[private], sims[private], config.k_user),
+        _top(admitted, rows[shared], sims[shared], config.k_cross),
     )

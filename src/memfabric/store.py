@@ -19,23 +19,35 @@ that were reachable before. Deletion is deliberately not exposed: forgetting
 is modeled as revocation, keeping the audit trail total.
 
 Beside the ``id -> MemoryFragment`` records the store keeps columns: an
-N x d embedding matrix, ``created_at``, tier and creator arrays, and packed
-uint64 bitsets of each row's agents and resources (as many 64-bit words as
-the distinct names need). Inserts only append a record; the next read fills
-the new rows' columns in one batch under the store lock. A read takes its
-row snapshot from :meth:`MemoryStore.fragments` and evaluates the three
-clauses above as one boolean mask over those columns, returned as an
-:class:`AdmissibleSet` that retrieval ranks over without walking the store.
-:meth:`MemoryStore.explain` stays the scalar clause-by-clause reference.
+N x d embedding matrix and ``created_at``, tier and creator arrays. Inserts
+only append a record; the next read fills the new rows' columns under the
+store lock. Rows are append-only and never change once filled, so a snapshot
+is just a row count: :meth:`MemoryStore.fragments` returns a read-only view
+of the first n rows, and a read evaluates the three clauses as one boolean
+mask over those rows, returned as an :class:`AdmissibleSet` that retrieval
+ranks over without walking the store.
+
+The two subset clauses are cached. Each row's agents and resources are
+bitsets over interned names, and the mask of the rows whose set lies within
+a granted set is kept per granted set (``agents_of(u, t)`` for the agent
+clause, ``resources_of(a, t)`` for the resource clause) in a bounded LRU.
+An entry covers a prefix of the rows and is extended over the rows filled
+since it was last used, so a read costs work in proportion to the rows
+added since; a grant or revoke yields a different set, so no entry is ever
+invalidated (incremental view maintenance). The tier clause is evaluated
+per read. :meth:`MemoryStore.explain` stays the scalar clause-by-clause
+reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import threading
 import uuid
-from collections.abc import Set
+from collections import OrderedDict
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -64,6 +76,12 @@ from .principals import (
 )
 
 UNIT_NORM_TOLERANCE = 1e-6
+# granted sets whose clause mask each subset clause keeps; an entry holds one
+# byte per row, so the cache costs at most this many bytes per row and clause
+MASK_CACHE_SIZE = 128
+# a mask is extended over at most this many rows in Python, over the rows'
+# bitsets as ints; longer extensions run vectorised over packed uint64 words
+SMALL_EXTENSION = 64
 _WORD = (1 << 64) - 1
 
 
@@ -210,13 +228,10 @@ class _Columns(NamedTuple):
     created_at: np.ndarray  # int64
     shared: np.ndarray  # bool: tier is SHARED
     creator: np.ndarray  # int64 index into the store's creator interning
-    agent_bits: np.ndarray  # (rows, words) uint64; bit i <=> agent interned as i
-    resource_bits: np.ndarray  # (rows, words) uint64; bit i <=> resource interned as i
-    max_norm: float  # largest embedding norm among filled rows
 
     def head(self, n: int) -> "_Columns":
         """Views of the first ``n`` rows."""
-        return _Columns(*(column[:n] for column in self[:-1]), self.max_norm)
+        return _Columns(*(column[:n] for column in self))
 
 
 def _intern(index: dict[PrincipalId, int], pid: PrincipalId) -> int:
@@ -224,14 +239,6 @@ def _intern(index: dict[PrincipalId, int], pid: PrincipalId) -> int:
     if i is None:
         i = index[pid] = len(index)
     return i
-
-
-def _mask(index: dict[PrincipalId, int], pids) -> int:
-    """Bitset of ``pids`` by their interned indexes, as one Python int."""
-    bits = 0
-    for pid in pids:
-        bits |= 1 << _intern(index, pid)
-    return bits
 
 
 def _regrown(array: np.ndarray, rows: int, words: int | None = None) -> np.ndarray:
@@ -249,30 +256,121 @@ def _regrown(array: np.ndarray, rows: int, words: int | None = None) -> np.ndarr
     return out
 
 
-def _within(bits: np.ndarray, index: dict[PrincipalId, int], granted) -> np.ndarray:
-    """Rows whose set bits all name principals in ``granted``."""
-    allowed = 0
-    for pid in granted:
-        i = index.get(pid)
-        if i is not None:
-            allowed |= 1 << i
-    outside = np.array(
-        [~(allowed >> (64 * w)) & _WORD for w in range(bits.shape[1])], dtype=np.uint64
-    )
-    return ~(bits & outside).any(axis=1)
+def _capacity(capacity: int, rows: int) -> int:
+    """Capacity that holds ``rows`` rows: ``capacity`` or geometric growth."""
+    return capacity if rows <= capacity else rows + rows // 4 + 64
+
+
+class _SubsetClause:
+    """One subset clause (agents or resources) over the filled rows.
+
+    A row's principals are a bitset over their interned indexes, kept as one
+    Python int per row and, packed on demand, as uint64 words. The mask of
+    the rows whose set lies within a granted set is cached per granted set in
+    a bounded LRU; each entry covers a prefix of the rows and is extended
+    over the rows filled since. Filled rows never change and interned
+    indexes never move, so an entry stays exact for the rows it covers. Used
+    under the store lock only.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[PrincipalId, int] = {}
+        self._row_bits: list[int] = []
+        self._bitsets: dict[frozenset[PrincipalId], int] = {}  # one int per distinct set
+        self._words = np.zeros((0, 1), np.uint64)  # (rows, words) packed row bitsets
+        self._packed = 0  # rows packed into words
+        self._masks: OrderedDict[frozenset[PrincipalId], list] = OrderedDict()
+
+    def add(self, pids: frozenset[PrincipalId]) -> None:
+        """Append the next row's set."""
+        bits = self._bitsets.get(pids)
+        if bits is None:
+            bits = 0
+            for pid in pids:
+                bits |= 1 << _intern(self.index, pid)
+            self._bitsets[pids] = bits
+        self._row_bits.append(bits)
+
+    def within(self, granted: frozenset[PrincipalId], n: int) -> np.ndarray:
+        """Mask of the first ``n`` rows (all filled): set within ``granted``."""
+        entry = self._masks.get(granted)
+        if entry is None:
+            entry = self._masks[granted] = [np.zeros(0, bool), 0]  # mask, rows covered
+            if len(self._masks) > MASK_CACHE_SIZE:
+                self._masks.popitem(last=False)
+        else:
+            self._masks.move_to_end(granted)
+        mask, covered = entry
+        if covered < n:
+            if len(mask) < n:
+                mask = entry[0] = _regrown(mask, _capacity(len(mask), n))
+            allowed = 0
+            for pid in granted:  # names interned since the entry was made count too
+                i = self.index.get(pid)
+                if i is not None:
+                    allowed |= 1 << i
+            if n - covered <= SMALL_EXTENSION:
+                outside = ~allowed
+                mask[covered:n] = [not bits & outside for bits in self._row_bits[covered:n]]
+            else:
+                words = self._packed_words(n)[covered:n]
+                outside = [~(allowed >> (64 * w)) & _WORD for w in range(words.shape[1])]
+                mask[covered:n] = ~(words & np.array(outside, np.uint64)).any(axis=1)
+            entry[1] = n
+        return mask[:n]
+
+    def _packed_words(self, n: int) -> np.ndarray:
+        """The packed words, with at least the first ``n`` rows packed."""
+        start = self._packed
+        if start < n:
+            words = max(1, -(-len(self.index) // 64))
+            shape = (_capacity(len(self._words), n), words)
+            if shape != self._words.shape:
+                self._words = _regrown(self._words, *shape)
+            new = self._row_bits[start:n]
+            for w in range(words):
+                self._words[start:n, w] = [(bits >> (64 * w)) & _WORD for bits in new]
+            self._packed = n
+        return self._words
+
+
+class _Prefix(Sequence):
+    """Read-only view of the first ``n`` items of an append-only list."""
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: list, n: int) -> None:
+        self._items = items
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self._items[j] for j in range(*i.indices(self._n)))
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("snapshot index out of range")
+        return self._items[i]
+
+    def __iter__(self) -> Iterator:
+        return itertools.islice(self._items, self._n)
 
 
 class AdmissibleSet(Set):
     """Read-only set of the fragment ids a reader may see.
 
-    Computed over one snapshot of the store: ``rows`` is the tuple returned by
-    :meth:`MemoryStore.fragments`, ``columns`` the column views of exactly
-    those rows and ``mask`` the admitted ones, so a caller can rank over the
-    same snapshot without walking it again. Compares equal to a plain ``set``
-    of the same ids.
+    Computed over one snapshot of the store: ``rows`` is the read-only view
+    returned by :meth:`MemoryStore.fragments`, ``columns`` the column views
+    of exactly those rows and ``mask`` the admitted ones, so a caller can
+    rank over the same snapshot without walking it again. The agent and
+    resource clauses of ``mask`` come from the store's cached clause masks.
+    Compares equal to a plain ``set`` of the same ids.
     """
 
-    def __init__(self, rows: tuple[MemoryFragment, ...], columns: _Columns, mask: np.ndarray):
+    def __init__(self, rows: Sequence[MemoryFragment], columns: _Columns, mask: np.ndarray):
         self.rows = rows
         self.columns = columns
         self.mask = mask
@@ -322,17 +420,13 @@ class MemoryStore:
         self._write_lock = threading.Lock()  # single serialized writer
         self._filled = 0  # rows whose columns are written
         self._creator_ix: dict[PrincipalId, int] = {}
-        self._agent_ix: dict[PrincipalId, int] = {}
-        self._resource_ix: dict[PrincipalId, int] = {}
-        no_bits = np.zeros((0, 1), np.uint64)
+        self._agents = _SubsetClause()
+        self._resources = _SubsetClause()
         self._columns = _Columns(
             np.zeros((0, dimension)),
             np.zeros(0, np.int64),
             np.zeros(0, bool),
             np.zeros(0, np.int64),
-            no_bits,
-            no_bits,
-            0.0,
         )
 
     # -- persistence
@@ -395,59 +489,30 @@ class MemoryStore:
     def __len__(self) -> int:
         return len(self._fragments)
 
-    def fragments(self) -> tuple[MemoryFragment, ...]:
-        """All fragments in insertion order (snapshot; safe against
-        concurrent inserts)."""
+    def fragments(self) -> Sequence[MemoryFragment]:
+        """All fragments in insertion order: a read-only view of the rows
+        stored at the call, which later inserts do not change."""
         with self._write_lock:
-            return tuple(self._rows)
+            return _Prefix(self._rows, len(self._rows))
 
     # -- columns
 
-    def _filled_columns(self) -> _Columns:
-        """Columns with every recorded row filled."""
-        with self._write_lock:
-            if self._filled < len(self._rows):
-                self._fill()
-            return self._columns
-
     def _fill(self) -> None:
-        """Write the columns of the rows recorded since the last fill, in one
-        batch. The caller holds the write lock."""
+        """Write the columns of the rows recorded since the last fill. The
+        caller holds the write lock."""
         start, new = self._filled, self._rows[self._filled :]
         end = start + len(new)
-        creators = [_intern(self._creator_ix, f.provenance.creator) for f in new]
-        agent_masks = [_mask(self._agent_ix, f.provenance.agents) for f in new]
-        resource_masks = [_mask(self._resource_ix, f.provenance.resources) for f in new]
-
         cols = self._columns
-        capacity = len(cols.created_at)
-        rows = capacity if end <= capacity else end + end // 4 + 64  # geometric growth
-        agent_words = max(1, -(-len(self._agent_ix) // 64))
-        resource_words = max(1, -(-len(self._resource_ix) // 64))
-        if (rows, agent_words, resource_words) != (
-            capacity,
-            cols.agent_bits.shape[1],
-            cols.resource_bits.shape[1],
-        ):
-            cols = _Columns(
-                _regrown(cols.embeddings, rows),
-                _regrown(cols.created_at, rows),
-                _regrown(cols.shared, rows),
-                _regrown(cols.creator, rows),
-                _regrown(cols.agent_bits, rows, agent_words),
-                _regrown(cols.resource_bits, rows, resource_words),
-                cols.max_norm,
-            )
-        block = cols.embeddings[start:end]
-        np.stack([f.embedding for f in new], out=block)
+        rows = _capacity(len(cols.created_at), end)
+        if rows != len(cols.created_at):
+            cols = self._columns = _Columns(*(_regrown(column, rows) for column in cols))
+        cols.embeddings[start:end] = [f.embedding for f in new]
         cols.created_at[start:end] = [f.provenance.created_at for f in new]
         cols.shared[start:end] = [f.tier is Tier.SHARED for f in new]
-        cols.creator[start:end] = creators
-        for bits, masks in ((cols.agent_bits, agent_masks), (cols.resource_bits, resource_masks)):
-            for w in range(bits.shape[1]):
-                bits[start:end, w] = [(m >> (64 * w)) & _WORD for m in masks]
-        max_norm = max(cols.max_norm, math.sqrt(np.einsum("ij,ij->i", block, block).max()))
-        self._columns = cols._replace(max_norm=max_norm)
+        cols.creator[start:end] = [_intern(self._creator_ix, f.provenance.creator) for f in new]
+        for f in new:
+            self._agents.add(f.provenance.agents)
+            self._resources.add(f.provenance.resources)
         self._filled = end
 
     # -- admissibility
@@ -476,18 +541,23 @@ class MemoryStore:
         Exactly the fragments whose contributing agents all lie in
         ``agents_of(u, t)`` and touched resources in ``resources_of(a, t)``,
         with private fragments further restricted to their creator. The
-        clauses are one mask over the columns of the ``fragments()``
-        snapshot: ``(shared | creator == u) & no agent bit outside the
-        user's agents & no resource bit outside the agent's resources``.
+        clauses are one mask over the rows of the ``fragments()`` snapshot:
+        ``(shared | creator == u) & agents within the user's agents &
+        resources within the agent's resources``, the last two from the
+        cached clause masks.
         """
         user_agents = timeline.agents_of(u, t)
         agent_resources = timeline.resources_of(a, t)
         rows = self.fragments()
-        cols = self._filled_columns().head(len(rows))
-        mask = (cols.shared | (cols.creator == self._creator_ix.get(u, -1))) & (
-            _within(cols.agent_bits, self._agent_ix, user_agents)
-            & _within(cols.resource_bits, self._resource_ix, agent_resources)
-        )
+        n = len(rows)
+        with self._write_lock:
+            if self._filled < len(self._rows):
+                self._fill()
+            cols = self._columns.head(n)
+            agents_ok = self._agents.within(user_agents, n)
+            resources_ok = self._resources.within(agent_resources, n)
+            creator = self._creator_ix.get(u, -1)
+        mask = (cols.shared | (cols.creator == creator)) & agents_ok & resources_ok
         return AdmissibleSet(rows, cols, mask)
 
     def explain(

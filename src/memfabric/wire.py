@@ -22,9 +22,13 @@ from typing import Iterable, Iterator
 from .errors import RemoteUnavailable
 
 
+# json.dumps builds an encoder per call; one shared encoder gives the same bytes
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def encode(doc: object) -> str:
     """One JSON-lines record: sorted keys and a trailing newline."""
-    return json.dumps(doc, sort_keys=True) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def dump(path: str | Path, docs: Iterable[object]) -> None:

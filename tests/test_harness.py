@@ -127,6 +127,16 @@ def test_config_validation_errors():
     typo["memory_mod"] = typo.pop("memory_mode")
     with pytest.raises(ConfigError, match="memory_mod"):
         ScenarioConfig.from_dict(typo)
+    # so would a misspelt key inside a section
+    for section, key in (
+        ("retrieval", "k_usr"),
+        ("retrieval", "treshold"),
+        ("timeline", "user_agent"),
+    ):
+        nested = overlap_config()
+        nested.setdefault(section, {})[key] = 1
+        with pytest.raises(ConfigError, match=f"{section}.*{key}"):
+            ScenarioConfig.from_dict(nested)
     for event in (
         {"action": "grant", "edge": {"user": "user_1"}},
         {"action": "grnt", "edge": {"user": "user_1", "agent": "lab_agent"}},

@@ -15,6 +15,7 @@ from memfabric import (
     EmptyText,
     MemoryFragment,
     MemoryStore,
+    PrincipalDirectory,
     Provenance,
     RemoteEmbedder,
     RemoteUnavailable,
@@ -313,6 +314,179 @@ def test_tie_heavy_ranking_equals_float_dot_scan_bit_for_bit():
             [(h.fragment_id, h.similarity) for h in cross_tier],
         )
         assert got == expected
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def test_vecdot_equals_float_dot_row_by_row_bit_for_bit():
+    # Retrieval scores every visible row in one np.vecdot pass and must equal
+    # a scan that scores each fragment with float(np.dot(query, embedding)).
+    # A numpy build whose vecdot rounds differently from dot fails here.
+    rng = np.random.default_rng(11)
+    for dim in (2, 3, 8, 16, 31, 32, 33, 64, 97):
+        matrix = rng.standard_normal((400, dim))
+        matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+        for query in matrix[:5]:
+            assert _bits(np.vecdot(matrix, query)) == _bits(
+                [float(np.dot(query, row)) for row in matrix]
+            )
+    # the tie-heavy fixture: keys from a tiny vocabulary, so many rows are equal
+    embedder = DeterministicEmbedder(16)
+    vocabulary = ["alloy", "alloy grain", "grain", "kiln", "kiln glaze", "glaze", "ore"]
+    texts = vocabulary + ["alloy kiln", "grain ore"]
+    matrix = np.array([embedder.embed(rng.choice(vocabulary)) for _ in range(300)])
+    for text in texts:
+        query = embedder.embed(text)
+        assert _bits(np.vecdot(matrix, query)) == _bits(
+            [float(np.dot(query, row)) for row in matrix]
+        )
+    # rows gathered from a larger matrix against separately allocated vectors
+    big = rng.standard_normal((3000, 32))
+    big /= np.linalg.norm(big, axis=1, keepdims=True)
+    rows = np.sort(rng.choice(len(big), size=900, replace=False))
+    separate = [np.array(big[i].tolist()) for i in rows.tolist()]
+    for query in (big[7], np.array(big[8].tolist()), embedder.embed("kiln") @ np.eye(16, 32)):
+        query = query / np.linalg.norm(query)
+        assert _bits(np.vecdot(big[rows], query)) == _bits(
+            [float(np.dot(query, vector)) for vector in separate]
+        )
+
+
+# one reader universe for the interleaving test: every user-agent and
+# agent-resource edge can be toggled; the initial grants leave a4 and r3 out
+_USERS = [f"u{i}" for i in (1, 2)]
+_AGENTS = [f"a{i}" for i in (1, 2, 3, 4)]
+_RESOURCES = [f"r{i}" for i in (1, 2, 3)]
+_EDGES = [(u, a) for u in _USERS for a in _AGENTS] + [(a, r) for a in _AGENTS for r in _RESOURCES]
+_VOCABULARY = ["alloy", "alloy grain", "grain", "kiln", "kiln glaze", "glaze", "ore"]
+
+_OPS = st.lists(
+    st.one_of(
+        # ("insert", agent subset as bits over _AGENTS, seed)
+        st.tuples(st.just("insert"), st.integers(1, 15), st.integers(0, 2**16)),
+        # ("bulk", count, seed): more rows than a small extension covers
+        st.tuples(st.just("bulk"), st.integers(65, 90), st.integers(0, 2**16)),
+        st.tuples(st.just("toggle"), st.integers(0, len(_EDGES) - 1)),
+        # ("read", user, agent, seed)
+        st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 3), st.integers(0, 2**16)),
+    ),
+    max_size=30,
+)
+_A_B_A = [  # u1's agents go {a1, a2, a3} -> {a1, a3} -> {a1, a2, a3}, inserts between
+    ("insert", 1, 1),
+    ("insert", 3, 2),
+    ("read", 0, 0, 3),
+    ("toggle", 1),
+    ("insert", 2, 4),
+    ("read", 0, 0, 5),
+    ("toggle", 1),
+    ("insert", 3, 6),
+    ("insert", 1, 7),
+    ("read", 0, 0, 8),
+    ("bulk", 70, 9),
+    ("toggle", 1),
+    ("read", 0, 0, 10),
+    ("toggle", 1),
+    ("read", 0, 0, 11),
+]
+_LATE_AGENT = [  # a4 is granted to u1 and first interned after u1's mask is cached
+    ("insert", 1, 1),
+    ("toggle", 3),
+    ("read", 0, 0, 2),
+    ("insert", 8, 3),
+    ("insert", 9, 4),
+    ("read", 0, 0, 5),
+    ("bulk", 66, 6),
+    ("insert", 8, 7),
+    ("read", 0, 3, 8),
+    ("read", 1, 3, 9),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+@example(ops=_A_B_A)
+@example(ops=_LATE_AGENT)
+def test_interleaved_reads_equal_a_full_scan_bit_for_bit(ops):
+    # Cached clause masks are extended over the rows added between reads;
+    # every read must still equal a full scan under the read-time grants.
+    directory = PrincipalDirectory()
+    users = [directory.add_user(name) for name in _USERS]
+    agents = [directory.add_agent(name) for name in _AGENTS]
+    resources = [directory.add_resource(name) for name in _RESOURCES]
+    named = {p.name: p for p in users + agents + resources}
+    edges = [(named[src], named[dst]) for src, dst in _EDGES]
+    timeline = AccessTimeline(directory)
+    store = MemoryStore(8, directory=directory)
+    embedder = DeterministicEmbedder(8)
+    events, tick = [], 0
+    for edge in edges:
+        if "a4" not in (edge[0].name, edge[1].name) and edge[1].name != "r3":
+            tick += 1
+            timeline.grant(edge, tick)
+            events.append((tick, "grant", edge))
+
+    def insert(rng: random.Random, agent_bits: int) -> None:
+        key = rng.choice(_VOCABULARY)
+        store.insert(
+            MemoryFragment(
+                id=f"f{len(store):04d}-{rng.randrange(100)}",
+                tier=rng.choice([Tier.PRIVATE, Tier.SHARED]),
+                key=key,
+                value="v",
+                embedding=embedder.embed(key),
+                provenance=Provenance(
+                    created_at=max(0, tick - rng.randint(0, 1)),
+                    creator=rng.choice(users),
+                    agents=frozenset(a for i, a in enumerate(agents) if agent_bits >> i & 1),
+                    resources=frozenset(rng.sample(resources, rng.randint(0, 2))),
+                ),
+            )
+        )
+
+    for op in ops:
+        tick += 1
+        if op[0] == "insert":
+            insert(random.Random(op[2]), op[1])
+        elif op[0] == "bulk":
+            rng = random.Random(op[2])
+            for _ in range(op[1]):
+                insert(rng, rng.randint(1, 15))
+        elif op[0] == "toggle":
+            edge = edges[op[1]]
+            action = "revoke" if timeline.edge_present(edge, tick) else "grant"
+            getattr(timeline, action)(edge, tick)
+            events.append((tick, action, edge))
+        else:
+            _, ui, ai, seed = op
+            rng = random.Random(seed)
+            u, a, t = users[ui], agents[ai], tick - rng.randint(0, 1)
+            query = embedder.embed(rng.choice(_VOCABULARY + ["alloy kiln"]))
+            cfg = RetrievalConfig(
+                k_user=rng.randint(0, 4), k_cross=rng.randint(0, 4), threshold=rng.uniform(-1, 1)
+            )
+            fragments = list(store.fragments())
+            assert store.admissible(timeline, u, a, t) == oracle_admissible(
+                fragments, events, u, a, t
+            )
+            user_tier, cross_tier = retrieve(store, timeline, u, a, t, query, cfg)
+            assert (
+                [(h.fragment_id, h.similarity) for h in user_tier],
+                [(h.fragment_id, h.similarity) for h in cross_tier],
+            ) == oracle_retrieve_scan(
+                fragments, events, u, a, t, query, cfg.k_user, cfg.k_cross, cfg.threshold
+            )
+
+
+def test_embed_cache_returns_the_same_read_only_vector():
+    embedder = DeterministicEmbedder(16)
+    first = embedder.embed("kiln glaze")
+    assert embedder.embed("kiln glaze") is first
+    assert not first.flags.writeable
+    assert first.tobytes() == oracle_embed("kiln glaze", 16).tobytes()
+    assert DeterministicEmbedder(16).embed("kiln glaze").tobytes() == first.tobytes()
 
 
 def test_non_finite_query_rejected():

@@ -374,6 +374,21 @@ def test_loaded_store_admits_and_retrieves_like_the_saved_one(tmp_path):
                 )
 
 
+def test_fragments_view_keeps_its_rows_across_inserts(directory):
+    store = MemoryStore(4, directory=directory)
+    for i in range(3):
+        store.insert(fragment(fid=f"f{i}", created_at=i))
+    view = store.fragments()
+    store.insert(fragment(fid="f3", created_at=3))
+    store.admissible(scenario_timeline(directory), user("u1"), agent("a1"), 9)  # fills f3
+    assert len(view) == 3
+    assert [f.id for f in view] == ["f0", "f1", "f2"]
+    assert view[-1].id == "f2" and [f.id for f in view[1:]] == ["f1", "f2"]
+    with pytest.raises(IndexError):
+        view[3]
+    assert [f.id for f in store.fragments()] == ["f0", "f1", "f2", "f3"]
+
+
 def test_concurrent_reads_see_a_consistent_prefix(directory):
     # One writer inserts f0000, f0001, ... in order while readers query: every
     # read must see exactly the first m fragments for some m that never shrinks.
