@@ -100,24 +100,19 @@ class AuditLog:
                 raise NonMonotonicTimestamp(
                     f"audit tick {at} is behind log head {self._records[-1].at}"
                 )
-            seq = len(self._records)
-            subjects, detail = tuple(subjects), dict(detail or {})
-            self._records.append(AuditRecord(seq, at, actor, action, subjects, detail))
+            record = AuditRecord(
+                seq=len(self._records),
+                at=at,
+                actor=actor,
+                action=action,
+                subjects=tuple(subjects),
+                detail=dict(detail or {}),
+            )
+            self._records.append(record)
             if self._fp is not None:
-                self._fp.write(
-                    wire.encode(
-                        {
-                            "seq": seq,
-                            "at": at,
-                            "actor": actor,
-                            "action": action.value,
-                            "subjects": list(subjects),
-                            "detail": detail,
-                        }
-                    )
-                )
+                self._fp.write(wire.encode(record.to_dict()))
                 self._fp.flush()
-            return seq
+            return record.seq
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from hashlib import blake2b
 from typing import Protocol, runtime_checkable
 
@@ -62,6 +62,23 @@ def _ngram_hash(gram: str) -> int:
     return int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
 
 
+def _vector(dimension: int, text: str) -> np.ndarray:
+    marked = f"\x02{text}\x03"
+    # sums of +-1.0 are exact in any order, so a list accumulates the
+    # same vector as a float64 array would
+    counts = [0.0] * dimension
+    for n in (2, 3):
+        for i in range(len(marked) - n + 1):
+            h = _ngram_hash(marked[i : i + n])
+            counts[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+    # never zero: a text of L marked characters adds 2L - 3 terms of +-1,
+    # an odd count, so they cannot all cancel
+    vec = np.array(counts, dtype=np.float64)
+    out = vec / float(np.linalg.norm(vec))
+    out.setflags(write=False)
+    return out
+
+
 class DeterministicEmbedder:
     """Hash character 2-/3-grams of the input into a unit vector.
 
@@ -74,28 +91,14 @@ class DeterministicEmbedder:
         if dimension < 2:
             raise ValueError("dimension must be at least 2")
         self.dimension = dimension
-        self._cached = lru_cache(maxsize=EMBED_CACHE_SIZE)(self._vector)
+        # the cache holds no reference to the embedder, so a dropped embedder
+        # and its vectors are freed by reference counting
+        self._cached = lru_cache(maxsize=EMBED_CACHE_SIZE)(partial(_vector, dimension))
 
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise EmptyText("cannot embed an empty string")
         return self._cached(text)
-
-    def _vector(self, text: str) -> np.ndarray:
-        marked = f"\x02{text}\x03"
-        # sums of +-1.0 are exact in any order, so a list accumulates the
-        # same vector as a float64 array would
-        counts = [0.0] * self.dimension
-        for n in (2, 3):
-            for i in range(len(marked) - n + 1):
-                h = _ngram_hash(marked[i : i + n])
-                counts[(h >> 1) % self.dimension] += 1.0 if h & 1 else -1.0
-        # never zero: a text of L marked characters adds 2L - 3 terms of +-1,
-        # an odd count, so they cannot all cancel
-        vec = np.array(counts, dtype=np.float64)
-        out = vec / float(np.linalg.norm(vec))
-        out.setflags(write=False)
-        return out
 
 
 class RemoteEmbedder:

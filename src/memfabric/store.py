@@ -79,9 +79,6 @@ UNIT_NORM_TOLERANCE = 1e-6
 # granted sets whose clause mask each subset clause keeps; an entry holds one
 # byte per row, so the cache costs at most this many bytes per row and clause
 MASK_CACHE_SIZE = 128
-# a mask is extended over at most this many rows in Python, over the rows'
-# bitsets as ints; longer extensions run vectorised over packed uint64 words
-SMALL_EXTENSION = 64
 _WORD = (1 << 64) - 1
 
 
@@ -264,32 +261,40 @@ def _capacity(capacity: int, rows: int) -> int:
 class _SubsetClause:
     """One subset clause (agents or resources) over the filled rows.
 
-    A row's principals are a bitset over their interned indexes, kept as one
-    Python int per row and, packed on demand, as uint64 words. The mask of
-    the rows whose set lies within a granted set is cached per granted set in
-    a bounded LRU; each entry covers a prefix of the rows and is extended
-    over the rows filled since. Filled rows never change and interned
-    indexes never move, so an entry stays exact for the rows it covers. Used
-    under the store lock only.
+    A row's principals are a bitset over their interned indexes, packed as
+    uint64 words when the row is filled. The mask of the rows whose set lies
+    within a granted set is cached per granted set in a bounded LRU; each
+    entry covers a prefix of the rows and is extended over the rows filled
+    since. Filled rows never change and interned indexes never move, so an
+    entry stays exact for the rows it covers. Used under the store lock only.
     """
 
     def __init__(self) -> None:
         self.index: dict[PrincipalId, int] = {}
-        self._row_bits: list[int] = []
         self._bitsets: dict[frozenset[PrincipalId], int] = {}  # one int per distinct set
         self._words = np.zeros((0, 1), np.uint64)  # (rows, words) packed row bitsets
-        self._packed = 0  # rows packed into words
+        self._filled = 0  # rows packed into words
         self._masks: OrderedDict[frozenset[PrincipalId], list] = OrderedDict()
 
-    def add(self, pids: frozenset[PrincipalId]) -> None:
-        """Append the next row's set."""
+    def _bits(self, pids: frozenset[PrincipalId]) -> int:
         bits = self._bitsets.get(pids)
         if bits is None:
             bits = 0
             for pid in pids:
                 bits |= 1 << _intern(self.index, pid)
             self._bitsets[pids] = bits
-        self._row_bits.append(bits)
+        return bits
+
+    def extend(self, sets: list[frozenset[PrincipalId]]) -> None:
+        """Append the next rows' sets."""
+        new = [self._bits(pids) for pids in sets]
+        start, end = self._filled, self._filled + len(new)
+        shape = (_capacity(len(self._words), end), max(1, -(-len(self.index) // 64)))
+        if shape != self._words.shape:
+            self._words = _regrown(self._words, *shape)
+        for w in range(shape[1]):
+            self._words[start:end, w] = [(bits >> (64 * w)) & _WORD for bits in new]
+        self._filled = end
 
     def within(self, granted: frozenset[PrincipalId], n: int) -> np.ndarray:
         """Mask of the first ``n`` rows (all filled): set within ``granted``."""
@@ -309,29 +314,11 @@ class _SubsetClause:
                 i = self.index.get(pid)
                 if i is not None:
                     allowed |= 1 << i
-            if n - covered <= SMALL_EXTENSION:
-                outside = ~allowed
-                mask[covered:n] = [not bits & outside for bits in self._row_bits[covered:n]]
-            else:
-                words = self._packed_words(n)[covered:n]
-                outside = [~(allowed >> (64 * w)) & _WORD for w in range(words.shape[1])]
-                mask[covered:n] = ~(words & np.array(outside, np.uint64)).any(axis=1)
+            words = self._words[covered:n]
+            outside = [~(allowed >> (64 * w)) & _WORD for w in range(words.shape[1])]
+            mask[covered:n] = ~(words & np.array(outside, np.uint64)).any(axis=1)
             entry[1] = n
         return mask[:n]
-
-    def _packed_words(self, n: int) -> np.ndarray:
-        """The packed words, with at least the first ``n`` rows packed."""
-        start = self._packed
-        if start < n:
-            words = max(1, -(-len(self.index) // 64))
-            shape = (_capacity(len(self._words), n), words)
-            if shape != self._words.shape:
-                self._words = _regrown(self._words, *shape)
-            new = self._row_bits[start:n]
-            for w in range(words):
-                self._words[start:n, w] = [(bits >> (64 * w)) & _WORD for bits in new]
-            self._packed = n
-        return self._words
 
 
 class _Prefix(Sequence):
@@ -510,9 +497,8 @@ class MemoryStore:
         cols.created_at[start:end] = [f.provenance.created_at for f in new]
         cols.shared[start:end] = [f.tier is Tier.SHARED for f in new]
         cols.creator[start:end] = [_intern(self._creator_ix, f.provenance.creator) for f in new]
-        for f in new:
-            self._agents.add(f.provenance.agents)
-            self._resources.add(f.provenance.resources)
+        self._agents.extend([f.provenance.agents for f in new])
+        self._resources.extend([f.provenance.resources for f in new])
         self._filled = end
 
     # -- admissibility

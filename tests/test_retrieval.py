@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -366,7 +368,7 @@ _OPS = st.lists(
     st.one_of(
         # ("insert", agent subset as bits over _AGENTS, seed)
         st.tuples(st.just("insert"), st.integers(1, 15), st.integers(0, 2**16)),
-        # ("bulk", count, seed): more rows than a small extension covers
+        # ("bulk", count, seed): many rows filled by one read
         st.tuples(st.just("bulk"), st.integers(65, 90), st.integers(0, 2**16)),
         st.tuples(st.just("toggle"), st.integers(0, len(_EDGES) - 1)),
         # ("read", user, agent, seed)
@@ -488,6 +490,19 @@ def test_embed_cache_returns_the_same_read_only_vector():
     assert first.tobytes() == oracle_embed("kiln glaze", 16).tobytes()
     assert DeterministicEmbedder(16).embed("kiln glaze").tobytes() == first.tobytes()
 
+
+
+def test_dropped_embedder_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        embedder = DeterministicEmbedder(16)
+        vector = weakref.ref(embedder.embed("kiln glaze"))
+        dropped = weakref.ref(embedder)
+        del embedder
+        assert dropped() is None
+        assert vector() is None
+    finally:
+        gc.enable()
 
 def test_non_finite_query_rejected():
     directory, users, agents, resources = make_universe(1, 1, 1)

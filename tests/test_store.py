@@ -28,7 +28,13 @@ from memfabric import (
 )
 from memfabric import RetrievalConfig, retrieve
 from memfabric.errors import NonFiniteVector
-from genutil import make_universe, random_store, random_timeline, random_unit_vector
+from genutil import (
+    make_universe,
+    random_fragment,
+    random_store,
+    random_timeline,
+    random_unit_vector,
+)
 from oracles import oracle_admissible
 
 
@@ -219,6 +225,35 @@ def test_admissible_matches_oracle_on_random_universes():
         assert store.admissible(timeline, u, a, t) == oracle_admissible(
             fragments, shadow, u, a, t
         )
+
+
+
+def test_cached_masks_stay_exact_as_rows_need_more_bitset_words():
+    # each fragment names agents from a window sliding over 150 agents, so
+    # the interned agents pass 64 and 128 (one, two, three words) while
+    # cached masks of the same granted sets are extended over a few rows per
+    # read
+    rng = random.Random(29)
+    directory, users, agents, resources = make_universe(3, 150, 3)
+    timeline, shadow = AccessTimeline(directory), []
+    edges = [(u, a) for u in users for a in agents] + [(a, r) for a in agents for r in resources]
+    for tick, edge in enumerate(edges):
+        if rng.random() < 0.8:
+            timeline.grant(edge, tick)
+            shadow.append((tick, "grant", edge))
+    t = timeline.latest_tick
+    store = MemoryStore(8, directory=directory)
+    admitted = 0
+    for i in range(240):
+        window = agents[i * 7 // 12 : i * 7 // 12 + 10]
+        store.insert(random_fragment(rng, users, window, resources, 8, f"f{i:04d}", t))
+        if i % 3 == 2:
+            fragments = list(store.fragments())
+            for u, a in zip(users, (agents[0], agents[140], agents[i % 150])):
+                got = store.admissible(timeline, u, a, t)
+                assert got == oracle_admissible(fragments, shadow, u, a, t)
+                admitted += len(got)
+    assert admitted > 0
 
 
 def test_admissible_soundness_clause_by_clause():
