@@ -24,15 +24,21 @@ timeline and store live in memory only: a restarted ``memfabric serve``
 builds a fresh runtime, and a runtime that continues a finished run's
 artifacts comes from ``build_runtime(cfg, audit_path, resume=True)``.
 
-The server speaks HTTP/1.1 with persistent connections: a client may send
-its requests one after another on one connection, which the server closes
-after :data:`IDLE_TIMEOUT_S` seconds without a request. HTTP/1.0 requests
-and requests carrying ``Connection: close`` are closed after their reply.
-A request body is framed by one decimal ``Content-Length`` header only; a
-request whose body cannot be framed that way (a malformed, negative or
-repeated ``Content-Length``, or any ``Transfer-Encoding``) is answered 400
-and its connection closed, because the bytes after it cannot be told apart
-from a next request.
+The server speaks a subset of HTTP/1.1 with persistent connections: a
+client may send its requests one after another on one connection, which
+the server closes after :data:`IDLE_TIMEOUT_S` seconds without a request.
+It takes GET and POST requests of HTTP/1.0 or 1.1, closes the connection
+after replying to an HTTP/1.0 request or one carrying ``Connection:
+close``, and answers ``Expect: 100-continue`` with an interim 100. A body
+is framed by one decimal ``Content-Length`` only. A request that cannot be
+parsed or framed is answered with a JSON error and its connection closed,
+as the bytes after it cannot be told apart from a next request: 400 for a
+malformed request line, a version other than 1.0 or 1.1, a header line with
+no colon, whitespace before the colon or leading whitespace (a folded line),
+a repeated ``Content-Length`` or ``X-Identity``, a ``Content-Length`` that
+is not decimal, or any ``Transfer-Encoding``; 414 for a request line over
+65,536 bytes; 431 for more than 100 header lines or one over 65,536 bytes;
+501 for any other method.
 
 Errors: 400 validation (``bad_request`` also for an empty principal name or
 a malformed edge), 403 permission (``forbidden`` also for an agent asking
@@ -43,8 +49,14 @@ remote backend unavailable - body ``{"error": code, "message": ...}``.
 from __future__ import annotations
 
 import json
+import re
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
+from http.server import ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from . import wire
@@ -65,6 +77,11 @@ from .principals import PrincipalKind, agent, resource, user
 
 # seconds an idle persistent connection is kept open
 IDLE_TIMEOUT_S = 30.0
+# longest request or header line and most header lines: http.server's limits
+_MAXLINE, _MAXHEADERS = 65536, 100
+# a header line is a token, a colon and a value with no bare CR; no colon,
+# whitespace before the colon or a folded line (leading whitespace) fails
+_HEADER = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r]*?)[ \t]*\r?\n")
 
 
 class ApiError(Exception):
@@ -259,78 +276,101 @@ class MemoryService:
         }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler of every server; the service is ``self.server.service``.
+class _Handler(socketserver.StreamRequestHandler):
+    """HTTP/1.1 front end of every server; the service is ``self.server.service``.
 
-    One module-level class, so a stopped server holds no per-server class
-    that keeps its runtime alive until a full garbage collection.
+    It parses each request itself and sends each reply in one write. One
+    module-level class, so a stopped server holds no per-server class that
+    keeps its runtime alive until a full garbage collection.
     """
 
-    protocol_version = "HTTP/1.1"
     timeout = IDLE_TIMEOUT_S
-    # buffered, so handle_one_request's flush sends status line, headers
-    # and body in one write
-    wbufsize = -1
     disable_nagle_algorithm = True
 
-    def log_message(self, format, *args):  # keep test output quiet
-        pass
-
-    def _reply(self, status: int, payload: object) -> None:
-        if isinstance(payload, str):
-            body, content_type = payload.encode("utf-8"), "application/x-ndjson"
-        else:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or None after a 400 for a body that cannot be
-        framed by a single decimal Content-Length."""
-        lengths = self.headers.get_all("Content-Length", ["0"])
-        if (
-            len(lengths) != 1
-            or not (lengths[0].isascii() and lengths[0].isdigit())
-            or "Transfer-Encoding" in self.headers
-        ):
-            # the rest of the stream cannot be split into requests
-            self.close_connection = True
-            self._reply(
-                400, {"error": "bad_request", "message": "body needs one Content-Length"}
-            )
-            return None
-        return self.rfile.read(int(lengths[0]))
-
-    def _dispatch(self, method: str, body: dict) -> None:
-        parsed = urlparse(self.path)
-        status, payload = self.server.service.handle(
-            method, parsed.path, parse_qs(parsed.query), self.headers.get("X-Identity"), body
-        )
-        self._reply(status, payload)
-
-    def do_GET(self) -> None:
-        # a GET body is read only to find where the next request starts
-        if self._read_body() is not None:
-            self._dispatch("GET", {})
-
-    def do_POST(self) -> None:
-        raw = self._read_body()
-        if raw is None:
-            return
+    def handle(self) -> None:
         try:
-            body = json.loads(raw.decode("utf-8")) if raw.strip() else {}
+            while self._answer_one():
+                pass
+        except (TimeoutError, ConnectionError):
+            pass  # idle past the timeout, or the client went away
+
+    def _answer_one(self) -> bool:
+        """Read and answer one request; False once the connection is to close."""
+        line = self.rfile.readline(_MAXLINE + 1)
+        if not line:
+            return False
+        try:
+            method, target, headers, http11 = self._read_head(line.decode("latin-1"))
+        except ApiError as exc:  # the rest of the stream cannot be split into requests
+            return self._reply(exc.status, {"error": exc.code, "message": exc.message}, True)
+        connection = headers.get("connection", "").lower().split(",")
+        close = not http11 or "close" in map(str.strip, connection)
+        if http11 and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        # a GET body is read only to find where the next request starts
+        raw = self.rfile.read(int(headers.get("content-length", 0)))
+        try:
+            body = json.loads(raw.decode("utf-8")) if method == "POST" and raw.strip() else {}
             if not isinstance(body, dict):
                 raise ValueError("body must be an object")
         except ValueError:
-            self._reply(400, {"error": "bad_request", "message": "malformed JSON body"})
-            return
-        self._dispatch("POST", body)
+            return self._reply(400, {"error": "bad_request", "message": "malformed JSON body"}, close)
+        # as in http.server, a target starting "//" names a path, not a host
+        parsed = urlparse("/" + target.lstrip("/") if target.startswith("//") else target)
+        status, payload = self.server.service.handle(
+            method, parsed.path, parse_qs(parsed.query), headers.get("x-identity"), body
+        )
+        return self._reply(status, payload, close)
+
+    def _read_head(self, line: str) -> tuple[str, str, dict[str, str], bool]:
+        """Method, target, headers by lowercase name, and whether the request
+        is HTTP/1.1; raises :class:`ApiError` for one that cannot be parsed."""
+        if len(line) > _MAXLINE:
+            raise ApiError(414, "uri_too_long", "request line too long")
+        words = line.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            raise ApiError(400, "bad_request", "malformed request line")
+        headers: dict[str, str] = {}
+        for _ in range(_MAXHEADERS + 1):
+            field = self.rfile.readline(_MAXLINE + 1).decode("latin-1")
+            if field in ("\r\n", "\n", ""):
+                break
+            if len(field) > _MAXLINE:
+                raise ApiError(431, "header_too_large", "header line too long")
+            if (match := _HEADER.fullmatch(field)) is None:
+                raise ApiError(400, "bad_request", "malformed header line")
+            name, value = match[1].lower(), match[2]
+            if name in headers and name in ("content-length", "x-identity"):
+                raise ApiError(400, "bad_request", f"repeated {name} header")
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            raise ApiError(431, "header_too_large", f"more than {_MAXHEADERS} header lines")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()) or "transfer-encoding" in headers:
+            raise ApiError(400, "bad_request", "body needs one Content-Length")
+        if words[0] not in ("GET", "POST"):
+            raise ApiError(501, "not_implemented", f"method {words[0]} not supported")
+        return words[0], words[1], headers, words[2] == "HTTP/1.1"
+
+    def _reply(self, status: int, payload: object, close: bool) -> bool:
+        """Send one reply in one write; returns whether the connection stays open."""
+        if isinstance(payload, str):
+            body, content_type = payload.encode("utf-8"), "application/x-ndjson"
+        else:
+            body, content_type = wire.ENCODER.encode(payload).encode("utf-8"), "application/json"
+        connection = "Connection: close\r\n" if close else ""
+        self.wfile.write(
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nDate: {_http_date(int(time.time()))}"
+            f"\r\nContent-Type: {content_type}\r\nContent-Length: {len(body)}\r\n{connection}\r\n"
+            .encode("ascii") + body
+        )
+        return not close
+
+
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` of every reply sent within ``second``, formatted once."""
+    return formatdate(second, usegmt=True)
 
 
 def make_server(service: MemoryService, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:

@@ -23,12 +23,12 @@ from .errors import RemoteUnavailable
 
 
 # json.dumps builds an encoder per call; one shared encoder gives the same bytes
-_ENCODER = json.JSONEncoder(sort_keys=True)
+ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def encode(doc: object) -> str:
     """One JSON-lines record: sorted keys and a trailing newline."""
-    return _ENCODER.encode(doc) + "\n"
+    return ENCODER.encode(doc) + "\n"
 
 
 def dump(path: str | Path, docs: Iterable[object]) -> None:

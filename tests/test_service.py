@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
 import socket
@@ -396,10 +397,18 @@ def port_of(client: Client) -> int:
 
 def exchange(port: int, raw: bytes) -> bytes:
     """Send ``raw`` and read until the server closes the connection; a
-    connection left open fails the read by timeout."""
+    connection left open fails the read by timeout. A reset after the reply
+    counts as the close: a server refusing a request may close with part of
+    it unread."""
+    chunks = []
     with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
         conn.sendall(raw)
-        return conn.makefile("rb").read()
+        try:
+            while chunk := conn.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
 
 
 def test_audit_stream_is_admin_only(service):
@@ -433,6 +442,8 @@ def test_requests_reuse_one_connection(service):
     [
         b"GET /permissions/snapshot?user=user_1 HTTP/1.0\r\n",
         b"GET /permissions/snapshot?user=user_1 HTTP/1.1\r\nConnection: close\r\n",
+        b"GET /permissions/snapshot?user=user_1 HTTP/1.0\r\nConnection: keep-alive\r\n",
+        b"GET //permissions/snapshot?user=user_1 HTTP/1.0\r\n",
     ],
 )
 def test_closing_requests_are_closed_after_reply(service, request_head):
@@ -456,25 +467,33 @@ def test_idle_connection_is_closed(service, monkeypatch):
         assert b"Connection: close" not in replies.read()
 
 
+GRANT = json.dumps({"edge": {"user": "user_1", "agent": "domain1_agent"}}).encode()
+SMUGGLED = (
+    b"POST /permissions/grant HTTP/1.1\r\nX-Identity: admin\r\n"
+    b"Content-Length: " + str(len(GRANT)).encode() + b"\r\n\r\n" + GRANT
+)
+# a Content-Length that covers the smuggled grant, if the server reads it
+COVERING = b"Content-Length: %d\r\n" % len(SMUGGLED)
+
+
 @pytest.mark.parametrize(
     "framing",
     [
         b"Content-Length: -1\r\n",
         b"Content-Length: 2\r\nContent-Length: 0\r\n",
         b"Transfer-Encoding: chunked\r\n",
+        b"Bogus\r\n" + COVERING,
+        b"X-Trace : 1\r\n" + COVERING,
+        b"X-Trace: 1\r\n folded\r\n" + COVERING,
+        b"X-Identity: admin\r\n" + COVERING,
     ],
 )
 def test_unframeable_body_is_refused_and_closes(service, framing):
     client, runtime, _, _ = service
-    grant = json.dumps({"edge": {"user": "user_1", "agent": "domain1_agent"}}).encode()
-    smuggled = (
-        b"POST /permissions/grant HTTP/1.1\r\nX-Identity: admin\r\n"
-        b"Content-Length: " + str(len(grant)).encode() + b"\r\n\r\n" + grant
-    )
     audit_before, events_before = len(runtime.audit), runtime.timeline.events
     reply = exchange(
         port_of(client),
-        b"POST /memory/read HTTP/1.1\r\nX-Identity: user_1\r\n" + framing + b"\r\n" + smuggled,
+        b"POST /memory/read HTTP/1.1\r\nX-Identity: user_1\r\n" + framing + b"\r\n" + SMUGGLED,
     )
     assert reply.startswith(b"HTTP/1.1 400") and reply.count(b"HTTP/1.") == 1
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
@@ -493,6 +512,93 @@ def test_malformed_content_length_is_400(service):
         reply = conn.makefile("rb").read()
     assert reply.startswith(b"HTTP/1.1 400")
     assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"] == "bad_request"
+
+
+def read_reply(replies) -> tuple[bytes, dict[bytes, bytes], bytes]:
+    """Status line, headers by lowercase name, and body of the next reply."""
+    status = replies.readline()
+    headers = {}
+    while (line := replies.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        headers[name.lower()] = value.strip()
+    return status, headers, replies.read(int(headers[b"content-length"]))
+
+
+# a request line and a header line of 65,537 bytes, one over the limit
+LONG_TARGET = b"/" + b"a" * (65537 - len(b"GET / HTTP/1.1\r\n"))
+LONG_VALUE = b"a" * (65537 - len(b"X-Trace: \r\n"))
+
+
+@pytest.mark.parametrize(
+    "raw, status",
+    [
+        (b"GET " + LONG_TARGET + b" HTTP/1.1\r\n", 414),
+        (b"GET /audit HTTP/1.1\r\n" + b"X-Trace: 1\r\n" * 101 + b"\r\n", 431),
+        (b"GET /audit HTTP/1.1\r\nX-Trace: " + LONG_VALUE + b"\r\n\r\n", 431),
+        (b"PUT /audit HTTP/1.1\r\nX-Identity: admin\r\n\r\n", 501),
+        (b"HEAD /audit HTTP/1.1\r\nX-Identity: admin\r\n\r\n", 501),
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /audit HTTP/2.0\r\nX-Identity: admin\r\n\r\n", 400),
+    ],
+    ids=["long-request-line", "101-headers", "long-header-line", "put", "head", "garbage", "http-2"],
+)
+def test_protocol_errors_answer_json_and_close(service, raw, status):
+    client, *_ = service
+    reply = io.BytesIO(exchange(port_of(client), raw))
+    status_line, headers, body = read_reply(reply)
+    assert status_line.startswith(b"HTTP/1.1 %d " % status)
+    assert headers[b"content-type"] == b"application/json"
+    assert headers[b"connection"] == b"close"
+    assert isinstance(json.loads(body)["error"], str)
+    assert reply.read() == b""  # nothing after the one reply, then the close
+
+
+def test_pipelined_requests_are_answered_in_order(service):
+    client, *_ = service
+    reply = io.BytesIO(
+        exchange(
+            port_of(client),
+            b"GET /permissions/snapshot?user=user_1 HTTP/1.1\r\nX-Identity: admin\r\n\r\n"
+            b"GET /permissions/snapshot?agent=domain1_agent HTTP/1.1\r\nX-Identity: admin\r\n"
+            b"Connection: close\r\n\r\n",
+        )
+    )
+    first, second = read_reply(reply), read_reply(reply)
+    assert first[0].startswith(b"HTTP/1.1 200") and json.loads(first[2])["user"] == "user_1"
+    assert second[0].startswith(b"HTTP/1.1 200") and json.loads(second[2])["agent"] == "domain1_agent"
+    assert reply.read() == b""
+
+
+@pytest.mark.parametrize(
+    "head, interim",
+    [
+        (b"X-Identity: admin\r\nContent-Length: %d\r\n", b""),
+        (b"x-identity: admin\r\ncontent-length: %d\r\n", b""),
+        (
+            b"X-Identity: admin\r\nExpect: 100-continue\r\nContent-Length: %d\r\n",
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+        ),
+    ],
+    ids=["late-body", "lowercase-names", "expect-100-continue"],
+)
+def test_body_sent_after_the_headers_is_read_whole(service, head, interim):
+    client, runtime, _, _ = service
+    with socket.create_connection(("127.0.0.1", port_of(client)), timeout=5) as conn:
+        conn.sendall(
+            b"POST /permissions/grant HTTP/1.1\r\nConnection: close\r\n"
+            + head % len(GRANT)
+            + b"\r\n"
+        )
+        replies = conn.makefile("rb")
+        if interim:
+            assert replies.readline() + replies.readline() == interim
+        time.sleep(0.05)
+        conn.sendall(GRANT)
+        status_line, _, body = read_reply(replies)
+        assert replies.read() == b""
+    assert status_line.startswith(b"HTTP/1.1 200")
+    assert json.loads(body)["applied"] == "grant"
+    assert runtime.timeline.events[-1].action.value == "grant"
 
 
 class _NanEmbedder:
