@@ -4,11 +4,11 @@ Two edge populations evolve over logical time: user->agent ("who may invoke
 whom") and agent->resource ("who may touch what"). The timeline is an
 append-only log of grant/revoke events; snapshot queries answer "which
 agents can this user invoke at tick t" (and the resource analogue) by
-replaying the log up to t. Queries are served from per-edge sorted event
-indexes rather than materialized per-tick graphs, so long histories stay
-cheap to snapshot. A per-source adjacency index over the same histories makes
-``agents_of`` / ``resources_of`` cost O(degree * log history) rather than a
-scan of every edge ever granted.
+replaying the log up to t. Edge queries bisect per-edge sorted event
+indexes. Each source keeps its granted set as of each of its events, so
+``agents_of`` / ``resources_of`` are one bisect that returns that stored
+frozenset. Equal stored sets are one object, with its hash cached, so
+callers can key caches by it at the cost of an identity check.
 
 Mutations must arrive in strictly increasing tick order. Granting a present
 edge or revoking an absent one is a hard error rather than a no-op: silent
@@ -87,13 +87,6 @@ class PermissionEvent:
         )
 
 
-def _held(history: History, t: int) -> bool:
-    """Whether an edge with this (ticks, actions) history is granted at ``t``."""
-    ticks, actions = history
-    idx = bisect_right(ticks, t)
-    return idx > 0 and actions[idx - 1] is PermissionAction.GRANT
-
-
 class AccessTimeline:
     """Append-only permission history with snapshot queries.
 
@@ -114,8 +107,9 @@ class AccessTimeline:
         self._events: list[PermissionEvent] = []
         # per-edge histories, bisectable by tick
         self._per_edge: dict[Edge, History] = {}
-        # the same histories keyed source -> destination
-        self._out: dict[PrincipalId, dict[PrincipalId, History]] = {}
+        # per source, its granted targets after each of its events; equal sets are one object
+        self._targets: dict[PrincipalId, tuple[list[int], list[frozenset[PrincipalId]]]] = {}
+        self._sets: dict[frozenset[PrincipalId], frozenset[PrincipalId]] = {}
 
     # -- mutation
 
@@ -146,13 +140,9 @@ class AccessTimeline:
         self._audit = audit
 
     def _validate_edge(self, edge: Edge) -> None:
-        kind = classify_edge(edge)
-        if kind is EdgeKind.USER_AGENT:
-            self.directory.require(edge[0], PrincipalKind.USER)
-            self.directory.require(edge[1], PrincipalKind.AGENT)
-        else:
-            self.directory.require(edge[0], PrincipalKind.AGENT)
-            self.directory.require(edge[1], PrincipalKind.RESOURCE)
+        classify_edge(edge)  # raises for a pair of any other kinds
+        for pid in edge:
+            self.directory.require(pid)
 
     def _validate_tick(self, at: int) -> None:
         if at < 0:
@@ -164,20 +154,19 @@ class AccessTimeline:
 
     def _append(self, event: PermissionEvent) -> PermissionEvent:
         self._events.append(event)
-        history = self._per_edge.get(event.edge)
-        if history is None:
-            history = self._per_edge[event.edge] = ([], [])
-            self._out.setdefault(event.edge[0], {})[event.edge[1]] = history
-        ticks, actions = history
-        ticks.append(event.tick)
+        ticks, actions = self._per_edge.setdefault(event.edge, ([], []))
         actions.append(event.action)
+        ticks.append(event.tick)
+        at, sets = self._targets.setdefault(event.edge[0], ([], []))
+        held, dst = sets[-1] if sets else frozenset(), {event.edge[1]}
+        granted = held | dst if event.action is PermissionAction.GRANT else held - dst
+        sets.append(self._sets.setdefault(granted, granted))  # before its tick: no bisect overruns
+        at.append(event.tick)
         if self._audit is not None:
             self._audit.append(
                 at=event.tick,
                 actor=self._admin_actor,
-                action=AuditAction.GRANT
-                if event.action is PermissionAction.GRANT
-                else AuditAction.REVOKE,
+                action=AuditAction(event.action.value),
                 subjects=(str(event.edge[0]), str(event.edge[1])),
                 detail={"edge": event.to_dict()["edge"]},
             )
@@ -195,13 +184,14 @@ class AccessTimeline:
         return tuple(self._events)
 
     def _present(self, edge: Edge, t: int) -> bool:
-        history = self._per_edge.get(edge)
-        return history is not None and _held(history, t)
+        ticks, actions = self._per_edge.get(edge, ((), ()))
+        idx = bisect_right(ticks, t)
+        return idx > 0 and actions[idx - 1] is PermissionAction.GRANT
 
-    def _targets(self, source: PrincipalId, t: int) -> frozenset[PrincipalId]:
-        return frozenset(
-            dst for dst, history in self._out.get(source, {}).items() if _held(history, t)
-        )
+    def _granted(self, source: PrincipalId, t: int) -> frozenset[PrincipalId]:
+        ticks, sets = self._targets.get(source, ((), ()))
+        idx = bisect_right(ticks, t)
+        return sets[idx - 1] if idx else frozenset()
 
     def edge_present(self, edge: Edge, t: int) -> bool:
         self._validate_edge(edge)
@@ -210,12 +200,12 @@ class AccessTimeline:
     def agents_of(self, u: PrincipalId, t: int) -> frozenset[PrincipalId]:
         """Agents user ``u`` may invoke at tick ``t``."""
         self.directory.require(u, PrincipalKind.USER)
-        return self._targets(u, t)
+        return self._granted(u, t)
 
     def resources_of(self, a: PrincipalId, t: int) -> frozenset[PrincipalId]:
         """Resources agent ``a`` may access at tick ``t``."""
         self.directory.require(a, PrincipalKind.AGENT)
-        return self._targets(a, t)
+        return self._granted(a, t)
 
     def edges_at(self, t: int, kind: EdgeKind | None = None) -> frozenset[Edge]:
         return frozenset(

@@ -3,12 +3,13 @@
 Every permission change, memory operation, and invocation lands here as one
 immutable record. The log is the system's ground truth for "what happened":
 metrics, access matrices, and the offline verifier all consume it. Records
-are line-delimited JSON when persisted, flushed per record.
+are line-delimited JSON when persisted, flushed once per :meth:`AuditLog.operation`.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -78,6 +79,7 @@ class AuditLog:
         self._records: list[AuditRecord] = []
         self._fp: IO[str] | None = None
         self._lock = threading.Lock()  # a service appends from many request threads
+        self._open = 0  # operation blocks entered and not yet exited
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -111,8 +113,23 @@ class AuditLog:
             self._records.append(record)
             if self._fp is not None:
                 self._fp.write(wire.encode(record.to_dict()))
-                self._fp.flush()
+                if not self._open:
+                    self._fp.flush()
             return record.seq
+
+    @contextmanager
+    def operation(self) -> Iterator[None]:
+        """Group commit: one flush as the outermost block exits, raising or not; an append
+        outside any block flushes at once. A killed process loses only the operation in flight."""
+        with self._lock:
+            self._open += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._open -= 1
+                if not self._open and self._fp is not None:
+                    self._fp.flush()
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:

@@ -512,62 +512,63 @@ def run_episode(
     episode still starts and ends in the audit log so failure episodes count
     toward query totals.
     """
-    rt.directory.require(user, PrincipalKind.USER)
-    episode_id = rt.next_episode_id()
-    rt.audit.append(
-        at=t,
-        actor=user.name,
-        action=AuditAction.EPISODE_START,
-        subjects=(episode_id,),
-        detail={"bin": bin_label, "query": query},
-    )
-    accessible = frozenset(a for a in rt.timeline.agents_of(user, t) if a in rt.agents)
-    steps: list[tuple[CoordinationMessage, InteractionTrace]] = []
-    history: list[tuple[str, str]] = []
-    failure: str | None = None
-
-    if not accessible:
-        failure = "no_accessible_agents"
-        final_answer = NO_AGENTS_ANSWER
-    else:
-        briefs = [
-            AgentBrief(id=a, specialization=rt.agents[a].specialization)
-            for a in sorted(accessible)
-        ]
-        while len(steps) < rt.limits.max_rounds:
-            try:
-                message = _next_message(rt, query, briefs, history, accessible)
-            except CoordinatorProtocolViolation:
-                failure = "coordinator_protocol"
-                break
-            if message.stop:
-                break
-            trace = _agent_round(rt, user, message, t, episode_id)
-            steps.append((message, trace))
-            history.append((trace.subquery, trace.response))
-        final_answer = (
-            NO_AGENTS_ANSWER if failure else rt.aggregator.aggregate(query, history)
+    with rt.audit.operation():  # one flush for the episode's records
+        rt.directory.require(user, PrincipalKind.USER)
+        episode_id = rt.next_episode_id()
+        rt.audit.append(
+            at=t,
+            actor=user.name,
+            action=AuditAction.EPISODE_START,
+            subjects=(episode_id,),
+            detail={"bin": bin_label, "query": query},
         )
+        accessible = frozenset(a for a in rt.timeline.agents_of(user, t) if a in rt.agents)
+        steps: list[tuple[CoordinationMessage, InteractionTrace]] = []
+        history: list[tuple[str, str]] = []
+        failure: str | None = None
 
-    end_detail: dict[str, object] = {"failure": failure, "rounds": len(steps)}
-    if rt.judge is not None and failure is None:
-        end_detail["score"] = _judge_score(rt.judge, query, final_answer)
-    rt.audit.append(
-        at=t,
-        actor=user.name,
-        action=AuditAction.EPISODE_END,
-        subjects=(episode_id,),
-        detail=end_detail,
-    )
-    return QueryEpisode(
-        episode_id=episode_id,
-        user=user,
-        query=query,
-        timestamp=t,
-        steps=steps,
-        final_answer=final_answer,
-        failure=failure,
-    )
+        if not accessible:
+            failure = "no_accessible_agents"
+            final_answer = NO_AGENTS_ANSWER
+        else:
+            briefs = [
+                AgentBrief(id=a, specialization=rt.agents[a].specialization)
+                for a in sorted(accessible)
+            ]
+            while len(steps) < rt.limits.max_rounds:
+                try:
+                    message = _next_message(rt, query, briefs, history, accessible)
+                except CoordinatorProtocolViolation:
+                    failure = "coordinator_protocol"
+                    break
+                if message.stop:
+                    break
+                trace = _agent_round(rt, user, message, t, episode_id)
+                steps.append((message, trace))
+                history.append((trace.subquery, trace.response))
+            final_answer = (
+                NO_AGENTS_ANSWER if failure else rt.aggregator.aggregate(query, history)
+            )
+
+        end_detail: dict[str, object] = {"failure": failure, "rounds": len(steps)}
+        if rt.judge is not None and failure is None:
+            end_detail["score"] = _judge_score(rt.judge, query, final_answer)
+        rt.audit.append(
+            at=t,
+            actor=user.name,
+            action=AuditAction.EPISODE_END,
+            subjects=(episode_id,),
+            detail=end_detail,
+        )
+        return QueryEpisode(
+            episode_id=episode_id,
+            user=user,
+            query=query,
+            timestamp=t,
+            steps=steps,
+            final_answer=final_answer,
+            failure=failure,
+        )
 
 
 def _judge_score(judge: Transformer, query: str, answer: str) -> float:

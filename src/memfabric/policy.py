@@ -316,9 +316,9 @@ def encode_and_write(
     first insert, so a rejected fragment (say, an empty response) leaves none
     of the pair stored or audited. Ids are drawn from ``id_factory`` only
     after every check has passed, so a rejected write draws none and the ids
-    drawn always equal the fragments stored. Each distinct key is embedded
-    once, so under identity policies the private and shared fragments share
-    one embedding call.
+    drawn always equal the fragments stored. Each distinct key is embedded and
+    checked once (one provenance), so under identity policies the private and
+    shared fragments share one embedding call; the inserts skip the check.
     """
     permitted = timeline.resources_of(trace.agent, trace.timestamp)
     for r in trace.resources_invoked:
@@ -362,4 +362,4 @@ def encode_and_write(
         )
         for tier, key, value in pending
     ]
-    return [store.insert(fragment) for fragment in fragments]
+    return [store.insert(fragment, checked=True) for fragment in fragments]

@@ -13,8 +13,8 @@ visible admitted rows of both tiers are scored in one exact pass,
 as ``float(np.dot(query, embedding))``, so the scores equal a row-by-row
 scan bit for bit (a matrix product may differ in the last bits). The
 threshold and the k-th best are applied to those scores, ties at the k-th
-kept, and only the final k hits are sorted and built. Ids and similarities
-are therefore exactly those of a full scan, ties included.
+kept, and only those candidates are sorted. Ids and similarities are
+therefore exactly those of a full scan, ties included.
 
 The deterministic embedder hashes character n-grams into a fixed-dimension
 unit vector. Similarity is then a pure function of surface text: identical
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from hashlib import blake2b
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -162,10 +162,9 @@ class RetrievalConfig:
             raise ValueError("threshold must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class RankedFragment:
+class RankedFragment(NamedTuple):
     """One retrieval hit as presented to a reader: content plus score,
-    no provenance beyond the tier tag and creation tick."""
+    no provenance beyond the tier tag and creation tick; equal to the tuple of its fields."""
 
     fragment_id: str
     similarity: float
@@ -178,20 +177,22 @@ class RankedFragment:
 def _top(
     admitted: AdmissibleSet, rows: np.ndarray, sims: np.ndarray, k: int
 ) -> list[RankedFragment]:
-    """The ``k`` best of the given snapshot rows by their exact scores,
-    sorted by (similarity desc, created_at desc, id asc)."""
+    """The ``k`` best of the given snapshot rows by their exact scores: one sort
+    of plain ``(-similarity, -created_at, id, i)`` tuples of those at or above the k-th."""
     if len(rows) > k:
         if k == 0:
             return []
         kth = np.partition(sims, len(sims) - k)[len(sims) - k]
         keep = sims >= kth  # ties at the k-th are ranked by the sort below
         rows, sims = rows[keep], sims[keep]
-    hits = [(sim, admitted.rows[i]) for sim, i in zip(sims.tolist(), rows.tolist())]
-    hits.sort(key=lambda hit: (-hit[0], -hit[1].provenance.created_at, hit[1].id))
-    return [
-        RankedFragment(f.id, sim, f.tier, f.key, f.value, f.provenance.created_at)
-        for sim, f in hits[:k]
-    ]
+    fragments = admitted.rows.take(rows.tolist())
+    neg_created = (-admitted.columns.created_at[rows]).tolist()
+    ranked = zip((-sims).tolist(), neg_created, [f.id for f in fragments], range(len(rows)))
+    hits = []
+    for neg_sim, neg_at, fragment_id, j in sorted(ranked)[:k]:
+        f = fragments[j]
+        hits.append(RankedFragment(fragment_id, -neg_sim, f.tier, f.key, f.value, -neg_at))
+    return hits
 
 
 def retrieve(
@@ -215,13 +216,12 @@ def retrieve(
         raise DimensionMismatch(
             f"query embedding shape {query.shape}, store dimension {store.dimension}"
         )
-    query_norm = float(np.linalg.norm(query))
-    if not math.isfinite(query_norm):
+    if not math.isfinite(float(query.dot(query))):  # finite exactly when its norm is
         raise NonFiniteVector("query embedding is not finite")
     admitted = store.admissible(timeline, u, a, t)
     cols = admitted.columns
     rows = np.flatnonzero(admitted.mask & (cols.created_at <= t))
-    sims = np.vecdot(cols.embeddings[rows], query)
+    sims = np.vecdot(cols.embeddings.take(rows, axis=0), query)
     keep = sims >= config.threshold
     rows, sims = rows[keep], sims[keep]
     shared = cols.shared[rows]

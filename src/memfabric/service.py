@@ -122,7 +122,7 @@ class MemoryService:
             if identity is None:
                 raise ApiError(400, "bad_request", "missing X-Identity header")
             route = (method, path)
-            with self._lock:
+            with self._lock, self.rt.audit.operation():  # one request at a time, one flush
                 if route == ("POST", "/permissions/grant"):
                     return 200, self._permission(identity, body, PermissionAction.GRANT)
                 if route == ("POST", "/permissions/revoke"):
@@ -357,7 +357,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if isinstance(payload, str):
             body, content_type = payload.encode("utf-8"), "application/x-ndjson"
         else:
-            body, content_type = wire.ENCODER.encode(payload).encode("utf-8"), "application/json"
+            body, content_type = wire.dumps(payload).encode("utf-8"), "application/json"
         connection = "Connection: close\r\n" if close else ""
         self.wfile.write(
             f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nDate: {_http_date(int(time.time()))}"

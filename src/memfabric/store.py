@@ -31,8 +31,9 @@ The two subset clauses are cached. Each row's agents and resources are
 bitsets over interned names, and the mask of the rows whose set lies within
 a granted set is kept per granted set (``agents_of(u, t)`` for the agent
 clause, ``resources_of(a, t)`` for the resource clause) in a bounded LRU.
-An entry covers a prefix of the rows and is extended over the rows filled
-since it was last used, so a read costs work in proportion to the rows
+Its keys are the frozensets the timeline stores, so a hit is found by
+identity. An entry covers a prefix of the rows and is extended over the rows
+filled since it was last used, so a read costs work in proportion to the rows
 added since; a grant or revoke yields a different set, so no entry is ever
 invalidated (incremental view maintenance). The tier clause is evaluated
 per read. :meth:`MemoryStore.explain` stays the scalar clause-by-clause
@@ -265,7 +266,8 @@ class _SubsetClause:
     uint64 words when the row is filled. The mask of the rows whose set lies
     within a granted set is cached per granted set in a bounded LRU; each
     entry covers a prefix of the rows and is extended over the rows filled
-    since. Filled rows never change and interned indexes never move, so an
+    since; it keeps the words of the names outside its set until a name is
+    interned. Filled rows never change and interned indexes never move, so an
     entry stays exact for the rows it covers. Used under the store lock only.
     """
 
@@ -300,23 +302,23 @@ class _SubsetClause:
         """Mask of the first ``n`` rows (all filled): set within ``granted``."""
         entry = self._masks.get(granted)
         if entry is None:
-            entry = self._masks[granted] = [np.zeros(0, bool), 0]  # mask, rows covered
+            # mask, rows covered, names interned, words of the names outside granted
+            entry = self._masks[granted] = [np.zeros(0, bool), 0, -1, None]
             if len(self._masks) > MASK_CACHE_SIZE:
                 self._masks.popitem(last=False)
         else:
             self._masks.move_to_end(granted)
-        mask, covered = entry
+        mask, covered, names, outside = entry
         if covered < n:
             if len(mask) < n:
-                mask = entry[0] = _regrown(mask, _capacity(len(mask), n))
-            allowed = 0
-            for pid in granted:  # names interned since the entry was made count too
-                i = self.index.get(pid)
-                if i is not None:
-                    allowed |= 1 << i
-            words = self._words[covered:n]
-            outside = [~(allowed >> (64 * w)) & _WORD for w in range(words.shape[1])]
-            mask[covered:n] = ~(words & np.array(outside, np.uint64)).any(axis=1)
+                spare = np.zeros(_capacity(len(mask), n) - len(mask), bool)
+                mask = entry[0] = np.concatenate((mask, spare))
+            if names != len(self.index):  # a name interned since may be granted
+                allowed = sum(1 << i for i in map(self.index.get, granted) if i is not None)
+                words = range(self._words.shape[1])
+                outside = np.array([~(allowed >> (64 * w)) & _WORD for w in words], np.uint64)
+                entry[2:] = len(self.index), outside
+            mask[covered:n] = ~(self._words[covered:n] & outside).any(axis=1)
             entry[1] = n
         return mask[:n]
 
@@ -345,6 +347,10 @@ class _Prefix(Sequence):
     def __iter__(self) -> Iterator:
         return itertools.islice(self._items, self._n)
 
+    def take(self, indices: list[int]) -> list:
+        """The items at ``indices``, each a row of the view (unchecked)."""
+        return list(map(self._items.__getitem__, indices))
+
 
 class AdmissibleSet(Set):
     """Read-only set of the fragment ids a reader may see.
@@ -357,7 +363,7 @@ class AdmissibleSet(Set):
     Compares equal to a plain ``set`` of the same ids.
     """
 
-    def __init__(self, rows: Sequence[MemoryFragment], columns: _Columns, mask: np.ndarray):
+    def __init__(self, rows: _Prefix, columns: _Columns, mask: np.ndarray):
         self.rows = rows
         self.columns = columns
         self.mask = mask
@@ -418,9 +424,10 @@ class MemoryStore:
 
     # -- persistence
 
-    def insert(self, fragment: MemoryFragment) -> str:
+    def insert(self, fragment: MemoryFragment, *, checked: bool = False) -> str:
+        """Store ``fragment``; ``checked=True``: the caller ran :meth:`check` on it."""
         with self._write_lock:
-            self._append(fragment)
+            self._append(fragment, checked)
             if self._audit is not None:
                 self._audit.append(
                     at=fragment.provenance.created_at,
@@ -442,7 +449,7 @@ class MemoryStore:
             raise DimensionMismatch(
                 f"embedding shape {embedding.shape}, store dimension {self.dimension}"
             )
-        norm = float(np.linalg.norm(embedding))
+        norm = math.sqrt(float(embedding.dot(embedding)))  # np.linalg.norm's arithmetic
         if not math.isfinite(norm):
             raise NonFiniteVector("embedding is not finite")
         if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
@@ -452,12 +459,13 @@ class MemoryStore:
                 if not self.directory.known(pid):
                     raise UnknownPrincipalInProvenance(str(pid))
 
-    def _append(self, fragment: MemoryFragment) -> None:
+    def _append(self, fragment: MemoryFragment, checked: bool = False) -> None:
         """Check and record one fragment; the next read fills its columns.
         The caller holds the write lock."""
         if fragment.id in self._fragments:
             raise DuplicateId(fragment.id)
-        self.check(fragment.embedding, fragment.provenance)
+        if not checked:
+            self.check(fragment.embedding, fragment.provenance)
         self._fragments[fragment.id] = fragment
         self._rows.append(fragment)
 

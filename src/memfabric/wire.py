@@ -22,13 +22,22 @@ from typing import Iterable, Iterator
 from .errors import RemoteUnavailable
 
 
-# json.dumps builds an encoder per call; one shared encoder gives the same bytes
+# json.dumps and ENCODER.encode build a C encoder per call; one built once gives
+# the same bytes. No cycle check: documents are built here or decoded from JSON
 ENCODER = json.JSONEncoder(sort_keys=True)
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, ENCODER.default, json.encoder.encode_basestring_ascii, None, ENCODER.key_separator,
+    ENCODER.item_separator, ENCODER.sort_keys, ENCODER.skipkeys, ENCODER.allow_nan)
+
+
+def dumps(doc: object) -> str:
+    """The text of ``json.dumps(doc, sort_keys=True)``."""
+    return ENCODER.encode(doc) if _C_ENCODER is None else "".join(_C_ENCODER(doc, 0))
 
 
 def encode(doc: object) -> str:
     """One JSON-lines record: sorted keys and a trailing newline."""
-    return ENCODER.encode(doc) + "\n"
+    return dumps(doc) + "\n"
 
 
 def dump(path: str | Path, docs: Iterable[object]) -> None:

@@ -33,6 +33,23 @@ from memfabric import (
 )
 
 
+class CountingFlushes:
+    """An audit file sink that counts its flushes: ``log._fp = CountingFlushes(log._fp)``."""
+
+    def __init__(self, fp) -> None:
+        self.fp, self.flushes = fp, 0
+
+    def write(self, text: str) -> int:
+        return self.fp.write(text)
+
+    def flush(self) -> None:
+        self.flushes += 1
+        self.fp.flush()
+
+    def close(self) -> None:
+        self.fp.close()
+
+
 def make_runtime(
     n_users=2,
     n_agents=2,

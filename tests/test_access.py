@@ -32,6 +32,19 @@ def test_grant_invisible_before_its_tick(directory):
     assert agent("a1") not in tl.agents_of(user("u1"), 2)
 
 
+def test_a_snapshot_is_one_stored_set_until_its_source_changes(directory):
+    tl = AccessTimeline(directory)
+    u, a1, a2 = user("u1"), agent("a1"), agent("a2")
+    tl.grant((u, a1), at=1)
+    first = tl.agents_of(u, 1)
+    tl.grant((user("u2"), a2), at=2)  # another source's event
+    assert tl.agents_of(u, 5) is first and first == {a1}
+    tl.grant((u, a2), at=6)
+    tl.revoke((u, a1), at=7)
+    assert tl.agents_of(u, 5) is first
+    assert (tl.agents_of(u, 6), tl.agents_of(u, 7), tl.agents_of(u, 0)) == ({a1, a2}, {a2}, set())
+
+
 def test_empty_timeline_snapshots(directory):
     tl = AccessTimeline(directory)
     assert tl.agents_of(user("u1"), 0) == frozenset()

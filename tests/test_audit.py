@@ -11,6 +11,7 @@ from memfabric import (
     compute_metrics,
     records_from_jsonl,
 )
+from rtutil import CountingFlushes
 
 
 def test_append_assigns_gap_free_sequence():
@@ -39,6 +40,40 @@ def test_jsonl_round_trip_and_resume(tmp_path):
     resumed.close()
     records = records_from_jsonl(path.read_text())
     assert [r.seq for r in records] == [0, 1, 2]
+
+
+def test_an_operation_flushes_its_records_once_at_the_outermost_exit(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    log._fp = sink = CountingFlushes(log._fp)
+    with log.operation():
+        log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",))
+        with log.operation():
+            log.append(1, "u1", AuditAction.AGENT_INVOKE, ("a1",))
+        log.append(1, "u1", AuditAction.EPISODE_END, ("ep-0",))
+        assert path.read_text() == "" and sink.flushes == 0
+    assert path.read_text() == log.to_jsonl() and sink.flushes == 1
+    log.close()
+
+
+def test_a_record_appended_outside_an_operation_reaches_the_file_at_once(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    with log.operation():
+        log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",))
+    log.append(2, "admin", AuditAction.GRANT, ("user:u1", "agent:a1"))
+    assert path.read_text() == log.to_jsonl()
+    log.close()
+
+
+def test_an_operation_that_raises_still_flushes(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    with pytest.raises(RuntimeError), log.operation():
+        log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",))
+        raise RuntimeError("episode failed")
+    assert path.read_text() == log.to_jsonl() != ""
+    log.close()
 
 
 def episode(log: AuditLog, eid: str, t: int, user: str, invocations, bin_label="all", score=None):

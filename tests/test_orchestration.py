@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import random
 
@@ -12,6 +13,7 @@ from memfabric import (
     CoordinationMessage,
     PromptedRemote,
     RemoteAgentBackend,
+    RemoteUnavailable,
     SequenceCoordinator,
     agent,
     compute_metrics,
@@ -19,7 +21,7 @@ from memfabric import (
     run_episode,
     user,
 )
-from rtutil import StubServer, make_runtime, resource_calls
+from rtutil import CountingFlushes, StubServer, make_runtime, resource_calls
 
 
 def test_message_shapes_validated():
@@ -31,6 +33,23 @@ def test_message_shapes_validated():
     assert CoordinationMessage.from_wire('{"stop": true}').stop
     msg = CoordinationMessage.from_wire('{"agent": "a1", "subquery": "s"}')
     assert msg.agent == agent("a1") and msg.subquery == "s"
+
+
+class DownCoordinator:
+    def decide(self, query, briefs, history):
+        raise RemoteUnavailable("coordinator down")
+
+
+def test_an_episode_flushes_its_audit_records_once_even_when_it_raises():
+    rt, users = make_runtime()
+    granted = len(rt.audit)
+    rt.audit._fp = sink = CountingFlushes(io.StringIO())
+    run_episode(rt, users[0], "d1 question", rt.clock.tick())
+    assert sink.fp.getvalue().count("\n") == len(rt.audit) - granted > 2 and sink.flushes == 1
+    rt.coordinator = DownCoordinator()
+    with pytest.raises(RemoteUnavailable):
+        run_episode(rt, users[0], "d1 question", rt.clock.tick())
+    assert '"episode_start"' in sink.fp.getvalue().splitlines()[-1] and sink.flushes == 2
 
 
 def test_no_accessible_agents_yields_failure_sentinel():

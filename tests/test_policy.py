@@ -17,6 +17,7 @@ from memfabric import (
     IdentityTransform,
     InteractionTrace,
     InvalidFragment,
+    MemoryFragment,
     MemoryStore,
     PolicyBinding,
     PolicyTable,
@@ -332,6 +333,20 @@ def test_encode_and_write_embeds_each_distinct_key_once():
     private, shared = (store.get(i) for i in ids)
     assert private.embedding.tobytes() == embedder.embed("ask u1 about x").tobytes()
     assert shared.embedding.tobytes() == embedder.embed("ask [user] about x").tobytes()
+
+
+def test_a_one_key_write_checks_its_fragments_once(monkeypatch):
+    directory, timeline, store, embedder, t = write_env()
+    checked = []
+    check = store.check
+    monkeypatch.setattr(store, "check", lambda emb, prov: checked.append(prov) or check(emb, prov))
+    trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "what is x", "x is y")
+    ids = encode_and_write(trace, PolicyTable(), store, timeline, embedder, counter_ids())
+    assert len(ids) == 2 and len(checked) == 1
+    # a fragment handed in from outside is still checked
+    outside = MemoryFragment("id-x", Tier.SHARED, "k", "v", embedder.embed("k"), checked[0])
+    store.insert(outside)
+    assert len(checked) == 2
 
 
 def test_force_private_writes_both_fragments_private():

@@ -31,7 +31,7 @@ from memfabric import (
 )
 from memfabric import service as service_module
 from memfabric.service import ApiError
-from rtutil import StubServer, make_runtime
+from rtutil import CountingFlushes, StubServer, make_runtime
 from scenarios import overlap_config, revocation_phase_config
 
 
@@ -347,6 +347,18 @@ def test_resume_after_a_rejected_write_continues_ids_exactly(tmp_path):
     assert (tmp_path / "resumed" / "audit.jsonl").read_bytes() == (
         tmp_path / "uninterrupted" / "audit.jsonl"
     ).read_bytes()
+
+
+def test_a_request_flushes_its_audit_records_once(tmp_path):
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    svc = granted_service(cfg, tmp_path / "audit.jsonl")
+    svc.rt.audit._fp = sink = CountingFlushes(svc.rt.audit._fp)
+    before = len(svc.rt.audit)
+    body = {"agent": "domain1_agent", "subquery": "domain1: q", "response": "a"}
+    assert svc.handle("POST", "/memory/write", {}, "user_1", body)[0] == 200
+    assert len(svc.rt.audit) - before == 2 and sink.flushes == 1
+    assert (tmp_path / "audit.jsonl").read_text() == svc.rt.audit.to_jsonl()
+    svc.rt.audit.close()
 
 
 @pytest.mark.parametrize("component", [0.0, float("nan")])

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from memfabric import (
     AccessTimeline,
@@ -35,6 +38,20 @@ def _artifacts():
     timeline, _ = random_timeline(rng, directory, users, agents, resources, 40)
     store = random_store(rng, directory, users, agents, resources, 8, 25)
     return timeline, store
+
+
+DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+@example({"z": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0], "\u00e9": ["\u2603"]})
+def test_encode_gives_the_bytes_of_json_dumps(doc):
+    assert wire.encode(doc) == json.dumps(doc, sort_keys=True) + "\n"
 
 
 def test_save_writes_exactly_to_jsonl(tmp_path):
