@@ -21,11 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import wire
-from .audit import AuditAction, AuditLog
-from .errors import DuplicateEdge, EdgeNotPresent, NonMonotonicTimestamp
+from .audit import AuditAction, AuditLog, AuditRecord
+from .errors import DuplicateEdge, EdgeNotPresent, MemFabricError, NonMonotonicTimestamp
 from .principals import PrincipalDirectory, PrincipalId, PrincipalKind, agent, resource, user
 
 
@@ -86,13 +86,35 @@ class PermissionEvent:
             edge=edge_from_doc(data["edge"]),
         )
 
+    @classmethod
+    def from_record(cls, rec: AuditRecord) -> "PermissionEvent":
+        """The event a grant or revoke record logs; ``ValueError`` for any other record."""
+        action = PermissionAction(rec.action.value)
+        return cls(rec.at, action, edge_from_doc(rec.detail.get("edge")))
+
+
+def logged_events(
+    records: Iterable[AuditRecord], strict: bool = True
+) -> Iterator[PermissionEvent]:
+    """The events of an audit log's grant and revoke records, in log order. A
+    malformed edge raises ``ValueError``, or with ``strict=False`` is left out."""
+    for rec in records:
+        if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
+            try:
+                event = PermissionEvent.from_record(rec)
+            except ValueError:
+                if strict:
+                    raise
+                continue
+            yield event
+
 
 class AccessTimeline:
     """Append-only permission history with snapshot queries.
 
     When an :class:`AuditLog` is attached, every grant/revoke also lands
-    there (actor ``admin_actor``), which is what the offline verifier
-    cross-checks against.
+    there (actor ``admin_actor``); resume and the offline verifier rebuild
+    the timeline from those records with :meth:`replay`.
     """
 
     def __init__(
@@ -135,8 +157,8 @@ class AccessTimeline:
         return self.revoke(edge, at)
 
     def attach_audit(self, audit: AuditLog | None) -> None:
-        """Swap the audit sink; used when resuming from exported artifacts
-        so replayed history is not re-logged."""
+        """Swap the audit sink; a resumed runtime attaches its log after
+        :meth:`replay` rebuilt the history from it, so nothing is logged twice."""
         self._audit = audit
 
     def _validate_edge(self, edge: Edge) -> None:
@@ -226,23 +248,36 @@ class AccessTimeline:
         wire.dump(path, (e.to_dict() for e in self._events))
 
     @classmethod
-    def from_jsonl(
-        cls, lines: Iterable[str] | str, directory: PrincipalDirectory | None = None
+    def replay(
+        cls,
+        events: Iterable[PermissionEvent],
+        directory: PrincipalDirectory | None = None,
+        strict: bool = True,
     ) -> "AccessTimeline":
-        """Rebuild a timeline from an event log.
+        """Rebuild a timeline, without an audit sink, from ``events`` in order.
 
-        Principals appearing in events are auto-registered when no directory
-        is supplied (or added to the supplied one), so a bare event log is
-        self-describing.
+        Principals the events name are registered in ``directory`` (a fresh
+        one when none is given). An event the timeline refuses raises, or
+        with ``strict=False`` is left out for a verifier to report.
         """
         directory = directory if directory is not None else PrincipalDirectory()
         timeline = cls(directory)
-        for doc in wire.decode(lines):
-            event = PermissionEvent.from_dict(doc)
+        for event in events:
             directory.register(event.edge[0])
             directory.register(event.edge[1])
-            timeline.apply(event.action, event.edge, event.tick)
+            try:
+                timeline.apply(event.action, event.edge, event.tick)
+            except MemFabricError:
+                if strict:
+                    raise
         return timeline
+
+    @classmethod
+    def from_jsonl(
+        cls, lines: Iterable[str] | str, directory: PrincipalDirectory | None = None
+    ) -> "AccessTimeline":
+        """Rebuild a timeline from an event log (see :meth:`replay`)."""
+        return cls.replay(map(PermissionEvent.from_dict, wire.decode(lines)), directory)
 
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> "AccessTimeline":

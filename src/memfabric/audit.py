@@ -257,28 +257,15 @@ def compute_metrics(
     if not episodes:
         raise EmptyWindow("log slice contains no episodes")
 
-    grouped: dict[str, list[_EpisodeTally]] = {}
-    labels: list[str] = []
-    if binning == "bin":
-        for ep in episodes:
-            if ep.bin_label not in grouped:
-                grouped[ep.bin_label] = []
-                labels.append(ep.bin_label)
-            grouped[ep.bin_label].append(ep)
-    else:
-        size = int(binning)
-        if size < 1:
-            raise ValueError("bin size must be >= 1")
-        for i, ep in enumerate(episodes):
-            label = f"bin{i // size}"
-            if label not in grouped:
-                grouped[label] = []
-                labels.append(label)
-            grouped[label].append(ep)
+    size = 0 if binning == "bin" else int(binning)
+    if binning != "bin" and size < 1:
+        raise ValueError("bin size must be >= 1")
+    grouped: dict[str, list[_EpisodeTally]] = {}  # first-seen label order
+    for i, ep in enumerate(episodes):
+        grouped.setdefault(f"bin{i // size}" if size else ep.bin_label, []).append(ep)
 
     bins = []
-    for label in labels:
-        group = grouped[label]
+    for label, group in grouped.items():
         n = len(group)
         scores = [ep.score for ep in group if ep.score is not None]
         bins.append(

@@ -3,11 +3,12 @@
 - ``memfabric run --config FILE [--mode shared|isolated] [--seed N] --out DIR``
 - ``memfabric compare --config FILE --out DIR``
 - ``memfabric gen-schedule --users N --agents N --p 0.2 --seed N --phases 5,10,...``
-- ``memfabric verify --audit LOG --timeline EVENTS --store SNAPSHOT``
+- ``memfabric verify --audit LOG [--timeline EVENTS] --store SNAPSHOT``
 - ``memfabric serve --config FILE [--host H] [--port P]``
 
-``verify`` exits nonzero when the audit log contains any decision that the
-permission event log and store snapshot cannot justify.
+``verify`` exits nonzero when the audit log contains any decision that its
+own permission history and the store snapshot cannot justify. Given
+``--timeline``, the exported event log must also equal that history.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="re-verify a run offline")
     p_ver.add_argument("--audit", required=True)
-    p_ver.add_argument("--timeline", required=True)
+    p_ver.add_argument("--timeline", default=None, help="exported event log to check too")
     p_ver.add_argument("--store", required=True)
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from . import wire
-from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc
+from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc, logged_events
 from .audit import AuditAction, AuditLog, MetricsReport, access_matrix, compute_metrics
 from .clock import LogicalClock
 from .errors import ConfigError, InsufficientQueries
@@ -499,13 +499,15 @@ def build_runtime(
 
     Fresh, the audit log at ``audit_path`` is truncated and the runtime holds
     nothing. With ``resume``, the log is reopened in append mode and the
-    ``timeline.jsonl`` and ``store.jsonl`` beside it are reloaded when present.
-    Both ways the runtime continues from what it holds: the audit ``seq`` from
-    the log, the clock from the last tick seen, episode ids from the
-    ``episode_start`` records and the seeded fragment ids past the fragments
-    stored, all of which start at zero when nothing was loaded. Permission
-    edges are *not* applied here; the run (or an API driver) issues them so
-    that both paths produce identical event and audit logs.
+    ``store.jsonl`` beside it is reloaded when present. Both ways the runtime
+    continues from the log: the timeline is replayed from its grant and
+    revoke records (a ``timeline.jsonl`` is an export and never read), and
+    the audit ``seq``, the clock (the last tick logged), episode ids (the
+    ``episode_start`` records) and the seeded fragment ids (past every id a
+    ``fragment_write`` record names) all follow it, starting at zero when it
+    is empty. A log that does not replay raises and leaves no file open.
+    Permission edges are *not* applied here; the run (or an API driver)
+    issues them so that both paths produce identical event and audit logs.
     """
     directory = PrincipalDirectory()
     for u in cfg.users:
@@ -520,16 +522,11 @@ def build_runtime(
         int(cfg.embedder.get("dimension", 32)),
         cfg.embedder.get("endpoint"),
     )
-    timeline = AccessTimeline(directory)
     store = MemoryStore(embedder.dimension, directory=directory)
     if resume and audit_path is not None:
-        saved = Path(audit_path).parent
-        if (saved / "timeline.jsonl").exists():
-            timeline = AccessTimeline.load(saved / "timeline.jsonl", directory=directory)
-        if (saved / "store.jsonl").exists():
-            store = MemoryStore.load(
-                saved / "store.jsonl", dimension=embedder.dimension, directory=directory
-            )
+        saved = Path(audit_path).parent / "store.jsonl"
+        if saved.exists():
+            store = MemoryStore.load(saved, dimension=embedder.dimension, directory=directory)
 
     shared_docs = list(wire.load(cfg.documents)) if cfg.documents else []
     resources: dict[PrincipalId, Resource] = {}
@@ -586,17 +583,21 @@ def build_runtime(
     )
 
     # opened last, so a failed load or a bad config leaves no file open, and
-    # attached after loading, so loaded history is not logged again
+    # attached after replay, so replayed history is not logged again
     audit = AuditLog(audit_path, resume=resume)
+    try:
+        timeline = AccessTimeline.replay(logged_events(audit), directory)
+    except BaseException:
+        audit.close()
+        raise
     timeline.attach_audit(audit)
     store.attach_audit(audit)
     id_factory = seeded_id_factory(cfg.seed)
-    for _ in range(len(store)):  # every stored fragment drew exactly one id
-        id_factory()
-    last_at = max((r.at for r in audit), default=0)
+    for _ in range(sum(len(r.subjects) for r in audit if r.action is AuditAction.FRAGMENT_WRITE)):
+        id_factory()  # every fragment the log records drew exactly one id
     return Runtime(
         directory=directory,
-        clock=LogicalClock(max(timeline.latest_tick, last_at, 0)),
+        clock=LogicalClock(max((r.at for r in audit), default=0)),
         timeline=timeline,
         store=store,
         policies=policies,

@@ -171,6 +171,15 @@ class MemoryFragment:
         )
 
 
+def write_detail(fragment: MemoryFragment) -> dict:
+    """The ``detail`` of the ``fragment_write`` audit record that stores ``fragment``."""
+    return {
+        "tier": fragment.tier.value,
+        "agents": sorted(a.name for a in fragment.provenance.agents),
+        "resources": sorted(r.name for r in fragment.provenance.resources),
+    }
+
+
 def new_fragment_id() -> str:
     return str(uuid.uuid4())
 
@@ -434,11 +443,7 @@ class MemoryStore:
                     actor=fragment.provenance.creator.name,
                     action=AuditAction.FRAGMENT_WRITE,
                     subjects=(fragment.id,),
-                    detail={
-                        "tier": fragment.tier.value,
-                        "agents": sorted(a.name for a in fragment.provenance.agents),
-                        "resources": sorted(r.name for r in fragment.provenance.resources),
-                    },
+                    detail=write_detail(fragment),
                 )
         return fragment.id
 

@@ -1,18 +1,25 @@
-"""Offline re-verification of a run from its three artifacts.
+"""Offline re-verification of a run from its audit log and store snapshot.
 
-Given only the audit log, the permission event log, and the store snapshot,
-every access decision a run made can be re-derived and checked:
+The audit log is the one source of truth: the permission timeline is
+replayed from its grant/revoke records unless an exported event log is
+given, which must then equal it. Every access decision a run made is
+re-derived and checked:
 
 - the log itself is well-formed (gap-free sequence, non-decreasing ticks);
-- each grant/revoke record matches a timeline event at the same tick;
+- each grant/revoke record matches the timeline event at its tick
+  (``permission_event_mismatch``, or ``permission_event_malformed`` for an
+  edge that does not parse), and each timeline event has such a record
+  (``permission_event_unaudited``);
 - each agent invocation was covered by a user->agent edge at its tick;
 - each resource invocation was covered by an agent->resource edge, and the
   user on whose behalf it ran held the user->agent edge;
 - each fragment read names only fragments that exist, were created at or
   before the read tick, and were admissible for the (user, agent, tick) of
   the read under the tier/agent-subset/resource-subset clauses;
-- each fragment write has provenance consistent with the permissions at its
-  creation tick.
+- each stored fragment has exactly one ``fragment_write`` record
+  (``fragment_unaudited``, ``fragment_rewritten``) whose actor, tick, tier,
+  agents and resources equal its provenance (``write_provenance_mismatch``),
+  and that provenance is consistent with the permissions at its creation tick.
 
 An honest run verifies clean; a log with any injected or altered record
 yields at least one violation.
@@ -25,7 +32,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import wire
-from .access import AccessTimeline
+from .access import AccessTimeline, PermissionEvent, logged_events
 from .audit import AuditAction, AuditRecord, load_audit_file
 from .errors import UnknownPrincipal
 from .principals import (
@@ -34,7 +41,7 @@ from .principals import (
     resource as resource_id,
     user as user_id,
 )
-from .store import MemoryStore
+from .store import MemoryStore, write_detail
 
 
 @dataclass(frozen=True)
@@ -69,164 +76,131 @@ def verify_run(
     store: MemoryStore,
 ) -> list[Violation]:
     violations: list[Violation] = []
-    report = violations.append
 
-    # exact (tick, action, edge-doc) triples recorded by the timeline
-    event_index = {
-        (e.tick, e.action.value, tuple(sorted(e.to_dict()["edge"].items())))
-        for e in timeline.events
-    }
+    def report(seq: int | None, code: str, message: str) -> None:
+        violations.append(Violation(seq, code, message))
 
+    # the timeline's events by tick (ticks are unique); each record claims its own
+    unclaimed = {e.tick: e for e in timeline.events}
+    written: set[str] = set()
     expected_seq = 0
     last_at = None
     for rec in records:
-        if rec.seq != expected_seq:
-            report(Violation(rec.seq, "seq_gap", f"expected seq {expected_seq}"))
-        expected_seq = rec.seq + 1
-        if last_at is not None and rec.at < last_at:
-            report(Violation(rec.seq, "time_regression", f"tick {rec.at} after {last_at}"))
-        last_at = rec.at
+        seq, at = rec.seq, rec.at
+        if seq != expected_seq:
+            report(seq, "seq_gap", f"expected seq {expected_seq}")
+        expected_seq = seq + 1
+        if last_at is not None and at < last_at:
+            report(seq, "time_regression", f"tick {at} after {last_at}")
+        last_at = at
 
         if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
-            edge_doc = rec.detail.get("edge")
-            if not isinstance(edge_doc, dict):
-                report(Violation(rec.seq, "permission_event_malformed", "no edge detail"))
+            try:
+                event = PermissionEvent.from_record(rec)
+            except ValueError as exc:
+                report(seq, "permission_event_malformed", str(exc))
                 continue
-            key = (rec.at, rec.action.value, tuple(sorted(edge_doc.items())))
-            if key not in event_index:
-                report(
-                    Violation(
-                        rec.seq,
-                        "permission_event_mismatch",
-                        f"no timeline event for {edge_doc} at tick {rec.at}",
-                    )
-                )
+            if unclaimed.get(at) == event:
+                del unclaimed[at]
+            else:
+                message = f"no timeline event for {rec.detail['edge']} at tick {at}"
+                report(seq, "permission_event_mismatch", message)
 
         elif rec.action is AuditAction.AGENT_INVOKE:
             u = user_id(rec.actor)
             for name in rec.subjects:
-                if not _present(timeline, (u, agent_id(name)), rec.at):
-                    report(
-                        Violation(
-                            rec.seq,
-                            "agent_not_granted",
-                            f"{rec.actor} invoked {name} at t={rec.at} without a grant",
-                        )
-                    )
+                if not _present(timeline, (u, agent_id(name)), at):
+                    message = f"{rec.actor} invoked {name} at t={at} without a grant"
+                    report(seq, "agent_not_granted", message)
 
         elif rec.action is AuditAction.RESOURCE_INVOKE:
             a = agent_id(rec.actor)
             for name in rec.subjects:
-                if not _present(timeline, (a, resource_id(name)), rec.at):
-                    report(
-                        Violation(
-                            rec.seq,
-                            "resource_not_granted",
-                            f"{rec.actor} reached {name} at t={rec.at} without a grant",
-                        )
-                    )
+                if not _present(timeline, (a, resource_id(name)), at):
+                    message = f"{rec.actor} reached {name} at t={at} without a grant"
+                    report(seq, "resource_not_granted", message)
             u_name = rec.detail.get("user")
-            if u_name is not None and not _present(
-                timeline, (user_id(str(u_name)), a), rec.at
-            ):
-                report(
-                    Violation(
-                        rec.seq,
-                        "user_agent_not_granted",
-                        f"{u_name} drove {rec.actor} at t={rec.at} without a grant",
-                    )
-                )
+            if u_name is not None and not _present(timeline, (user_id(str(u_name)), a), at):
+                message = f"{u_name} drove {rec.actor} at t={at} without a grant"
+                report(seq, "user_agent_not_granted", message)
 
         elif rec.action is AuditAction.FRAGMENT_READ:
             u_name = rec.detail.get("user", rec.actor)
             a_name = rec.detail.get("agent")
             if a_name is None:
-                report(Violation(rec.seq, "read_malformed", "no agent in read detail"))
+                report(seq, "read_malformed", "no agent in read detail")
                 continue
             u = user_id(str(u_name))
             a = agent_id(str(a_name))
             for fid in rec.subjects:
                 if fid not in store:
-                    report(
-                        Violation(rec.seq, "fragment_unknown", f"read of unknown {fid}")
-                    )
+                    report(seq, "fragment_unknown", f"read of unknown {fid}")
                     continue
-                fragment = store.get(fid)
-                if fragment.provenance.created_at > rec.at:
-                    report(
-                        Violation(
-                            rec.seq,
-                            "fragment_future_read",
-                            f"{fid} created at {fragment.provenance.created_at}, "
-                            f"read at {rec.at}",
-                        )
-                    )
+                created_at = store.get(fid).provenance.created_at
+                if created_at > at:
+                    message = f"{fid} created at {created_at}, read at {at}"
+                    report(seq, "fragment_future_read", message)
                 try:
-                    decision = store.explain(timeline, u, a, rec.at, fid)
+                    decision = store.explain(timeline, u, a, at, fid)
                 except UnknownPrincipal as exc:
-                    report(
-                        Violation(rec.seq, "unknown_principal", str(exc))
-                    )
+                    report(seq, "unknown_principal", str(exc))
                     continue
                 if not decision.admitted:
-                    report(
-                        Violation(
-                            rec.seq,
-                            "fragment_not_admissible",
-                            f"{fid} read by ({u_name}, {a_name}) at t={rec.at} "
-                            f"fails {decision.failed_clause.value}",
-                        )
-                    )
+                    clause = decision.failed_clause.value
+                    message = f"{fid} read by ({u_name}, {a_name}) at t={at} fails {clause}"
+                    report(seq, "fragment_not_admissible", message)
 
         elif rec.action is AuditAction.FRAGMENT_WRITE:
             for fid in rec.subjects:
                 if fid not in store:
-                    report(
-                        Violation(rec.seq, "fragment_unknown", f"write of unknown {fid}")
-                    )
+                    report(seq, "fragment_unknown", f"write of unknown {fid}")
                     continue
-                prov = store.get(fid).provenance
-                creator_agents = _snapshot(timeline.agents_of, prov.creator, prov.created_at)
-                if not prov.agents <= creator_agents:
-                    report(
-                        Violation(
-                            rec.seq,
-                            "write_agents_not_granted",
-                            f"{fid}: contributing agents outside "
-                            f"{prov.creator.name}'s grant at t={prov.created_at}",
-                        )
-                    )
-                reachable = frozenset().union(
-                    *(
-                        _snapshot(timeline.resources_of, a, prov.created_at)
-                        for a in prov.agents
-                    )
-                )
-                if not prov.resources <= reachable:
-                    report(
-                        Violation(
-                            rec.seq,
-                            "write_resources_not_granted",
-                            f"{fid}: touched resources outside the contributing "
-                            f"agents' grants at t={prov.created_at}",
-                        )
-                    )
+                fragment = store.get(fid)
+                prov = fragment.provenance
+                if fid in written:
+                    report(seq, "fragment_rewritten", f"second write of {fid}")
+                written.add(fid)
+                if (rec.actor, at, rec.detail) != (
+                    prov.creator.name, prov.created_at, write_detail(fragment)
+                ):
+                    report(seq, "write_provenance_mismatch", f"{fid}: stored provenance differs")
+                t = prov.created_at
+                if not prov.agents <= _snapshot(timeline.agents_of, prov.creator, t):
+                    message = f"{fid}: contributing agents outside {prov.creator.name}'s grant"
+                    report(seq, "write_agents_not_granted", f"{message} at t={t}")
+                reachable = [_snapshot(timeline.resources_of, a, t) for a in prov.agents]
+                if not prov.resources <= frozenset().union(*reachable):
+                    message = f"{fid}: touched resources outside the contributing agents' grants"
+                    report(seq, "write_resources_not_granted", f"{message} at t={t}")
 
+    for event in unclaimed.values():
+        edge = " -> ".join(map(str, event.edge))
+        report(None, "permission_event_unaudited", f"{event.action.value} {edge} at {event.tick}")
+    for fragment in store.fragments():
+        if fragment.id not in written:
+            report(None, "fragment_unaudited", f"no write record of {fragment.id}")
     return violations
 
 
 def verify_files(
     audit_path: str | Path,
-    timeline_path: str | Path,
+    timeline_path: str | Path | None,
     store_path: str | Path,
 ) -> list[Violation]:
-    """Verify a run from its three files; principals are taken from the
+    """Verify a run from its files; principals are taken from the log, the
     timeline and the store themselves, so no extra declaration is needed. A
-    record naming a principal that neither file knows is a violation."""
+    record naming a principal that none of them knows is a violation. Without
+    ``timeline_path`` the timeline is replayed from the log, leaving out what
+    does not replay (each such record is then a violation)."""
     directory = PrincipalDirectory()
-    timeline = AccessTimeline.load(timeline_path, directory=directory)
+    records = load_audit_file(audit_path)
+    if timeline_path is None:
+        events = logged_events(records, strict=False)
+        timeline = AccessTimeline.replay(events, directory, strict=False)
+    else:
+        timeline = AccessTimeline.load(timeline_path, directory=directory)
     if next(wire.load(store_path), None) is not None:
         store = MemoryStore.load(store_path, directory=directory)
     else:
         store = MemoryStore(dimension=1, directory=directory)
-    return verify_run(load_audit_file(audit_path), timeline, store)
+    return verify_run(records, timeline, store)

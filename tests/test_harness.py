@@ -11,6 +11,7 @@ from memfabric import (
     AuditAction,
     ConfigError,
     InsufficientQueries,
+    NonMonotonicTimestamp,
     RemoteUnavailable,
     ScenarioConfig,
     Tier,
@@ -236,6 +237,33 @@ def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
 
     assert resource_warnings(resume) == []
     assert resource_warnings(misconfigured) == []
+    assert artifacts.audit_path.read_bytes() == log
+
+
+@pytest.mark.parametrize(
+    "edit, error", [("duplicate", NonMonotonicTimestamp), ("malformed", ValueError)]
+)
+def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
+    tmp_path, edit, error
+):
+    cfg = ScenarioConfig.from_dict(revocation_phase_config())
+    artifacts = run_scenario(cfg, tmp_path)
+    lines = artifacts.audit_path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "grant")
+    if edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        doc = json.loads(lines[i])
+        doc["detail"]["edge"] = {"user": "user_1"}
+        lines[i] = json.dumps(doc, sort_keys=True) + "\n"
+    artifacts.audit_path.write_text("".join(lines))
+    log = artifacts.audit_path.read_bytes()
+
+    def resume():
+        with pytest.raises(error):
+            build_runtime(cfg, artifacts.audit_path, resume=True)
+
+    assert resource_warnings(resume) == []
     assert artifacts.audit_path.read_bytes() == log
 
 

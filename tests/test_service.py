@@ -349,6 +349,37 @@ def test_resume_after_a_rejected_write_continues_ids_exactly(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("saved", ["no timeline", "stale timeline", "no store"])
+def test_a_resumed_runtime_answers_like_an_uninterrupted_one(tmp_path, saved):
+    # resume replays the permission history from the audit log alone, so a
+    # missing or stale timeline.jsonl changes nothing; without store.jsonl the
+    # fragment ids still continue past every id the log's writes name
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    write = {"agent": "domain1_agent", "subquery": "domain1: q", "response": "a"}
+    edge = {"edge": {"user": "user_1", "agent": "domain1_agent"}}
+    replies = {}
+    for name in ("uninterrupted", "resumed"):
+        audit_path = tmp_path / name / "audit.jsonl"
+        svc = granted_service(cfg, audit_path)
+        assert svc.handle("POST", "/memory/write", {}, "user_1", write)[0] == 200
+        assert svc.handle("POST", "/permissions/revoke", {}, "admin", edge)[0] == 200
+        if saved == "stale timeline":
+            svc.rt.timeline.save(audit_path.parent / "timeline.jsonl")
+        assert svc.handle("POST", "/permissions/grant", {}, "admin", edge)[0] == 200
+        if name == "resumed":
+            if saved != "no store":
+                svc.rt.store.save(audit_path.parent / "store.jsonl")
+            svc.rt.audit.close()
+            svc = granted_service(cfg, audit_path, resume=True)
+        replies[name] = svc.handle("POST", "/memory/write", {}, "user_1", write)
+        svc.rt.audit.close()
+    assert replies["resumed"] == replies["uninterrupted"]
+    assert replies["resumed"][0] == 200
+    assert (tmp_path / "resumed" / "audit.jsonl").read_bytes() == (
+        tmp_path / "uninterrupted" / "audit.jsonl"
+    ).read_bytes()
+
+
 def test_a_request_flushes_its_audit_records_once(tmp_path):
     cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
     svc = granted_service(cfg, tmp_path / "audit.jsonl")

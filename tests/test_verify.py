@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 from memfabric import (
     AccessTimeline,
@@ -13,13 +16,17 @@ from memfabric import (
     MemoryStore,
     PrincipalDirectory,
     Provenance,
+    ScenarioConfig,
     Tier,
     agent,
+    load_audit_file,
     resource,
+    run_scenario,
     user,
     verify_files,
     verify_run,
 )
+from scenarios import overlap_config
 
 
 def honest_run():
@@ -222,3 +229,96 @@ def test_verify_files_round_trip(tmp_path):
     audit_path.write_text("\n".join(lines) + "\n")
     violations = verify_files(audit_path, timeline_path, store_path)
     assert [v.code for v in violations] == ["unknown_principal"]
+
+
+# --- the audit log is the one source of truth ---
+
+
+@pytest.fixture(scope="module")
+def overlap_run(tmp_path_factory):
+    cfg = ScenarioConfig.from_dict(overlap_config(count=12, n_users=3, n_agents=2))
+    return run_scenario(cfg, tmp_path_factory.mktemp("overlap"))
+
+
+def tampered_copy(artifacts, tmp_path, name, edit):
+    """Copy the run's three files into ``tmp_path``, then rewrite the lines of
+    file ``name`` with ``edit``; return the three paths."""
+    paths = []
+    for src in (artifacts.audit_path, artifacts.timeline_path, artifacts.store_path):
+        lines = src.read_text().splitlines()
+        if src.name == name:
+            lines = edit(lines)
+        paths.append(tmp_path / src.name)
+        paths[-1].write_text("".join(line + "\n" for line in lines))
+    return paths
+
+
+def test_the_honest_run_verifies_clean_with_and_without_its_timeline(overlap_run):
+    a = overlap_run
+    assert verify_files(a.audit_path, a.timeline_path, a.store_path) == []
+    assert verify_files(a.audit_path, None, a.store_path) == []
+
+
+def test_an_unaudited_revoke_in_the_timeline_is_a_violation(overlap_run, tmp_path):
+    last_at = load_audit_file(overlap_run.audit_path)[-1].at
+    revoke = {"action": "revoke", "edge": {"user": "user_1", "agent": "domain1_agent"}}
+    audit, timeline, store = tampered_copy(
+        overlap_run, tmp_path, "timeline.jsonl",
+        lambda lines: lines + [json.dumps({**revoke, "tick": last_at + 1}, sort_keys=True)],
+    )
+    codes = [v.code for v in verify_files(audit, timeline, store)]
+    assert codes == ["permission_event_unaudited"]
+
+
+def test_a_stored_fragment_without_a_write_record_is_a_violation(overlap_run, tmp_path):
+    def copy_first(lines):
+        doc = json.loads(lines[0])
+        return lines + [json.dumps({**doc, "id": "copied-fragment"}, sort_keys=True)]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "store.jsonl", copy_first)
+    for given in (timeline, None):
+        assert [v.code for v in verify_files(audit, given, store)] == ["fragment_unaudited"]
+
+
+def test_rewritten_provenance_is_a_violation(overlap_run, tmp_path):
+    def strip_resources(lines):
+        docs = [json.loads(line) for line in lines]
+        shared = next(d for d in docs if d["tier"] == "shared" and d["provenance"]["resources"])
+        shared["provenance"]["resources"] = []
+        return [json.dumps(d, sort_keys=True) for d in docs]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "store.jsonl", strip_resources)
+    for given in (timeline, None):
+        codes = [v.code for v in verify_files(audit, given, store)]
+        assert codes == ["write_provenance_mismatch"]
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "malformed"])
+def test_an_unreplayable_grant_record_is_a_violation_not_an_exception(
+    overlap_run, tmp_path, edit
+):
+    def tamper(lines):
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "grant")
+        if edit == "duplicate":
+            return lines[: i + 1] + lines[i:]
+        doc = json.loads(lines[i])
+        doc["detail"]["edge"] = {"user": "user_1"}
+        return lines[:i] + [json.dumps(doc, sort_keys=True)] + lines[i + 1 :]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "audit.jsonl", tamper)
+    expected = {"duplicate": "permission_event_mismatch", "malformed": "permission_event_malformed"}
+    for given in (timeline, None):
+        assert expected[edit] in [v.code for v in verify_files(audit, given, store)]
+
+
+def test_verify_cli_needs_no_timeline(overlap_run, tmp_path):
+    def verify(audit, store):
+        command = [sys.executable, "-m", "memfabric.cli", "verify", "--audit", str(audit)]
+        return subprocess.run(command + ["--store", str(store)], capture_output=True, text=True)
+
+    honest = verify(overlap_run.audit_path, overlap_run.store_path)
+    assert (honest.returncode, honest.stdout) == (0, "OK: no violations\n"), honest.stderr
+    copied = lambda lines: lines + [lines[0].replace('"id": "', '"id": "copy-')]  # noqa: E731
+    audit, _, store = tampered_copy(overlap_run, tmp_path, "store.jsonl", copied)
+    tampered = verify(audit, store)
+    assert tampered.returncode == 1 and "fragment_unaudited" in tampered.stdout
