@@ -2,7 +2,7 @@
 
 - ``memfabric run --config FILE [--mode shared|isolated] [--seed N] --out DIR``
 - ``memfabric compare --config FILE --out DIR``
-- ``memfabric gen-schedule --users N --agents N --p 0.2 --seed N --phases 5,10,...``
+- ``memfabric gen-schedule --users N --agents N [--p P] --seed N --phases 5,10,...``
 - ``memfabric verify --audit LOG [--timeline EVENTS] --store SNAPSHOT``
 - ``memfabric serve --config FILE [--host H] [--port P]``
 
@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .harness import build_runtime, compare_modes, load_config, run_scenario
-from .schedule import generate_schedule, schedule_from_targets
+from .schedule import DEFAULT_ACCEPT_PROBABILITY, generate_schedule, schedule_from_targets
 from .service import MemoryService, serve_forever
 from .verify import verify_files
 
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-schedule", help="generate a grant/revoke event log")
     p_gen.add_argument("--users", required=True, help="count or comma-separated names")
     p_gen.add_argument("--agents", required=True, help="count or comma-separated names")
-    p_gen.add_argument("--p", type=float, default=0.2)
+    p_gen.add_argument("--p", type=float, default=DEFAULT_ACCEPT_PROBABILITY)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--phases", required=True, help="comma-separated edge targets")
     p_gen.add_argument("--out", default=None)

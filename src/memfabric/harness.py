@@ -2,15 +2,20 @@
 evolving permissions, with scripted backends and deterministic replay.
 
 A scenario config (JSON or YAML) declares the principal universe, the
-timeline source (static edges or a grant/revoke schedule), the workload,
-the policy bindings, and the retrieval settings. Running a scenario executes
-every episode in a deterministic order and writes a self-describing artifact
-directory: audit log, permission event log, store snapshot, metrics CSV and
-JSON, per-phase access matrices, a final-answer transcript, and an echo of
-the resolved config. Re-running from the echoed config reproduces the logs
-byte for byte.
+timeline source (static edges, explicit phases or a grant/revoke schedule),
+the workload, the policy bindings, and the retrieval settings. Each section
+is a frozen dataclass that holds its own defaults, built by one strict
+loader: an unknown key, a section that is not a mapping, or a value the
+section rejects raises ``ConfigError`` at load, naming the section.
 
-Workload shapes:
+Running a scenario executes every episode in a deterministic order and
+writes a self-describing artifact directory: audit log, permission event
+log, store snapshot, metrics CSV and JSON, per-phase access matrices, a
+final-answer transcript, and an echo of the resolved config holding every
+effective value, defaults included. Re-running from the echoed config
+reproduces every artifact byte for byte.
+
+Workload shapes (a workload names exactly one):
 
 - ``queries`` + ``overlap``: a seeded fraction of the pool becomes "global"
   queries issued by every user; the rest are partitioned disjointly.
@@ -70,14 +75,57 @@ from .policy import (
     Transformer,
 )
 from .principals import PrincipalDirectory, PrincipalId, agent, resource, user
-from .retrieval import RetrievalConfig, build_embedder
+from .retrieval import DeterministicEmbedder, Embedder, RemoteEmbedder, RetrievalConfig
 from .schedule import GraphSchedule, plan_schedule, schedule_from_targets
 from .store import MemoryStore, seeded_id_factory
 
 DEFAULT_SHARED_WRITE_RULES = (("{user}", "[user]"),)
+_STOCK_PROMPTS = {
+    Direction.WRITE_PRIVATE: DEFAULT_PRIVATE_WRITE_PROMPT,
+    Direction.WRITE_SHARED: DEFAULT_SHARED_WRITE_PROMPT,
+}
 
 
 # --- configuration -------------------------------------------------------------
+
+
+def _section(cls: type, doc: object, name: str):
+    """Build the config dataclass ``cls`` from the mapping ``doc``; an unknown
+    key or a value the dataclass rejects raises ``ConfigError`` naming ``name``.
+
+    A field whose default is a config dataclass, or whose metadata names one
+    as its ``section``, is built the same way: a list of them when the
+    default is a tuple, absent when the default is None and the value empty.
+    Other tuple fields become tuples, numbers the type of their default.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{name} must be a mapping, got {doc!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    values = {}
+    try:
+        for key, value in doc.items():
+            default = fields[key].default
+            nested = fields[key].metadata.get("section")
+            if dataclasses.is_dataclass(default):
+                nested = type(default)
+            if nested is None:
+                if isinstance(default, tuple):
+                    value = tuple(value)
+                elif type(default) in (int, float):
+                    value = type(default)(value)
+            elif isinstance(default, tuple):
+                value = tuple(_section(nested, v, f"{name}.{key}[{i}]") for i, v in enumerate(value))
+            elif value or default is not None:
+                value = _section(nested, value, f"{name}.{key}")
+            else:
+                value = None
+            values[key] = value
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,32 +147,117 @@ class ResourceConfig:
     endpoint: str | None = None
 
 
-# the keys each nested section is read with; any other key is a misspelling
-_SECTION_KEYS = {
-    "retrieval": {"k_user", "k_cross", "threshold"},
-    "embedder": {"kind", "dimension", "endpoint"},
-    "limits": {"max_rounds", "coordinator_retries"},
-    "timeline": {"agent_resources", "user_agents", "phases", "schedule"},
-}
+@dataclass(frozen=True)
+class EmbedderConfig:
+    kind: str = "deterministic"  # or "remote", which needs an endpoint
+    dimension: int = 32
+    endpoint: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("deterministic", "remote"):
+            raise ValueError(f"unknown embedder kind {self.kind!r}")
+        if self.kind == "remote" and not self.endpoint:
+            raise ValueError("remote embedder needs an endpoint")
+
+
+@dataclass(frozen=True)
+class RemoteConfig:
+    """A coordinator or aggregator; without an endpoint, the scripted one."""
+
+    endpoint: str | None = None
+    system_prompt: str = ""
+
+
+@dataclass(frozen=True)
+class TimelineConfig:
+    """Static user->agent edges, with or without phases of explicit grants
+    and revokes, or a grant/revoke schedule that draws those edges itself."""
+
+    agent_resources: str | Sequence = "one_to_one"
+    user_agents: str | Sequence | None = None
+    phases: Sequence | None = None
+    schedule: Mapping | None = None
+
+    def __post_init__(self) -> None:
+        if self.schedule is not None and not (self.phases is None and self.user_agents is None):
+            raise ValueError("a timeline with a schedule takes no phases or user_agents")
+
+
+_WORKLOAD_SHAPES = ("queries", "per_user", "synthetic", "decompose")
+
+
+@dataclass(frozen=True)
+class WorkloadConfig:
+    """One workload shape; ``overlap`` applies to ``queries`` and ``synthetic``."""
+
+    queries: Sequence | None = None
+    per_user: Mapping | None = None
+    synthetic: Mapping | None = None
+    decompose: Mapping | None = None
+    overlap: float = 0.0
+
+    def __post_init__(self) -> None:
+        shapes = [s for s in _WORKLOAD_SHAPES if getattr(self, s) is not None]
+        if len(shapes) > 1:
+            raise ValueError(f"a workload takes one of {_WORKLOAD_SHAPES}, got {shapes}")
+
+
+@dataclass(frozen=True)
+class TransformerConfig:
+    kind: str = "identity"  # or "redactor" or "prompted_remote"
+    rules: tuple = ()  # [pattern, replacement] pairs, for a redactor
+    system_prompt: str = ""
+    endpoint: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("identity", "redactor", "prompted_remote"):
+            raise ValueError(f"unknown transformer kind {self.kind!r}")
+        if self.kind == "prompted_remote" and not self.endpoint:
+            raise ValueError("prompted_remote transformer needs an endpoint")
+
+    def build(self, default_prompt: str = "") -> Transformer:
+        if self.kind == "redactor":
+            return Redactor(rules=tuple((str(p), str(r)) for p, r in self.rules))
+        if self.kind == "prompted_remote":
+            return PromptedRemote(self.system_prompt or default_prompt, self.endpoint)
+        return IdentityTransform()
+
+
+@dataclass(frozen=True)
+class ScopedPolicyConfig:
+    direction: str
+    scope: Mapping = field(default_factory=dict)
+    transformer: TransformerConfig = TransformerConfig()
+
+    def __post_init__(self) -> None:
+        Direction(self.direction)  # raises ValueError for an unknown direction
+
+
+@dataclass(frozen=True)
+class PoliciesConfig:
+    read: TransformerConfig = TransformerConfig()
+    write_private: TransformerConfig = TransformerConfig()
+    write_shared: TransformerConfig = TransformerConfig("redactor", DEFAULT_SHARED_WRITE_RULES)
+    scoped: tuple[ScopedPolicyConfig, ...] = field(default=(), metadata={"section": ScopedPolicyConfig})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    seed: int
-    users: tuple[str, ...]
-    agents: tuple[AgentConfig, ...]
-    resources: tuple[ResourceConfig, ...]
-    timeline: Mapping
-    workload: Mapping
+    name: str = "scenario"
+    seed: int = 0
+    users: tuple[str, ...] = ()
+    agents: tuple[AgentConfig, ...] = field(default=(), metadata={"section": AgentConfig})
+    resources: tuple[ResourceConfig, ...] = field(default=(), metadata={"section": ResourceConfig})
+    timeline: TimelineConfig = TimelineConfig()
+    workload: WorkloadConfig = WorkloadConfig()
     memory_mode: str = "shared"
-    policies: Mapping = field(default_factory=dict)
-    retrieval: Mapping = field(default_factory=dict)
-    embedder: Mapping = field(default_factory=lambda: {"kind": "deterministic", "dimension": 32})
-    limits: Mapping = field(default_factory=dict)
-    coordinator: Mapping = field(default_factory=dict)
-    aggregator: Mapping = field(default_factory=dict)
-    judge: Mapping | None = None
+    policies: PoliciesConfig = PoliciesConfig()
+    retrieval: RetrievalConfig = RetrievalConfig()
+    embedder: EmbedderConfig = EmbedderConfig()
+    limits: EpisodeLimits = EpisodeLimits()
+    coordinator: RemoteConfig = RemoteConfig()
+    aggregator: RemoteConfig = RemoteConfig()
+    judge: TransformerConfig | None = field(default=None, metadata={"section": TransformerConfig})
     documents: str | None = None
     bin_size: int = 0
 
@@ -150,49 +283,16 @@ class ScenarioConfig:
                 raise ConfigError(f"agent {a.id} names unknown resource {a.resource}")
 
     def resolved(self, mode: str | None = None, seed: int | None = None) -> "ScenarioConfig":
-        changes: dict = {}
-        if mode is not None:
-            changes["memory_mode"] = mode
-        if seed is not None:
-            changes["seed"] = seed
+        changes = {k: v for k, v in (("memory_mode", mode), ("seed", seed)) if v is not None}
         return dataclasses.replace(self, **changes) if changes else self
 
     def to_dict(self) -> dict:
+        """Every effective value, defaults included; ``from_dict`` reads it back."""
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ScenarioConfig":
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for section, known in _SECTION_KEYS.items():
-            doc = data.get(section)
-            if isinstance(doc, Mapping) and not set(doc) <= known:
-                raise ConfigError(f"unknown {section} config keys: {sorted(set(doc) - known)}")
-        try:
-            agents = tuple(AgentConfig(**a) for a in data.get("agents", ()))
-            resources = tuple(ResourceConfig(**r) for r in data.get("resources", ()))
-            return cls(
-                name=str(data.get("name", "scenario")),
-                seed=int(data.get("seed", 0)),
-                users=tuple(data.get("users", ())),
-                agents=agents,
-                resources=resources,
-                timeline=dict(data.get("timeline", {})),
-                workload=dict(data.get("workload", {})),
-                memory_mode=str(data.get("memory_mode", "shared")),
-                policies=dict(data.get("policies", {})),
-                retrieval=dict(data.get("retrieval", {})),
-                embedder=dict(data.get("embedder", {"kind": "deterministic", "dimension": 32})),
-                limits=dict(data.get("limits", {})),
-                coordinator=dict(data.get("coordinator", {})),
-                aggregator=dict(data.get("aggregator", {})),
-                judge=dict(data["judge"]) if data.get("judge") else None,
-                documents=data.get("documents"),
-                bin_size=int(data.get("bin_size", 0)),
-            )
-        except TypeError as exc:
-            raise ConfigError(f"malformed scenario config: {exc}") from exc
+        return _section(cls, data, "config")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -202,24 +302,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         data = yaml.safe_load(text)
     else:
         data = json.loads(text)
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: top level must be a mapping")
     return ScenarioConfig.from_dict(data)
-
-
-def _build_transformer(doc: Mapping | None, default_prompt: str = "") -> Transformer:
-    if not doc or doc.get("kind", "identity") == "identity":
-        return IdentityTransform()
-    kind = doc["kind"]
-    if kind == "redactor":
-        rules = tuple((str(p), str(r)) for p, r in doc.get("rules", ()))
-        return Redactor(rules=rules)
-    if kind == "prompted_remote":
-        return PromptedRemote(
-            system_prompt=str(doc.get("system_prompt") or default_prompt),
-            endpoint=str(doc["endpoint"]),
-        )
-    raise ConfigError(f"unknown transformer kind {kind!r}")
 
 
 def _build_scope(doc: Mapping) -> Scope:
@@ -244,23 +327,12 @@ def build_policies(cfg: ScenarioConfig) -> PolicyTable:
     """
     doc = cfg.policies
     table = PolicyTable()
-    read_tf = _build_transformer(doc.get("read"))
-    private_tf = _build_transformer(doc.get("write_private"), DEFAULT_PRIVATE_WRITE_PROMPT)
-    if "write_shared" in doc:
-        shared_tf = _build_transformer(doc.get("write_shared"), DEFAULT_SHARED_WRITE_PROMPT)
-    else:
-        shared_tf = Redactor(rules=DEFAULT_SHARED_WRITE_RULES)
-    table.add(PolicyBinding(Scope.everywhere(), Direction.READ, read_tf))
-    table.add(PolicyBinding(Scope.everywhere(), Direction.WRITE_PRIVATE, private_tf))
-    table.add(PolicyBinding(Scope.everywhere(), Direction.WRITE_SHARED, shared_tf))
-    for entry in doc.get("scoped", ()):
-        table.add(
-            PolicyBinding(
-                scope=_build_scope(entry.get("scope", {})),
-                direction=Direction(entry["direction"]),
-                transformer=_build_transformer(entry.get("transformer")),
-            )
-        )
+    for direction in Direction:
+        tf = getattr(doc, direction.value).build(_STOCK_PROMPTS.get(direction, ""))
+        table.add(PolicyBinding(Scope.everywhere(), direction, tf))
+    for entry in doc.scoped:
+        tf = entry.transformer.build()
+        table.add(PolicyBinding(_build_scope(entry.scope), Direction(entry.direction), tf))
     return table
 
 
@@ -336,18 +408,18 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
     doc = cfg.workload
     categories = sorted(a.category for a in cfg.agents)
 
-    if "per_user" in doc:
+    if doc.per_user is not None:
         per_user = {
             u: [WorkloadItem(u, str(q)) for q in qs]
-            for u, qs in doc["per_user"].items()
+            for u, qs in doc.per_user.items()
         }
         unknown = set(per_user) - set(cfg.users)
         if unknown:
             raise ConfigError(f"per_user workload names unknown users: {sorted(unknown)}")
         return Workload(items=tuple(_interleave(per_user, cfg.users)))
 
-    if "decompose" in doc:
-        spec = doc["decompose"]
+    if doc.decompose is not None:
+        spec = doc.decompose
         roles: Mapping[str, str] = spec["roles"]
         director = spec.get("director")
         items: list[WorkloadItem] = []
@@ -361,8 +433,8 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
                     items.append(WorkloadItem(director, f"{role}: {query}", "decomposed"))
         return Workload(items=tuple(items))
 
-    if "synthetic" in doc:
-        spec = doc["synthetic"]
+    if doc.synthetic is not None:
+        spec = doc.synthetic
         if "per_user_per_category" in spec:
             k = int(spec["per_user_per_category"])
             per_user = {
@@ -378,17 +450,12 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
         pool = [
             f"{categories[i % len(categories)]}: question {i:03d}" for i in range(count)
         ]
-        return generate_workload(pool, cfg.users, float(doc.get("overlap", 0.0)), cfg.seed)
+        return generate_workload(pool, cfg.users, doc.overlap, cfg.seed)
 
-    if "queries" in doc:
-        return generate_workload(
-            [str(q) for q in doc["queries"]],
-            cfg.users,
-            float(doc.get("overlap", 0.0)),
-            cfg.seed,
-        )
+    if doc.queries is not None:
+        return generate_workload([str(q) for q in doc.queries], cfg.users, doc.overlap, cfg.seed)
 
-    raise ConfigError("workload needs one of: queries, per_user, synthetic, decompose")
+    raise ConfigError(f"workload needs one of: {', '.join(_WORKLOAD_SHAPES)}")
 
 
 # --- scenario plan ---------------------------------------------------------------
@@ -411,8 +478,7 @@ class ScenarioPlan:
 
 
 def _agent_resource_edges(cfg: ScenarioConfig) -> list[Edge]:
-    doc = cfg.timeline
-    spec = doc.get("agent_resources", "one_to_one")
+    spec = cfg.timeline.agent_resources
     if spec == "one_to_one":
         edges = [
             (agent(a.id), resource(a.resource))
@@ -425,8 +491,7 @@ def _agent_resource_edges(cfg: ScenarioConfig) -> list[Edge]:
 
 
 def _static_user_agent_edges(cfg: ScenarioConfig) -> list[Edge]:
-    doc = cfg.timeline
-    spec = doc.get("user_agents")
+    spec = cfg.timeline.user_agents
     if spec is None:
         return []
     if spec == "all":
@@ -434,59 +499,46 @@ def _static_user_agent_edges(cfg: ScenarioConfig) -> list[Edge]:
     return sorted((user(str(u)), agent(str(a))) for u, a in spec)
 
 
-def _phase_event(doc: Mapping) -> tuple[PermissionAction, Edge]:
-    try:
-        return PermissionAction(doc["action"]), edge_from_doc(doc["edge"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad phase event {doc!r}: {exc}") from exc
-
-
 def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
-    workload = build_workload(cfg)
-    setup: list[Edge] = _agent_resource_edges(cfg)
+    """Order a run's permission edits and episodes; a workload or timeline
+    document of the wrong shape raises ``ConfigError``."""
     doc = cfg.timeline
-
-    if "phases" in doc:
-        setup.extend(_static_user_agent_edges(cfg))
-        phases = tuple(
-            ScenarioPhase(
-                label=str(ph.get("label", f"t{i}")),
-                permission_edits=tuple(_phase_event(ev) for ev in ph.get("events", ())),
-                episodes=workload.items,
+    try:
+        workload = build_workload(cfg)
+        setup: list[Edge] = _agent_resource_edges(cfg)
+        if doc.schedule is not None:
+            sched_doc = {"seed": cfg.seed, **doc.schedule}
+            if "targets" in sched_doc:
+                schedule = schedule_from_targets(**sched_doc)
+            else:
+                schedule = GraphSchedule.from_dict(sched_doc)
+            edits = plan_schedule(
+                schedule,
+                [user(u) for u in cfg.users],
+                [agent(a.id) for a in cfg.agents],
             )
-            for i, ph in enumerate(doc["phases"])
-        )
-        return ScenarioPlan(setup_edges=tuple(setup), phases=phases, workload=workload)
-
-    if "schedule" in doc:
-        sched_doc = dict(doc["schedule"])
-        sched_doc.setdefault("seed", cfg.seed)
-        if "targets" in sched_doc:
-            schedule = schedule_from_targets(
-                [int(x) for x in sched_doc["targets"]],
-                seed=int(sched_doc["seed"]),
-                p=float(sched_doc.get("p", 0.2)),
+            phases = tuple(
+                ScenarioPhase(pe.label, tuple((pe.action, e) for e in pe.edges), workload.items)
+                for pe in edits
+            )
+        elif doc.phases is not None:
+            phases = tuple(
+                ScenarioPhase(
+                    label=str(ph.get("label", f"t{i}")),
+                    permission_edits=tuple(
+                        (PermissionAction(ev["action"]), edge_from_doc(ev["edge"]))
+                        for ev in ph.get("events", ())
+                    ),
+                    episodes=workload.items,
+                )
+                for i, ph in enumerate(doc.phases)
             )
         else:
-            schedule = GraphSchedule.from_dict(sched_doc)
-        edits = plan_schedule(
-            schedule,
-            [user(u) for u in cfg.users],
-            [agent(a.id) for a in cfg.agents],
-        )
-        phases = tuple(
-            ScenarioPhase(
-                label=pe.label,
-                permission_edits=tuple((pe.action, e) for e in pe.edges),
-                episodes=workload.items,
-            )
-            for pe in edits
-        )
-        return ScenarioPlan(setup_edges=tuple(setup), phases=phases, workload=workload)
-
-    setup.extend(_static_user_agent_edges(cfg))
-    phase = ScenarioPhase(label="all", permission_edits=(), episodes=workload.items)
-    return ScenarioPlan(setup_edges=tuple(setup), phases=(phase,), workload=workload)
+            phases = (ScenarioPhase(label="all", permission_edits=(), episodes=workload.items),)
+        setup.extend(_static_user_agent_edges(cfg))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed workload or timeline: {exc!r}") from exc
+    return ScenarioPlan(setup_edges=tuple(setup), phases=phases, workload=workload)
 
 
 # --- runtime construction --------------------------------------------------------
@@ -517,10 +569,11 @@ def build_runtime(
     for r in cfg.resources:
         directory.add_resource(r.id)
 
-    embedder = build_embedder(
-        str(cfg.embedder.get("kind", "deterministic")),
-        int(cfg.embedder.get("dimension", 32)),
-        cfg.embedder.get("endpoint"),
+    emb = cfg.embedder
+    embedder: Embedder = (
+        RemoteEmbedder(emb.endpoint, emb.dimension)
+        if emb.kind == "remote"
+        else DeterministicEmbedder(emb.dimension)
     )
     store = MemoryStore(embedder.dimension, directory=directory)
     if resume and audit_path is not None:
@@ -553,34 +606,16 @@ def build_runtime(
             backend=backend,
         )
 
-    if cfg.coordinator.get("endpoint"):
-        coordinator = RemoteCoordinator(
-            endpoint=str(cfg.coordinator["endpoint"]),
-            system_prompt=str(cfg.coordinator.get("system_prompt", "")),
-        )
+    if cfg.coordinator.endpoint:
+        coordinator = RemoteCoordinator(cfg.coordinator.endpoint, cfg.coordinator.system_prompt)
     else:
         coordinator = KeywordCoordinator({a.category: a.id for a in cfg.agents})
-    if cfg.aggregator.get("endpoint"):
-        aggregator = RemoteAggregator(
-            endpoint=str(cfg.aggregator["endpoint"]),
-            system_prompt=str(cfg.aggregator.get("system_prompt", "")),
-        )
+    if cfg.aggregator.endpoint:
+        aggregator = RemoteAggregator(cfg.aggregator.endpoint, cfg.aggregator.system_prompt)
     else:
         aggregator = JoiningAggregator()
-
-    judge = None
-    if cfg.judge is not None:
-        judge = _build_transformer(cfg.judge)
+    judge = cfg.judge.build() if cfg.judge is not None else None
     policies = build_policies(cfg)
-    retrieval = RetrievalConfig(
-        k_user=int(cfg.retrieval.get("k_user", 10)),
-        k_cross=int(cfg.retrieval.get("k_cross", 10)),
-        threshold=float(cfg.retrieval.get("threshold", 0.1)),
-    )
-    limits = EpisodeLimits(
-        max_rounds=int(cfg.limits.get("max_rounds", 6)),
-        coordinator_retries=int(cfg.limits.get("coordinator_retries", 2)),
-    )
 
     # opened last, so a failed load or a bad config leaves no file open, and
     # attached after replay, so replayed history is not logged again
@@ -603,12 +638,12 @@ def build_runtime(
         policies=policies,
         audit=audit,
         embedder=embedder,
-        retrieval=retrieval,
+        retrieval=cfg.retrieval,
         agents=agents,
         resources=resources,
         coordinator=coordinator,
         aggregator=aggregator,
-        limits=limits,
+        limits=cfg.limits,
         id_factory=id_factory,
         force_private=cfg.memory_mode == "isolated",
         judge=judge,
@@ -695,7 +730,7 @@ def run_scenario(
     rt.store.save(store_path)
 
     binning: str | int = "bin"
-    if "schedule" not in cfg.timeline and cfg.bin_size > 0:
+    if cfg.timeline.schedule is None and cfg.bin_size > 0:
         binning = cfg.bin_size
     metrics = compute_metrics(records, binning)
     metrics_csv_path = out / "metrics.csv"

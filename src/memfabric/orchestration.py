@@ -330,7 +330,7 @@ def remote_agent_respond(
 # --- runtime and the episode loop ----------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeLimits:
     max_rounds: int = 6
     coordinator_retries: int = 2

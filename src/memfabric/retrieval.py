@@ -87,7 +87,7 @@ class DeterministicEmbedder:
     ``EMBED_CACHE_SIZE`` distinct texts are kept and returned again.
     """
 
-    def __init__(self, dimension: int = 32) -> None:
+    def __init__(self, dimension: int) -> None:
         if dimension < 2:
             raise ValueError("dimension must be at least 2")
         self.dimension = dimension
@@ -128,16 +128,6 @@ class RemoteEmbedder:
         vec = vec / norm
         vec.setflags(write=False)
         return vec
-
-
-def build_embedder(kind: str, dimension: int, endpoint: str | None = None) -> Embedder:
-    if kind == "deterministic":
-        return DeterministicEmbedder(dimension)
-    if kind == "remote":
-        if not endpoint:
-            raise ValueError("remote embedder needs an endpoint")
-        return RemoteEmbedder(endpoint, dimension)
-    raise ValueError(f"unknown embedder kind {kind!r}")
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:

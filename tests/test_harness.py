@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 import yaml
@@ -431,3 +432,110 @@ def test_remote_write_policies_get_stock_prompts_by_default():
     shared = table.resolve(user("user_1"), agent("domain1_agent"), 0, Direction.WRITE_SHARED)
     assert private.system_prompt == DEFAULT_PRIVATE_WRITE_PROMPT
     assert shared.system_prompt == DEFAULT_SHARED_WRITE_PROMPT
+
+
+# --- one typed config: every section checked at load, every value echoed ---
+
+SHARED_REDACTOR = {"kind": "redactor", "rules": [["{user}", "[user]"]]}
+
+# each case was accepted, or failed only when the runtime was built
+LOAD_ERRORS = {
+    "workload-overlp": ("workload", {"synthetic": {"count": 5}, "overlp": 0.9}, "workload.*overlp"),
+    "coordinator-endpont": ("coordinator", {"endpont": "http://127.0.0.1:1/c"}, "coordinator.*endpont"),
+    "aggregator-endpont": ("aggregator", {"endpont": "http://127.0.0.1:1/a"}, "aggregator.*endpont"),
+    "judge-kidn": ("judge", {"kidn": "redactor"}, "judge.*kidn"),
+    "limits-zero-rounds": ("limits", {"max_rounds": 0}, "limits.*max_rounds"),
+    "limits-not-a-number": ("limits", {"max_rounds": "x"}, "limits"),
+    "retrieval-threshold": ("retrieval", {"threshold": 2}, "retrieval.*threshold"),
+    "embedder-remot": ("embedder", {"kind": "remot"}, "embedder.*remot"),
+    "embedder-no-endpoint": ("embedder", {"kind": "remote"}, "embedder.*endpoint"),
+    "policies-write_shard": ("policies", {"write_shard": SHARED_REDACTOR}, "policies.*write_shard"),
+    "policies-rulez": (
+        "policies",
+        {"write_shared": {"kind": "redactor", "rulez": SHARED_REDACTOR["rules"]}},
+        "write_shared.*rulez",
+    ),
+    "policies-scop": (
+        "policies",
+        {"scoped": [{"direction": "read", "scop": {"level": "user", "user": "user_1"}}]},
+        r"scoped\[0\].*scop",
+    ),
+    "workload-two-shapes": (
+        "workload",
+        {"synthetic": {"count": 5}, "per_user": {"user_1": ["q"]}},
+        "workload.*per_user.*synthetic",
+    ),
+    "timeline-phases-and-schedule": (
+        "timeline",
+        {"schedule": {"targets": [1]}, "phases": [{"label": "p0", "events": []}]},
+        "timeline.*schedule takes no phases",
+    ),
+    "timeline-schedule-and-user_agents": (
+        "timeline",
+        {"schedule": {"targets": [1]}, "user_agents": "all"},
+        "timeline.*schedule takes no phases or user_agents",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+def test_a_misspelt_or_invalid_section_fails_at_load(case):
+    section, value, match = LOAD_ERRORS[case]
+    doc = overlap_config()
+    doc[section] = value
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("workload", {"synthetic": {"cont": 5}}),
+        ("timeline", {"agent_resources": "one_to_one", "schedule": {"targets": [3], "q": 0.3}}),
+    ],
+    ids=["synthetic-cont", "schedule-q"],
+)
+def test_a_malformed_workload_or_schedule_fails_at_plan(section, value):
+    doc = overlap_config()
+    doc[section] = value
+    with pytest.raises(ConfigError):
+        plan_scenario(ScenarioConfig.from_dict(doc))
+
+
+def test_empty_workload_and_timeline_still_load():
+    doc = overlap_config()
+    doc["workload"] = doc["timeline"] = {}
+    ScenarioConfig.from_dict(doc)
+
+
+def test_echo_records_every_effective_value(tmp_path):
+    artifacts = run_scenario(ScenarioConfig.from_dict(revocation_phase_config()), tmp_path)
+    echo = json.loads(artifacts.config_echo_path.read_text())
+    assert echo["retrieval"] == {"k_user": 10, "k_cross": 10, "threshold": 0.1}
+    assert echo["limits"] == {"max_rounds": 6, "coordinator_retries": 2}
+    assert echo["coordinator"] == echo["aggregator"] == {"endpoint": None, "system_prompt": ""}
+    assert echo["policies"]["write_shared"]["rules"] == SHARED_REDACTOR["rules"]
+
+
+@pytest.mark.parametrize(
+    "config", [overlap_config, dynamic_config, asymmetric_config, revocation_phase_config]
+)
+def test_rerun_from_the_echoed_config_is_byte_identical(tmp_path, config):
+    first = run_scenario(ScenarioConfig.from_dict(config()), tmp_path / "first")
+    run_scenario(load_config(first.config_echo_path), tmp_path / "again")
+    for name in (
+        "audit.jsonl",
+        "store.jsonl",
+        "timeline.jsonl",
+        "transcript.jsonl",
+        "metrics.csv",
+        "config.echo.json",
+    ):
+        first_bytes = (tmp_path / "first" / name).read_bytes()
+        assert first_bytes == (tmp_path / "again" / name).read_bytes(), name
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Scenario configs", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert ScenarioConfig.from_dict(yaml.safe_load(example)).name == "dynamic"

@@ -112,3 +112,11 @@ def test_probability_out_of_range_rejected():
 def test_schedule_dict_round_trip():
     schedule = schedule_from_targets(LADDER, seed=9, p=0.2)
     assert GraphSchedule.from_dict(schedule.to_dict()) == schedule
+
+
+def test_gen_schedule_p_defaults_to_the_schedule_default():
+    from memfabric.cli import build_parser
+    from memfabric.schedule import DEFAULT_ACCEPT_PROBABILITY
+
+    argv = ["gen-schedule", "--users", "3", "--agents", "2", "--seed", "1", "--phases", "2,4"]
+    assert build_parser().parse_args(argv).p == DEFAULT_ACCEPT_PROBABILITY
