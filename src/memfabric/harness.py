@@ -76,7 +76,7 @@ from .policy import (
 )
 from .principals import PrincipalDirectory, PrincipalId, agent, resource, user
 from .retrieval import DeterministicEmbedder, Embedder, RemoteEmbedder, RetrievalConfig
-from .schedule import GraphSchedule, plan_schedule, schedule_from_targets
+from .schedule import DEFAULT_ACCEPT_PROBABILITY, GraphSchedule, plan_schedule, schedule_from_targets
 from .store import MemoryStore, seeded_id_factory
 
 DEFAULT_SHARED_WRITE_RULES = (("{user}", "[user]"),)
@@ -94,9 +94,11 @@ def _section(cls: type, doc: object, name: str):
     key or a value the dataclass rejects raises ``ConfigError`` naming ``name``.
 
     A field whose default is a config dataclass, or whose metadata names one
-    as its ``section``, is built the same way: a list of them when the
-    default is a tuple, absent when the default is None and the value empty.
-    Other tuple fields become tuples, numbers the type of their default.
+    as its ``section``, is built the same way, a list of them when the
+    default is a tuple. A null one is absent where the default is None; an
+    empty judge is absent too, and any other null or empty transformer is
+    the identity. Other tuple fields become tuples, numbers the type of
+    their default.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{name} must be a mapping, got {doc!r}")
@@ -118,10 +120,12 @@ def _section(cls: type, doc: object, name: str):
                     value = type(default)(value)
             elif isinstance(default, tuple):
                 value = tuple(_section(nested, v, f"{name}.{key}[{i}]") for i, v in enumerate(value))
-            elif value or default is not None:
-                value = _section(nested, value, f"{name}.{key}")
-            else:
+            elif value is None and default is None:
                 value = None
+            elif nested is TransformerConfig and not value:
+                value = None if default is None else TransformerConfig()
+            else:
+                value = _section(nested, value, f"{name}.{key}")
             values[key] = value
         return cls(**values)
     except (TypeError, ValueError) as exc:
@@ -169,6 +173,21 @@ class RemoteConfig:
 
 
 @dataclass(frozen=True)
+class ScheduleConfig:
+    """Edge-count ``targets``, each phase's action inferred, or explicit
+    ``phases`` of ``{label, action, target}``; ``seed`` defaults to the scenario's."""
+
+    targets: Sequence | None = None
+    phases: Sequence | None = None
+    seed: int | None = None
+    p: float = DEFAULT_ACCEPT_PROBABILITY
+
+    def __post_init__(self) -> None:
+        if (self.targets is None) == (self.phases is None):
+            raise ValueError("a schedule takes one of targets or phases")
+
+
+@dataclass(frozen=True)
 class TimelineConfig:
     """Static user->agent edges, with or without phases of explicit grants
     and revokes, or a grant/revoke schedule that draws those edges itself."""
@@ -176,7 +195,7 @@ class TimelineConfig:
     agent_resources: str | Sequence = "one_to_one"
     user_agents: str | Sequence | None = None
     phases: Sequence | None = None
-    schedule: Mapping | None = None
+    schedule: ScheduleConfig | None = field(default=None, metadata={"section": ScheduleConfig})
 
     def __post_init__(self) -> None:
         if self.schedule is not None and not (self.phases is None and self.user_agents is None):
@@ -283,7 +302,11 @@ class ScenarioConfig:
                 raise ConfigError(f"agent {a.id} names unknown resource {a.resource}")
 
     def resolved(self, mode: str | None = None, seed: int | None = None) -> "ScenarioConfig":
-        changes = {k: v for k, v in (("memory_mode", mode), ("seed", seed)) if v is not None}
+        changes: dict = {}
+        if mode is not None:
+            changes["memory_mode"] = mode
+        if seed is not None:
+            changes["seed"] = seed
         return dataclasses.replace(self, **changes) if changes else self
 
     def to_dict(self) -> dict:
@@ -507,18 +530,23 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
         workload = build_workload(cfg)
         setup: list[Edge] = _agent_resource_edges(cfg)
         if doc.schedule is not None:
-            sched_doc = {"seed": cfg.seed, **doc.schedule}
-            if "targets" in sched_doc:
-                schedule = schedule_from_targets(**sched_doc)
+            sched = doc.schedule
+            seed = cfg.seed if sched.seed is None else int(sched.seed)
+            if sched.targets is not None:
+                schedule = schedule_from_targets([int(x) for x in sched.targets], seed, sched.p)
             else:
-                schedule = GraphSchedule.from_dict(sched_doc)
+                schedule = GraphSchedule.from_dict({"phases": sched.phases, "seed": seed, "p": sched.p})
             edits = plan_schedule(
                 schedule,
                 [user(u) for u in cfg.users],
                 [agent(a.id) for a in cfg.agents],
             )
             phases = tuple(
-                ScenarioPhase(pe.label, tuple((pe.action, e) for e in pe.edges), workload.items)
+                ScenarioPhase(
+                    label=pe.label,
+                    permission_edits=tuple((pe.action, e) for e in pe.edges),
+                    episodes=workload.items,
+                )
                 for pe in edits
             )
         elif doc.phases is not None:

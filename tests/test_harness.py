@@ -16,6 +16,7 @@ from memfabric import (
     RemoteUnavailable,
     ScenarioConfig,
     Tier,
+    agent,
     build_runtime,
     compare_modes,
     generate_workload,
@@ -23,9 +24,11 @@ from memfabric import (
     load_config,
     plan_scenario,
     run_scenario,
+    user,
     verify_files,
 )
-from memfabric.harness import build_workload
+from memfabric.harness import build_policies, build_workload
+from memfabric.policy import Direction, IdentityTransform
 from memfabric.store import MemoryStore
 from scenarios import asymmetric_config, dynamic_config, overlap_config, revocation_phase_config
 
@@ -475,6 +478,18 @@ LOAD_ERRORS = {
         {"schedule": {"targets": [1]}, "user_agents": "all"},
         "timeline.*schedule takes no phases or user_agents",
     ),
+    "schedule-q": ("timeline", {"schedule": {"targets": [3], "q": 0.3}}, r"timeline\.schedule.*q"),
+    "schedule-phases-q": (
+        "timeline",
+        {"schedule": {"phases": [{"label": "g", "action": "grant", "target": 3}], "q": 0.3}},
+        r"timeline\.schedule.*q",
+    ),
+    "schedule-labels": (
+        "timeline",
+        {"schedule": {"targets": [3], "labels": ["g"]}},
+        r"timeline\.schedule.*labels",
+    ),
+    "schedule-empty": ("timeline", {"schedule": {}}, "schedule takes one of targets or phases"),
 }
 
 
@@ -491,15 +506,48 @@ def test_a_misspelt_or_invalid_section_fails_at_load(case):
     "section, value",
     [
         ("workload", {"synthetic": {"cont": 5}}),
-        ("timeline", {"agent_resources": "one_to_one", "schedule": {"targets": [3], "q": 0.3}}),
+        ("timeline", {"schedule": {"phases": [{"label": "g", "action": "grnt", "target": 3}]}}),
     ],
-    ids=["synthetic-cont", "schedule-q"],
+    ids=["synthetic-cont", "schedule-phase-action"],
 )
 def test_a_malformed_workload_or_schedule_fails_at_plan(section, value):
     doc = overlap_config()
     doc[section] = value
     with pytest.raises(ConfigError):
         plan_scenario(ScenarioConfig.from_dict(doc))
+
+
+def test_schedule_numbers_given_as_strings_still_load():
+    as_numbers = ScenarioConfig.from_dict(dynamic_config(targets=[2, 4, 2], p=0.3))
+    doc = dynamic_config()
+    doc["timeline"]["schedule"] = {"targets": ["2", "4", "2"], "p": "0.3", "seed": str(doc["seed"])}
+    assert plan_scenario(ScenarioConfig.from_dict(doc)) == plan_scenario(as_numbers)
+
+
+USER_1_SCOPE = {"level": "user", "user": "user_1"}
+
+
+@pytest.mark.parametrize(
+    "policies, direction",
+    [
+        ({"read": None}, Direction.READ),
+        ({"write_private": None}, Direction.WRITE_PRIVATE),
+        ({"write_shared": None}, Direction.WRITE_SHARED),
+        (
+            {"scoped": [{"direction": "write_shared", "scope": USER_1_SCOPE, "transformer": None}]},
+            Direction.WRITE_SHARED,
+        ),
+    ],
+    ids=["read", "write_private", "write_shared", "scoped"],
+)
+def test_a_null_transformer_is_the_identity(policies, direction):
+    doc = overlap_config()
+    doc["policies"] = policies
+    doc["judge"] = None
+    cfg = ScenarioConfig.from_dict(doc)
+    assert cfg.judge is None
+    transformer = build_policies(cfg).resolve(user("user_1"), agent("domain1_agent"), 0, direction)
+    assert isinstance(transformer, IdentityTransform)
 
 
 def test_empty_workload_and_timeline_still_load():
@@ -515,6 +563,8 @@ def test_echo_records_every_effective_value(tmp_path):
     assert echo["limits"] == {"max_rounds": 6, "coordinator_retries": 2}
     assert echo["coordinator"] == echo["aggregator"] == {"endpoint": None, "system_prompt": ""}
     assert echo["policies"]["write_shared"]["rules"] == SHARED_REDACTOR["rules"]
+    dynamic = run_scenario(ScenarioConfig.from_dict(dynamic_config()), tmp_path / "dynamic")
+    assert json.loads(dynamic.config_echo_path.read_text())["timeline"]["schedule"]["p"] == 0.2
 
 
 @pytest.mark.parametrize(
