@@ -3,8 +3,9 @@ access matrices, and offline re-verification.
 
 The user->agent graph grows 5 -> 25 edges and shrinks back to 5 while the
 same 100 queries replay each phase. Utilization follows the graph; usage
-stays strictly inside granted cells; and the run's three artifacts are
-enough to re-verify every access decision after the fact.
+stays strictly inside granted cells; and the run's audit log alone is
+enough to re-verify every access decision after the fact. The demo exits 1
+if re-verification reports any violation.
 """
 
 import json
@@ -55,8 +56,13 @@ with tempfile.TemporaryDirectory() as out:
     print(f"\ngranted cells at {sparse['phase']}: {len(sparse['granted_user_agent'])}"
           f", at {full['phase']}: {len(full['granted_user_agent'])}")
 
-    violations = verify_files(
+    with_exports = verify_files(
         artifacts.audit_path, artifacts.timeline_path, artifacts.store_path
     )
+    log_alone = verify_files(artifacts.audit_path)
     print(f"offline re-verification of {artifacts.audit_path.name}: "
-          f"{len(violations)} violations")
+          f"{len(with_exports)} violations with the timeline and store exports, "
+          f"{len(log_alone)} from the log alone")
+
+# a violation fails the demo, so a run of the demos checks verification too
+raise SystemExit(1 if with_exports or log_alone else 0)

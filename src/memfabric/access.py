@@ -4,10 +4,10 @@ Two edge populations evolve over logical time: user->agent ("who may invoke
 whom") and agent->resource ("who may touch what"). The timeline is an
 append-only log of grant/revoke events; snapshot queries answer "which
 agents can this user invoke at tick t" (and the resource analogue) by
-replaying the log up to t. Edge queries bisect per-edge sorted event
-indexes. Each source keeps its granted set as of each of its events, so
-``agents_of`` / ``resources_of`` are one bisect that returns that stored
-frozenset. Equal stored sets are one object, with its hash cached, so
+replaying the log up to t. Each source keeps its granted set as of each
+of its events, so ``agents_of`` / ``resources_of`` are one bisect that
+returns that stored frozenset, and an edge query is that bisect and a
+membership test. Equal stored sets are one object, with its hash cached, so
 callers can key caches by it at the cost of an identity check.
 
 Mutations must arrive in strictly increasing tick order. Granting a present
@@ -40,7 +40,6 @@ class PermissionAction(str, Enum):
 
 
 Edge = tuple[PrincipalId, PrincipalId]
-History = tuple[list[int], list[PermissionAction]]  # parallel ticks and actions of one edge
 
 
 def classify_edge(edge: Edge) -> EdgeKind:
@@ -113,22 +112,14 @@ class AccessTimeline:
     """Append-only permission history with snapshot queries.
 
     When an :class:`AuditLog` is attached, every grant/revoke also lands
-    there (actor ``admin_actor``); resume and the offline verifier rebuild
-    the timeline from those records with :meth:`replay`.
+    there (actor ``admin``); resume and the offline verifier rebuild the
+    timeline from those records with :meth:`replay`.
     """
 
-    def __init__(
-        self,
-        directory: PrincipalDirectory,
-        audit: AuditLog | None = None,
-        admin_actor: str = "admin",
-    ) -> None:
+    def __init__(self, directory: PrincipalDirectory, audit: AuditLog | None = None) -> None:
         self.directory = directory
         self._audit = audit
-        self._admin_actor = admin_actor
         self._events: list[PermissionEvent] = []
-        # per-edge histories, bisectable by tick
-        self._per_edge: dict[Edge, History] = {}
         # per source, its granted targets after each of its events; equal sets are one object
         self._targets: dict[PrincipalId, tuple[list[int], list[frozenset[PrincipalId]]]] = {}
         self._sets: dict[frozenset[PrincipalId], frozenset[PrincipalId]] = {}
@@ -176,9 +167,6 @@ class AccessTimeline:
 
     def _append(self, event: PermissionEvent) -> PermissionEvent:
         self._events.append(event)
-        ticks, actions = self._per_edge.setdefault(event.edge, ([], []))
-        actions.append(event.action)
-        ticks.append(event.tick)
         at, sets = self._targets.setdefault(event.edge[0], ([], []))
         held, dst = sets[-1] if sets else frozenset(), {event.edge[1]}
         granted = held | dst if event.action is PermissionAction.GRANT else held - dst
@@ -187,7 +175,7 @@ class AccessTimeline:
         if self._audit is not None:
             self._audit.append(
                 at=event.tick,
-                actor=self._admin_actor,
+                actor="admin",
                 action=AuditAction(event.action.value),
                 subjects=(str(event.edge[0]), str(event.edge[1])),
                 detail={"edge": event.to_dict()["edge"]},
@@ -206,9 +194,7 @@ class AccessTimeline:
         return tuple(self._events)
 
     def _present(self, edge: Edge, t: int) -> bool:
-        ticks, actions = self._per_edge.get(edge, ((), ()))
-        idx = bisect_right(ticks, t)
-        return idx > 0 and actions[idx - 1] is PermissionAction.GRANT
+        return edge[1] in self._granted(edge[0], t)
 
     def _granted(self, source: PrincipalId, t: int) -> frozenset[PrincipalId]:
         ticks, sets = self._targets.get(source, ((), ()))
@@ -230,11 +216,8 @@ class AccessTimeline:
         return self._granted(a, t)
 
     def edges_at(self, t: int, kind: EdgeKind | None = None) -> frozenset[Edge]:
-        return frozenset(
-            e
-            for e in self._per_edge
-            if (kind is None or classify_edge(e) is kind) and self._present(e, t)
-        )
+        edges = ((source, dst) for source in self._targets for dst in self._granted(source, t))
+        return frozenset(e for e in edges if kind is None or classify_edge(e) is kind)
 
     def edge_count(self, t: int, kind: EdgeKind | None = None) -> int:
         return len(self.edges_at(t, kind))

@@ -3,12 +3,14 @@
 - ``memfabric run --config FILE [--mode shared|isolated] [--seed N] --out DIR``
 - ``memfabric compare --config FILE --out DIR``
 - ``memfabric gen-schedule --users N --agents N [--p P] --seed N --phases 5,10,...``
-- ``memfabric verify --audit LOG [--timeline EVENTS] --store SNAPSHOT``
-- ``memfabric serve --config FILE [--host H] [--port P]``
+- ``memfabric verify --audit LOG [--timeline EVENTS] [--store SNAPSHOT]``
+- ``memfabric serve --config FILE [--host H] [--port P] [--audit LOG]``
 
 ``verify`` exits nonzero when the audit log contains any decision that its
-own permission history and the store snapshot cannot justify. Given
-``--timeline``, the exported event log must also equal that history.
+own permission history and fragment writes cannot justify. Given
+``--timeline`` or ``--store``, the exported event log or store snapshot must
+also equal what the log records. ``serve --audit`` continues the log it
+names, so a restarted server keeps its permissions, memory and sequence.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    runtime = build_runtime(cfg, audit_path=args.audit)
+    runtime = build_runtime(cfg, audit_path=args.audit, resume=True)
     print(f"serving {cfg.name} on {args.host}:{args.port}")
     serve_forever(MemoryService(runtime, admin_identity=args.admin), args.host, args.port)
     return 0
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="re-verify a run offline")
     p_ver.add_argument("--audit", required=True)
     p_ver.add_argument("--timeline", default=None, help="exported event log to check too")
-    p_ver.add_argument("--store", required=True)
+    p_ver.add_argument("--store", default=None, help="exported store snapshot to check too")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_srv = sub.add_parser("serve", help="expose a runtime over HTTP")
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=8080)
     p_srv.add_argument("--admin", default="admin")
-    p_srv.add_argument("--audit", default=None, help="audit log file path")
+    p_srv.add_argument("--audit", default=None, help="audit log to continue, or start")
     p_srv.set_defaults(func=_cmd_serve)
 
     return parser

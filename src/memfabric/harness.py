@@ -94,11 +94,11 @@ def _section(cls: type, doc: object, name: str):
     key or a value the dataclass rejects raises ``ConfigError`` naming ``name``.
 
     A field whose default is a config dataclass, or whose metadata names one
-    as its ``section``, is built the same way, a list of them when the
-    default is a tuple. A null one is absent where the default is None; an
-    empty judge is absent too, and any other null or empty transformer is
-    the identity. Other tuple fields become tuples, numbers the type of
-    their default.
+    as its ``section`` (or its ``sections``, for a list of them), is built the
+    same way. A null field is absent where the default is None; an empty
+    judge is absent too, and any other null or empty transformer is the
+    identity. Other tuple fields become tuples, numbers the type of their
+    default.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{name} must be a mapping, got {doc!r}")
@@ -109,19 +109,19 @@ def _section(cls: type, doc: object, name: str):
     values = {}
     try:
         for key, value in doc.items():
-            default = fields[key].default
-            nested = fields[key].metadata.get("section")
+            default, meta = fields[key].default, fields[key].metadata
+            nested = meta.get("section", meta.get("sections"))
             if dataclasses.is_dataclass(default):
                 nested = type(default)
-            if nested is None:
+            if value is None and default is None:
+                pass
+            elif nested is None:
                 if isinstance(default, tuple):
                     value = tuple(value)
                 elif type(default) in (int, float):
                     value = type(default)(value)
-            elif isinstance(default, tuple):
+            elif "sections" in meta:
                 value = tuple(_section(nested, v, f"{name}.{key}[{i}]") for i, v in enumerate(value))
-            elif value is None and default is None:
-                value = None
             elif nested is TransformerConfig and not value:
                 value = None if default is None else TransformerConfig()
             else:
@@ -162,6 +162,8 @@ class EmbedderConfig:
             raise ValueError(f"unknown embedder kind {self.kind!r}")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote embedder needs an endpoint")
+        if self.dimension < 2:
+            raise ValueError(f"embedder dimension must be at least 2, got {self.dimension}")
 
 
 @dataclass(frozen=True)
@@ -188,13 +190,22 @@ class ScheduleConfig:
 
 
 @dataclass(frozen=True)
+class PhaseConfig:
+    """Permission ``events`` (each ``{action, edge}``) applied before a phase's
+    episodes; the ``i``-th phase is labelled ``t<i>`` unless given a ``label``."""
+
+    label: str | None = None
+    events: tuple = ()
+
+
+@dataclass(frozen=True)
 class TimelineConfig:
     """Static user->agent edges, with or without phases of explicit grants
     and revokes, or a grant/revoke schedule that draws those edges itself."""
 
     agent_resources: str | Sequence = "one_to_one"
     user_agents: str | Sequence | None = None
-    phases: Sequence | None = None
+    phases: tuple[PhaseConfig, ...] | None = field(default=None, metadata={"sections": PhaseConfig})
     schedule: ScheduleConfig | None = field(default=None, metadata={"section": ScheduleConfig})
 
     def __post_init__(self) -> None:
@@ -243,9 +254,35 @@ class TransformerConfig:
 
 
 @dataclass(frozen=True)
+class ScopeConfig:
+    """Where a scoped binding applies: ``global``, a ``user``, an ``agent``, or
+    a ``window`` of ticks from ``start`` to ``end``."""
+
+    level: str = "global"
+    user: str | None = None
+    agent: str | None = None
+    start: int | None = None
+    end: int | None = None
+
+    def __post_init__(self) -> None:
+        self.build()  # an unknown level or a missing name or bound raises at load
+
+    def build(self) -> Scope:
+        if self.level == "user":
+            return Scope.for_user(user(self.user))
+        if self.level == "agent":
+            return Scope.for_agent(agent(self.agent))
+        if self.level == "window":
+            return Scope.during(int(self.start), int(self.end))
+        if self.level == "global":
+            return Scope.everywhere()
+        raise ValueError(f"unknown scope level {self.level!r}")
+
+
+@dataclass(frozen=True)
 class ScopedPolicyConfig:
     direction: str
-    scope: Mapping = field(default_factory=dict)
+    scope: ScopeConfig = ScopeConfig()
     transformer: TransformerConfig = TransformerConfig()
 
     def __post_init__(self) -> None:
@@ -257,7 +294,7 @@ class PoliciesConfig:
     read: TransformerConfig = TransformerConfig()
     write_private: TransformerConfig = TransformerConfig()
     write_shared: TransformerConfig = TransformerConfig("redactor", DEFAULT_SHARED_WRITE_RULES)
-    scoped: tuple[ScopedPolicyConfig, ...] = field(default=(), metadata={"section": ScopedPolicyConfig})
+    scoped: tuple[ScopedPolicyConfig, ...] = field(default=(), metadata={"sections": ScopedPolicyConfig})
 
 
 @dataclass(frozen=True)
@@ -265,8 +302,8 @@ class ScenarioConfig:
     name: str = "scenario"
     seed: int = 0
     users: tuple[str, ...] = ()
-    agents: tuple[AgentConfig, ...] = field(default=(), metadata={"section": AgentConfig})
-    resources: tuple[ResourceConfig, ...] = field(default=(), metadata={"section": ResourceConfig})
+    agents: tuple[AgentConfig, ...] = field(default=(), metadata={"sections": AgentConfig})
+    resources: tuple[ResourceConfig, ...] = field(default=(), metadata={"sections": ResourceConfig})
     timeline: TimelineConfig = TimelineConfig()
     workload: WorkloadConfig = WorkloadConfig()
     memory_mode: str = "shared"
@@ -328,19 +365,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def _build_scope(doc: Mapping) -> Scope:
-    level = str(doc.get("level", "global"))
-    if level == "global":
-        return Scope.everywhere()
-    if level == "user":
-        return Scope.for_user(user(str(doc["user"])))
-    if level == "agent":
-        return Scope.for_agent(agent(str(doc["agent"])))
-    if level == "window":
-        return Scope.during(int(doc["start"]), int(doc["end"]))
-    raise ConfigError(f"unknown scope level {level!r}")
-
-
 def build_policies(cfg: ScenarioConfig) -> PolicyTable:
     """Default instantiation: verbatim reads, name-stripping shared writes.
 
@@ -355,7 +379,7 @@ def build_policies(cfg: ScenarioConfig) -> PolicyTable:
         table.add(PolicyBinding(Scope.everywhere(), direction, tf))
     for entry in doc.scoped:
         tf = entry.transformer.build()
-        table.add(PolicyBinding(_build_scope(entry.scope), Direction(entry.direction), tf))
+        table.add(PolicyBinding(entry.scope.build(), Direction(entry.direction), tf))
     return table
 
 
@@ -552,10 +576,10 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
         elif doc.phases is not None:
             phases = tuple(
                 ScenarioPhase(
-                    label=str(ph.get("label", f"t{i}")),
+                    label=f"t{i}" if ph.label is None else str(ph.label),
                     permission_edits=tuple(
                         (PermissionAction(ev["action"]), edge_from_doc(ev["edge"]))
-                        for ev in ph.get("events", ())
+                        for ev in ph.events
                     ),
                     episodes=workload.items,
                 )
@@ -578,14 +602,13 @@ def build_runtime(
     """Wire a runtime from a config, fresh or continuing a previous run.
 
     Fresh, the audit log at ``audit_path`` is truncated and the runtime holds
-    nothing. With ``resume``, the log is reopened in append mode and the
-    ``store.jsonl`` beside it is reloaded when present. Both ways the runtime
-    continues from the log: the timeline is replayed from its grant and
-    revoke records (a ``timeline.jsonl`` is an export and never read), and
-    the audit ``seq``, the clock (the last tick logged), episode ids (the
-    ``episode_start`` records) and the seeded fragment ids (past every id a
-    ``fragment_write`` record names) all follow it, starting at zero when it
-    is empty. A log that does not replay raises and leaves no file open.
+    nothing. With ``resume``, the log is reopened in append mode. Both ways the
+    runtime continues from the log alone: the timeline and store are replayed
+    from its records, each key embedded again, and the audit ``seq``, the clock
+    (the last tick logged), episode ids and the seeded fragment ids follow it,
+    starting at zero when it is empty (``timeline.jsonl`` and ``store.jsonl``
+    are exports). A log that does not replay, or an embedder that fails in
+    the replay, raises and leaves no file open.
     Permission edges are *not* applied here; the run (or an API driver)
     issues them so that both paths produce identical event and audit logs.
     """
@@ -603,11 +626,6 @@ def build_runtime(
         if emb.kind == "remote"
         else DeterministicEmbedder(emb.dimension)
     )
-    store = MemoryStore(embedder.dimension, directory=directory)
-    if resume and audit_path is not None:
-        saved = Path(audit_path).parent / "store.jsonl"
-        if saved.exists():
-            store = MemoryStore.load(saved, dimension=embedder.dimension, directory=directory)
 
     shared_docs = list(wire.load(cfg.documents)) if cfg.documents else []
     resources: dict[PrincipalId, Resource] = {}
@@ -645,18 +663,19 @@ def build_runtime(
     judge = cfg.judge.build() if cfg.judge is not None else None
     policies = build_policies(cfg)
 
-    # opened last, so a failed load or a bad config leaves no file open, and
-    # attached after replay, so replayed history is not logged again
+    # opened last, so a bad config leaves no file open, and attached after
+    # replay, so replayed history is not logged again
     audit = AuditLog(audit_path, resume=resume)
     try:
         timeline = AccessTimeline.replay(logged_events(audit), directory)
+        store = MemoryStore.replay(audit, embedder.embed, embedder.dimension, directory)
     except BaseException:
         audit.close()
         raise
     timeline.attach_audit(audit)
     store.attach_audit(audit)
     id_factory = seeded_id_factory(cfg.seed)
-    for _ in range(sum(len(r.subjects) for r in audit if r.action is AuditAction.FRAGMENT_WRITE)):
+    for _ in range(len(store)):
         id_factory()  # every fragment the log records drew exactly one id
     return Runtime(
         directory=directory,

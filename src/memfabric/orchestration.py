@@ -394,7 +394,7 @@ def audited_retrieve(
     """Retrieve, record the read decision, and apply the read policy.
 
     Exactly one fragment_read record is appended per call, carrying the
-    surfaced ids (possibly none) split by tier - so both positive and
+    query and the surfaced ids (possibly none) split by tier - so both positive and
     negative read decisions are visible in the audit trail.
     """
     query_vec = rt.embedder.embed(query_text)
@@ -402,6 +402,7 @@ def audited_retrieve(
     detail: dict[str, object] = {
         "user": u.name,
         "agent": a.name,
+        "query": query_text,
         "user_tier": [h.fragment_id for h in user_tier],
         "cross_tier": [h.fragment_id for h in cross_tier],
     }

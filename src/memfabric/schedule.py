@@ -68,25 +68,19 @@ class GraphSchedule:
 
 
 def schedule_from_targets(
-    targets: Sequence[int],
-    seed: int,
-    p: float = DEFAULT_ACCEPT_PROBABILITY,
-    labels: Sequence[str] | None = None,
+    targets: Sequence[int], seed: int, p: float = DEFAULT_ACCEPT_PROBABILITY
 ) -> GraphSchedule:
-    """Build a schedule from bare edge-count targets.
+    """Build a schedule from bare edge-count targets, phase ``i`` labelled ``t<i>``.
 
     The action of each phase is inferred from the direction of change
     relative to the previous target (starting from an empty graph), so
     ``5,10,15,20,25,20,15,10,5`` yields five grant phases then four revokes.
     """
-    if labels is not None and len(labels) != len(targets):
-        raise ValueError("labels and targets differ in length")
     phases = []
     count = 0
     for i, target in enumerate(targets):
-        label = labels[i] if labels is not None else f"t{i}"
         action = PermissionAction.GRANT if target > count else PermissionAction.REVOKE
-        phases.append(SchedulePhase(label=label, action=action, target=target))
+        phases.append(SchedulePhase(label=f"t{i}", action=action, target=target))
         count = target
     return GraphSchedule(phases=tuple(phases), seed=seed, p=p)
 

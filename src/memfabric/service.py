@@ -9,7 +9,8 @@ reply carries the server's current logical tick):
 - ``POST /memory/read``   body ``{"user", "agent", "query"}``
 - ``POST /memory/write``  body ``{"agent", "subquery", "response", "resources"}``
 - ``POST /episodes``      body ``{"user", "query", "bin"?}``
-- ``GET  /audit?since_seq=N``  (line-delimited JSON stream) admin only
+- ``GET  /audit?since_seq=N``  (line-delimited JSON stream, fragment content
+  and read queries included) admin only
 
 Callers authenticate with the ``X-Identity`` header; authorization is the
 substrate's job. Provenance is always derived server-side - write bodies
@@ -20,9 +21,10 @@ defeat retrospective checks. Requests run one at a time. A grant, revoke
 or write takes its tick only once it is stored, so every tick is held by a
 record, the rule a resumed runtime rebuilds its clock by; an episode takes
 its tick first, as its ``episode_start`` record holds it. The runtime's
-timeline and store live in memory only: a restarted ``memfabric serve``
-builds a fresh runtime, and a runtime that continues a finished run's
-artifacts comes from ``build_runtime(cfg, audit_path, resume=True)``.
+timeline and store live in memory and in its audit log, from which
+``build_runtime(cfg, audit_path, resume=True)`` rebuilds them: a restarted
+``memfabric serve --audit F`` continues where it stopped, and a runtime can
+continue a finished run's log the same way.
 
 The server speaks a subset of HTTP/1.1 with persistent connections: a
 client may send its requests one after another on one connection, which

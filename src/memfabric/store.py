@@ -52,17 +52,18 @@ from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from . import wire
 from .access import AccessTimeline
-from .audit import AuditAction, AuditLog
+from .audit import AuditAction, AuditLog, AuditRecord
 from .errors import (
     DimensionMismatch,
     DuplicateId,
     InvalidFragment,
+    MemFabricError,
     NonFiniteVector,
     UnknownFragment,
     UnknownPrincipalInProvenance,
@@ -175,6 +176,8 @@ def write_detail(fragment: MemoryFragment) -> dict:
     """The ``detail`` of the ``fragment_write`` audit record that stores ``fragment``."""
     return {
         "tier": fragment.tier.value,
+        "key": fragment.key,
+        "value": fragment.value,
         "agents": sorted(a.name for a in fragment.provenance.agents),
         "resources": sorted(r.name for r in fragment.provenance.resources),
     }
@@ -403,7 +406,7 @@ class MemoryStore:
     The store validates embeddings against a fixed dimension, finiteness and
     unit L2 norm on insert; provenance principals are checked against
     ``directory`` when one is attached. Inserts emit ``fragment_write`` audit
-    records.
+    records, from which :meth:`replay` rebuilds the store; :meth:`save` exports it.
     """
 
     def __init__(
@@ -586,31 +589,54 @@ class MemoryStore:
 
     @classmethod
     def from_jsonl(
-        cls,
-        lines: Iterable[str] | str,
-        dimension: int | None = None,
-        directory: PrincipalDirectory | None = None,
+        cls, lines: Iterable[str] | str, directory: PrincipalDirectory | None = None
     ) -> "MemoryStore":
-        """Rebuild a store from a snapshot.
+        """Rebuild a store, of its first fragment's dimension, from a snapshot
+        (see :meth:`_add`); ``directory`` defaults to a fresh one."""
+        fragments = [MemoryFragment.from_dict(doc) for doc in wire.decode(lines)]
+        if not fragments:
+            raise ValueError("cannot infer dimension from an empty snapshot")
+        directory = directory if directory is not None else PrincipalDirectory()
+        return cls(fragments[0].embedding.shape[0], directory)._add(*fragments)
 
-        The dimension is taken from the first fragment when not given;
-        principals named in provenance are auto-registered into a fresh
-        directory when none is supplied.
-        """
-        own_directory = directory if directory is not None else PrincipalDirectory()
-        store = None if dimension is None else cls(dimension, own_directory)
-        for doc in wire.decode(lines):
-            fragment = MemoryFragment.from_dict(doc)
-            if store is None:
-                store = cls(fragment.embedding.shape[0], own_directory)
+    @classmethod
+    def replay(
+        cls,
+        records: Iterable[AuditRecord],
+        embed: Callable[[str], np.ndarray],
+        dimension: int,
+        directory: PrincipalDirectory,
+        strict: bool = True,
+    ) -> "MemoryStore":
+        """Rebuild a store from the ``fragment_write`` records of an audit log
+        (see :meth:`_add`), embedding each key with ``embed``. A record that
+        does not parse or that the store refuses (a second write of an id)
+        raises, or with ``strict=False`` is left out for a verifier to report."""
+        store = cls(dimension, directory)
+        for rec in records:
+            if rec.action is AuditAction.FRAGMENT_WRITE:
+                try:
+                    (fid,) = rec.subjects
+                    d = rec.detail
+                    agents, resources = map(agent, d["agents"]), map(resource, d["resources"])
+                    prov = Provenance(rec.at, user(rec.actor), agents, resources)
+                    key, value = d["key"], d["value"]
+                    store._add(MemoryFragment(fid, Tier(d["tier"]), key, value, embed(key), prov))
+                except (LookupError, TypeError, ValueError, MemFabricError):
+                    if strict:
+                        raise
+        return store
+
+    def _add(self, *fragments: MemoryFragment) -> "MemoryStore":
+        """Store ``fragments`` in order, unaudited, registering the principals
+        their provenance names."""
+        for fragment in fragments:
             prov = fragment.provenance
             for pid in (prov.creator, *prov.agents, *prov.resources):
-                own_directory.register(pid)
-            with store._write_lock:
-                store._append(fragment)
-        if store is None:
-            raise ValueError("cannot infer dimension from an empty snapshot")
-        return store
+                self.directory.register(pid)
+            with self._write_lock:
+                self._append(fragment)
+        return self
 
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> "MemoryStore":

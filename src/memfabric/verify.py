@@ -1,9 +1,9 @@
-"""Offline re-verification of a run from its audit log and store snapshot.
+"""Offline re-verification of a run from its audit log.
 
-The audit log is the one source of truth: the permission timeline is
-replayed from its grant/revoke records unless an exported event log is
-given, which must then equal it. Every access decision a run made is
-re-derived and checked:
+The audit log is the one source of truth: the permission timeline and the
+store (whose embeddings no check reads) are replayed from its records unless
+an exported event log or store snapshot is given, which must then equal
+them. Every access decision a run made is re-derived and checked:
 
 - the log itself is well-formed (gap-free sequence, non-decreasing ticks);
 - each grant/revoke record matches the timeline event at its tick
@@ -17,9 +17,9 @@ re-derived and checked:
   before the read tick, and were admissible for the (user, agent, tick) of
   the read under the tier/agent-subset/resource-subset clauses;
 - each stored fragment has exactly one ``fragment_write`` record
-  (``fragment_unaudited``, ``fragment_rewritten``) whose actor, tick, tier,
-  agents and resources equal its provenance (``write_provenance_mismatch``),
-  and that provenance is consistent with the permissions at its creation tick.
+  (``fragment_unaudited``, ``fragment_rewritten``) that holds all of it but
+  its embedding (``write_provenance_mismatch``), and its provenance is
+  consistent with the permissions at its creation tick.
 
 An honest run verifies clean; a log with any injected or altered record
 yields at least one violation.
@@ -184,14 +184,14 @@ def verify_run(
 
 def verify_files(
     audit_path: str | Path,
-    timeline_path: str | Path | None,
-    store_path: str | Path,
+    timeline_path: str | Path | None = None,
+    store_path: str | Path | None = None,
 ) -> list[Violation]:
     """Verify a run from its files; principals are taken from the log, the
     timeline and the store themselves, so no extra declaration is needed. A
     record naming a principal that none of them knows is a violation. Without
-    ``timeline_path`` the timeline is replayed from the log, leaving out what
-    does not replay (each such record is then a violation)."""
+    ``timeline_path`` or ``store_path`` it is replayed from the log, leaving
+    out what does not replay (each such record is then a violation)."""
     directory = PrincipalDirectory()
     records = load_audit_file(audit_path)
     if timeline_path is None:
@@ -199,7 +199,9 @@ def verify_files(
         timeline = AccessTimeline.replay(events, directory, strict=False)
     else:
         timeline = AccessTimeline.load(timeline_path, directory=directory)
-    if next(wire.load(store_path), None) is not None:
+    if store_path is None:
+        store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
+    elif next(wire.load(store_path), None) is not None:
         store = MemoryStore.load(store_path, directory=directory)
     else:
         store = MemoryStore(dimension=1, directory=directory)

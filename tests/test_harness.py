@@ -11,6 +11,7 @@ import yaml
 from memfabric import (
     AuditAction,
     ConfigError,
+    DuplicateId,
     InsufficientQueries,
     NonMonotonicTimestamp,
     RemoteUnavailable,
@@ -226,8 +227,12 @@ def test_fresh_runtime_ignores_and_truncates_a_previous_run(tmp_path):
 def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path)
+    # resume reads only the log, so it fails on a write record that does not replay
+    lines = artifacts.audit_path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "fragment_write")
+    lines[i] = lines[i].replace('"tier": "', '"tier": "no-')
+    artifacts.audit_path.write_text("".join(lines))
     log = artifacts.audit_path.read_bytes()
-    artifacts.store_path.write_text("not json\n")
     doc = revocation_phase_config()
     doc["policies"] = {"read": {"kind": "unknown"}}
 
@@ -245,7 +250,12 @@ def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit, error", [("duplicate", NonMonotonicTimestamp), ("malformed", ValueError)]
+    "edit, error",
+    [
+        ("duplicate", NonMonotonicTimestamp),
+        ("malformed", ValueError),
+        ("duplicate write", DuplicateId),
+    ],
 )
 def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
     tmp_path, edit, error
@@ -253,8 +263,9 @@ def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path)
     lines = artifacts.audit_path.read_text().splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "grant")
-    if edit == "duplicate":
+    action = "fragment_write" if edit == "duplicate write" else "grant"
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == action)
+    if edit.startswith("duplicate"):
         lines.insert(i, lines[i])
     else:
         doc = json.loads(lines[i])
@@ -269,6 +280,36 @@ def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
 
     assert resource_warnings(resume) == []
     assert artifacts.audit_path.read_bytes() == log
+
+
+def test_resume_with_its_remote_embedder_down_raises_and_leaves_no_file_open(tmp_path):
+    # resume embeds every logged key again, so it needs the embedder
+    artifacts = run_scenario(ScenarioConfig.from_dict(revocation_phase_config()), tmp_path)
+    doc = revocation_phase_config()
+    doc["embedder"] = {"kind": "remote", "dimension": 32, "endpoint": "http://127.0.0.1:1/embed"}
+    log = artifacts.audit_path.read_bytes()
+
+    def resume():
+        with pytest.raises(RemoteUnavailable):
+            build_runtime(ScenarioConfig.from_dict(doc), artifacts.audit_path, resume=True)
+
+    assert resource_warnings(resume) == []
+    assert artifacts.audit_path.read_bytes() == log
+
+
+@pytest.mark.parametrize("config", [overlap_config, dynamic_config, revocation_phase_config])
+def test_the_log_alone_rebuilds_the_store_and_verifies(tmp_path, config):
+    cfg = ScenarioConfig.from_dict(config())
+    artifacts = run_scenario(cfg, tmp_path)
+    exported = artifacts.store_path.read_text()
+    artifacts.store_path.unlink()
+    artifacts.timeline_path.unlink()
+    rt = build_runtime(cfg, artifacts.audit_path, resume=True)
+    try:
+        assert rt.store.to_jsonl() == exported
+    finally:
+        rt.audit.close()
+    assert verify_files(artifacts.audit_path) == []
 
 
 # --- schedule run ---
@@ -490,6 +531,29 @@ LOAD_ERRORS = {
         r"timeline\.schedule.*labels",
     ),
     "schedule-empty": ("timeline", {"schedule": {}}, "schedule takes one of targets or phases"),
+    "phase-evnts": ("timeline", {"phases": [{"label": "p0", "evnts": []}]}, r"phases\[0\].*evnts"),
+    "phase-labl": ("timeline", {"phases": [{"labl": "p0", "events": []}]}, r"phases\[0\].*labl"),
+    "scope-levl": (
+        "policies",
+        {"scoped": [{"direction": "read", "scope": {"levl": "user", "user": "user_1"}}]},
+        r"scoped\[0\]\.scope.*levl",
+    ),
+    "scope-usr": (
+        "policies",
+        {"scoped": [{"direction": "read", "scope": {"level": "user", "usr": "user_1"}}]},
+        r"scoped\[0\]\.scope.*usr",
+    ),
+    "scope-unknown-level": (
+        "policies",
+        {"scoped": [{"direction": "read", "scope": {"level": "usr", "user": "user_1"}}]},
+        r"scoped\[0\]\.scope.*usr",
+    ),
+    "scope-without-its-user": (
+        "policies",
+        {"scoped": [{"direction": "read", "scope": {"level": "user"}}]},
+        r"scoped\[0\]\.scope",
+    ),
+    "embedder-dimension-1": ("embedder", {"dimension": 1}, "embedder.*dimension"),
 }
 
 

@@ -28,6 +28,7 @@ from memfabric import (
     make_server,
     plan_scenario,
     run_scenario,
+    verify_files,
 )
 from memfabric import service as service_module
 from memfabric.service import ApiError
@@ -351,13 +352,13 @@ def test_resume_after_a_rejected_write_continues_ids_exactly(tmp_path):
 
 @pytest.mark.parametrize("saved", ["no timeline", "stale timeline", "no store"])
 def test_a_resumed_runtime_answers_like_an_uninterrupted_one(tmp_path, saved):
-    # resume replays the permission history from the audit log alone, so a
-    # missing or stale timeline.jsonl changes nothing; without store.jsonl the
-    # fragment ids still continue past every id the log's writes name
+    # resume replays the permission history and the store from the audit log
+    # alone, so a missing or stale timeline.jsonl or a missing store.jsonl
+    # changes nothing
     cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
     write = {"agent": "domain1_agent", "subquery": "domain1: q", "response": "a"}
     edge = {"edge": {"user": "user_1", "agent": "domain1_agent"}}
-    replies = {}
+    replies, stores = {}, {}
     for name in ("uninterrupted", "resumed"):
         audit_path = tmp_path / name / "audit.jsonl"
         svc = granted_service(cfg, audit_path)
@@ -372,9 +373,11 @@ def test_a_resumed_runtime_answers_like_an_uninterrupted_one(tmp_path, saved):
             svc.rt.audit.close()
             svc = granted_service(cfg, audit_path, resume=True)
         replies[name] = svc.handle("POST", "/memory/write", {}, "user_1", write)
+        stores[name] = svc.rt.store.to_jsonl()
         svc.rt.audit.close()
     assert replies["resumed"] == replies["uninterrupted"]
     assert replies["resumed"][0] == 200
+    assert stores["resumed"] == stores["uninterrupted"]
     assert (tmp_path / "resumed" / "audit.jsonl").read_bytes() == (
         tmp_path / "uninterrupted" / "audit.jsonl"
     ).read_bytes()
@@ -849,35 +852,41 @@ def test_serve_command_answers_and_audits(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(overlap_config(count=6, n_users=3, n_agents=2)))
     audit = tmp_path / "audit.jsonl"
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-m", "memfabric.cli", "serve", "--config", str(config)]
-    command += ["--port", str(port), "--audit", str(audit)]
-    with subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL) as server:
-        try:
-            deadline = time.monotonic() + 60
-            while True:
-                assert server.poll() is None, "serve exited"
-                try:
-                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
-                    break
-                except OSError:
-                    assert time.monotonic() < deadline, "serve never accepted a connection"
-                    time.sleep(0.05)
-            client = Client(f"http://127.0.0.1:{port}")
-            granted = client.post(
-                "/permissions/grant", {"edge": {"user": "user_1", "agent": "domain1_agent"}}
-            )
-            write = {"agent": "domain1_agent", "subquery": "domain1: topic", "response": "details"}
-            written = client.post("/memory/write", write, identity="user_1")
-            read = {"user": "user_1", "agent": "domain1_agent", "query": "domain1: topic"}
-            view = client.post("/memory/read", read, identity="user_1")
-        finally:
-            server.terminate()
-            server.wait(timeout=30)
+
+    def serve(requests):
+        """Start ``memfabric serve`` on the log, post ``requests``, stop it."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        command = [sys.executable, "-m", "memfabric.cli", "serve", "--config", str(config)]
+        command += ["--port", str(port), "--audit", str(audit)]
+        with subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL) as server:
+            try:
+                deadline = time.monotonic() + 60
+                while True:
+                    assert server.poll() is None, "serve exited"
+                    try:
+                        socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                        break
+                    except OSError:
+                        assert time.monotonic() < deadline, "serve never accepted a connection"
+                        time.sleep(0.05)
+                client = Client(f"http://127.0.0.1:{port}")
+                return [client.post(path, body, identity) for path, body, identity in requests]
+            finally:
+                server.terminate()
+                server.wait(timeout=30)
+
+    edge = {"edge": {"user": "user_1", "agent": "domain1_agent"}}
+    write = {"agent": "domain1_agent", "subquery": "domain1: topic", "response": "details"}
+    read = {"user": "user_1", "agent": "domain1_agent", "query": "domain1: topic"}
+    granted, written, view = serve([
+        ("/permissions/grant", edge, "admin"),
+        ("/memory/write", write, "user_1"),
+        ("/memory/read", read, "user_1"),
+    ])
     assert granted == (200, {"tick": 1, "applied": "grant"})
     status, body = written
     assert status == 200 and body["tick"] == 2 and len(body["fragment_ids"]) == 2
@@ -894,3 +903,19 @@ def test_serve_command_answers_and_audits(tmp_path):
     ]
     assert [r.subjects[0] for r in records[1:3]] == ids
     assert sorted(records[3].subjects) == sorted(ids)
+
+    # a restarted server continues its log: its grant, its memory, its clock
+    view, written = serve([("/memory/read", read, "user_1"), ("/memory/write", write, "user_1")])
+    status, body = view
+    assert status == 200 and body["t"] == 2
+    assert sorted(hit["id"] for hit in body["view"]) == sorted(ids)
+    status, body = written
+    assert status == 200 and body["tick"] == 3 and not set(body["fragment_ids"]) & set(ids)
+    records = load_audit_file(audit)
+    assert [(r.at, r.action.value) for r in records[4:]] == [
+        (2, "fragment_read"),
+        (3, "fragment_write"),
+        (3, "fragment_write"),
+    ]
+    assert [r.seq for r in records] == list(range(len(records)))
+    assert verify_files(audit) == []

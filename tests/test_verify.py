@@ -253,10 +253,17 @@ def tampered_copy(artifacts, tmp_path, name, edit):
     return paths
 
 
+def codes_with_and_without_store(audit, timeline, store) -> tuple[list[str], list[str]]:
+    """The violation codes of the log verified with its store export, then with
+    the store replayed from the log."""
+    return tuple([v.code for v in verify_files(audit, timeline, given)] for given in (store, None))
+
+
 def test_the_honest_run_verifies_clean_with_and_without_its_timeline(overlap_run):
     a = overlap_run
     assert verify_files(a.audit_path, a.timeline_path, a.store_path) == []
     assert verify_files(a.audit_path, None, a.store_path) == []
+    assert verify_files(a.audit_path) == []
 
 
 def test_an_unaudited_revoke_in_the_timeline_is_a_violation(overlap_run, tmp_path):
@@ -308,17 +315,60 @@ def test_an_unreplayable_grant_record_is_a_violation_not_an_exception(
     audit, timeline, store = tampered_copy(overlap_run, tmp_path, "audit.jsonl", tamper)
     expected = {"duplicate": "permission_event_mismatch", "malformed": "permission_event_malformed"}
     for given in (timeline, None):
-        assert expected[edit] in [v.code for v in verify_files(audit, given, store)]
+        with_store, from_log = codes_with_and_without_store(audit, given, store)
+        assert expected[edit] in with_store and with_store == from_log
+
+
+@pytest.mark.parametrize("edit", ["duplicate", "malformed"])
+def test_an_unreplayable_write_record_is_a_violation_not_an_exception(
+    overlap_run, tmp_path, edit
+):
+    def tamper(lines):
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "fragment_write")
+        if edit == "duplicate":
+            return lines[: i + 1] + lines[i:]
+        doc = json.loads(lines[i])
+        doc["detail"]["tier"] = "public"
+        return lines[:i] + [json.dumps(doc, sort_keys=True)] + lines[i + 1 :]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "audit.jsonl", tamper)
+    for given in (timeline, None):
+        with_store, from_log = codes_with_and_without_store(audit, given, store)
+        if edit == "duplicate":
+            assert "fragment_rewritten" in with_store and with_store == from_log
+        else:
+            # the export holds the fragment the record no longer describes; a
+            # replay leaves the record out, so its write and reads name no fragment
+            assert with_store == ["write_provenance_mismatch"]
+            assert set(from_log) == {"fragment_unknown"}
+
+
+def test_an_edited_value_in_the_store_export_is_a_violation(overlap_run, tmp_path):
+    def edit_value(lines):
+        doc = json.loads(lines[0])
+        return [json.dumps({**doc, "value": doc["value"] + " (edited)"}, sort_keys=True)] + lines[1:]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "store.jsonl", edit_value)
+    for given in (timeline, None):
+        assert [v.code for v in verify_files(audit, given, store)] == ["write_provenance_mismatch"]
 
 
 def test_verify_cli_needs_no_timeline(overlap_run, tmp_path):
-    def verify(audit, store):
+    def verify(audit, store=None):
         command = [sys.executable, "-m", "memfabric.cli", "verify", "--audit", str(audit)]
-        return subprocess.run(command + ["--store", str(store)], capture_output=True, text=True)
+        command += [] if store is None else ["--store", str(store)]
+        return subprocess.run(command, capture_output=True, text=True)
 
-    honest = verify(overlap_run.audit_path, overlap_run.store_path)
-    assert (honest.returncode, honest.stdout) == (0, "OK: no violations\n"), honest.stderr
+    for store in (overlap_run.store_path, None):
+        honest = verify(overlap_run.audit_path, store)
+        assert (honest.returncode, honest.stdout) == (0, "OK: no violations\n"), honest.stderr
     copied = lambda lines: lines + [lines[0].replace('"id": "', '"id": "copy-')]  # noqa: E731
     audit, _, store = tampered_copy(overlap_run, tmp_path, "store.jsonl", copied)
     tampered = verify(audit, store)
     assert tampered.returncode == 1 and "fragment_unaudited" in tampered.stdout
+
+    # the log alone: a second write record of one fragment
+    rewritten = lambda lines: lines + [next(line for line in lines if "fragment_write" in line)]  # noqa: E731
+    audit, _, _ = tampered_copy(overlap_run, tmp_path, "audit.jsonl", rewritten)
+    tampered = verify(audit)
+    assert tampered.returncode == 1 and "fragment_rewritten" in tampered.stdout
