@@ -35,6 +35,7 @@ from .audit import (
     access_matrix,
     compute_metrics,
     load_audit_file,
+    read_audit_file,
     records_from_jsonl,
 )
 from .clock import LogicalClock
@@ -52,6 +53,7 @@ from .errors import (
     InvalidFragment,
     MemFabricError,
     NonMonotonicTimestamp,
+    OutdatedAuditLog,
     RemoteUnavailable,
     ResourceNotPermitted,
     UnknownFragment,

@@ -8,7 +8,10 @@ are line-delimited JSON when persisted, flushed once per :meth:`AuditLog.operati
 
 from __future__ import annotations
 
+import json
+import os
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -51,8 +54,8 @@ class AuditRecord:
             "at": self.at,
             "actor": self.actor,
             "action": self.action.value,
-            "subjects": list(self.subjects),
-            "detail": dict(self.detail),
+            "subjects": self.subjects,  # encoded as a list
+            "detail": self.detail,
         }
 
     @classmethod
@@ -72,7 +75,8 @@ class AuditLog:
 
     Sequence numbers are assigned here and have no gaps; appending with a
     tick behind the log head raises :class:`NonMonotonicTimestamp`. Records
-    are never mutated or deleted.
+    are never mutated or deleted. Resumed, a torn last line (see
+    :func:`read_audit_file`) is cut off with a ``RuntimeWarning``.
     """
 
     def __init__(self, path: str | Path | None = None, resume: bool = False) -> None:
@@ -84,7 +88,11 @@ class AuditLog:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
-                self._records = load_audit_file(self.path)
+                self._records, tail = read_audit_file(self.path)
+                if tail:
+                    os.truncate(self.path, self.path.stat().st_size - len(tail))
+                    message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
+                    warnings.warn(message, RuntimeWarning, stacklevel=2)
                 self._fp = self.path.open("a", encoding="utf-8")
             else:
                 self._fp = self.path.open("w", encoding="utf-8")
@@ -156,6 +164,20 @@ def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:
 
 def load_audit_file(path: str | Path) -> list[AuditRecord]:
     return [AuditRecord.from_dict(doc) for doc in wire.load(path)]
+
+
+def read_audit_file(path: str | Path) -> tuple[list[AuditRecord], bytes]:
+    """The records of the log at ``path`` and its torn tail: the bytes after
+    its last newline unless blank, as a process killed mid-append leaves
+    them. A bad line before the last newline raises."""
+    records, tail = [], b""
+    with Path(path).open("rb") as fp:
+        for line in fp:
+            if not line.endswith(b"\n"):
+                tail = line if line.strip() else b""
+            elif line.strip():
+                records.append(AuditRecord.from_dict(json.loads(line)))
+    return records, tail
 
 
 # --- metrics -----------------------------------------------------------------

@@ -45,6 +45,10 @@ class UnknownPrincipalInProvenance(MemFabricError):
     """Fragment provenance references a principal outside the directory."""
 
 
+class OutdatedAuditLog(MemFabricError):
+    """An audit log predates the record format that the store replays."""
+
+
 class UnknownFragment(MemFabricError):
     """No fragment with the requested id exists."""
 

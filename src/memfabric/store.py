@@ -27,17 +27,17 @@ of the first n rows, and a read evaluates the three clauses as one boolean
 mask over those rows, returned as an :class:`AdmissibleSet` that retrieval
 ranks over without walking the store.
 
-The two subset clauses are cached. Each row's agents and resources are
-bitsets over interned names, and the mask of the rows whose set lies within
-a granted set is kept per granted set (``agents_of(u, t)`` for the agent
-clause, ``resources_of(a, t)`` for the resource clause) in a bounded LRU.
-Its keys are the frozensets the timeline stores, so a hit is found by
-identity. An entry covers a prefix of the rows and is extended over the rows
-filled since it was last used, so a read costs work in proportion to the rows
-added since; a grant or revoke yields a different set, so no entry is ever
-invalidated (incremental view maintenance). The tier clause is evaluated
-per read. :meth:`MemoryStore.explain` stays the scalar clause-by-clause
-reference.
+The two subset clauses are one bitset test. Agents and resources share one
+interned index, and each row's agents and resources are one bitset over it,
+stored word-major: one contiguous uint64 array per 64-name word, the
+bit-sliced layout of O'Neil & Quass (SIGMOD 1997). A read ORs the bits of
+``agents_of(u, t)`` and ``resources_of(a, t)`` into ``allowed`` and admits the
+rows whose every word lies within it, ``(word & ~allowed_w) == 0``, in one
+pass over the rows; no agent is a resource, so that is both clauses. The
+bits of each distinct set, row or granted, are kept per set; a granted name
+is interned when first read, so they never go stale. The tier clause is
+``shared | creator == u``. :meth:`MemoryStore.explain` stays the scalar
+clause-by-clause reference.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import math
 import mmap
 import threading
 import uuid
-from collections import OrderedDict
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,6 +64,7 @@ from .errors import (
     InvalidFragment,
     MemFabricError,
     NonFiniteVector,
+    OutdatedAuditLog,
     UnknownFragment,
     UnknownPrincipalInProvenance,
 )
@@ -78,9 +78,6 @@ from .principals import (
 )
 
 UNIT_NORM_TOLERANCE = 1e-6
-# granted sets whose clause mask each subset clause keeps; an entry holds one
-# byte per row, so the cache costs at most this many bytes per row and clause
-MASK_CACHE_SIZE = 128
 _WORD = (1 << 64) - 1
 
 
@@ -251,14 +248,14 @@ def _intern(index: dict[PrincipalId, int], pid: PrincipalId) -> int:
     return i
 
 
-def _regrown(array: np.ndarray, rows: int, words: int | None = None) -> np.ndarray:
-    """Zero-padded copy of ``array`` with ``rows`` rows (and ``words`` columns).
+def _regrown(array: np.ndarray, rows: int) -> np.ndarray:
+    """Zero-padded copy of ``array`` with ``rows`` rows.
 
     The copy lives in its own anonymous memory map: spare rows take no
     resident memory until written, and a dropped store unmaps its columns
     instead of leaving column-sized holes in the allocator's arenas.
     """
-    shape = (rows, *array.shape[1:]) if words is None else (rows, words)
+    shape = (rows, *array.shape[1:])
     count = math.prod(shape)
     buffer = mmap.mmap(-1, max(1, count * array.itemsize))
     out = np.frombuffer(buffer, array.dtype, count=count).reshape(shape)
@@ -269,70 +266,6 @@ def _regrown(array: np.ndarray, rows: int, words: int | None = None) -> np.ndarr
 def _capacity(capacity: int, rows: int) -> int:
     """Capacity that holds ``rows`` rows: ``capacity`` or geometric growth."""
     return capacity if rows <= capacity else rows + rows // 4 + 64
-
-
-class _SubsetClause:
-    """One subset clause (agents or resources) over the filled rows.
-
-    A row's principals are a bitset over their interned indexes, packed as
-    uint64 words when the row is filled. The mask of the rows whose set lies
-    within a granted set is cached per granted set in a bounded LRU; each
-    entry covers a prefix of the rows and is extended over the rows filled
-    since; it keeps the words of the names outside its set until a name is
-    interned. Filled rows never change and interned indexes never move, so an
-    entry stays exact for the rows it covers. Used under the store lock only.
-    """
-
-    def __init__(self) -> None:
-        self.index: dict[PrincipalId, int] = {}
-        self._bitsets: dict[frozenset[PrincipalId], int] = {}  # one int per distinct set
-        self._words = np.zeros((0, 1), np.uint64)  # (rows, words) packed row bitsets
-        self._filled = 0  # rows packed into words
-        self._masks: OrderedDict[frozenset[PrincipalId], list] = OrderedDict()
-
-    def _bits(self, pids: frozenset[PrincipalId]) -> int:
-        bits = self._bitsets.get(pids)
-        if bits is None:
-            bits = 0
-            for pid in pids:
-                bits |= 1 << _intern(self.index, pid)
-            self._bitsets[pids] = bits
-        return bits
-
-    def extend(self, sets: list[frozenset[PrincipalId]]) -> None:
-        """Append the next rows' sets."""
-        new = [self._bits(pids) for pids in sets]
-        start, end = self._filled, self._filled + len(new)
-        shape = (_capacity(len(self._words), end), max(1, -(-len(self.index) // 64)))
-        if shape != self._words.shape:
-            self._words = _regrown(self._words, *shape)
-        for w in range(shape[1]):
-            self._words[start:end, w] = [(bits >> (64 * w)) & _WORD for bits in new]
-        self._filled = end
-
-    def within(self, granted: frozenset[PrincipalId], n: int) -> np.ndarray:
-        """Mask of the first ``n`` rows (all filled): set within ``granted``."""
-        entry = self._masks.get(granted)
-        if entry is None:
-            # mask, rows covered, names interned, words of the names outside granted
-            entry = self._masks[granted] = [np.zeros(0, bool), 0, -1, None]
-            if len(self._masks) > MASK_CACHE_SIZE:
-                self._masks.popitem(last=False)
-        else:
-            self._masks.move_to_end(granted)
-        mask, covered, names, outside = entry
-        if covered < n:
-            if len(mask) < n:
-                spare = np.zeros(_capacity(len(mask), n) - len(mask), bool)
-                mask = entry[0] = np.concatenate((mask, spare))
-            if names != len(self.index):  # a name interned since may be granted
-                allowed = sum(1 << i for i in map(self.index.get, granted) if i is not None)
-                words = range(self._words.shape[1])
-                outside = np.array([~(allowed >> (64 * w)) & _WORD for w in words], np.uint64)
-                entry[2:] = len(self.index), outside
-            mask[covered:n] = ~(self._words[covered:n] & outside).any(axis=1)
-            entry[1] = n
-        return mask[:n]
 
 
 class _Prefix(Sequence):
@@ -371,7 +304,7 @@ class AdmissibleSet(Set):
     returned by :meth:`MemoryStore.fragments`, ``columns`` the column views
     of exactly those rows and ``mask`` the admitted ones, so a caller can
     rank over the same snapshot without walking it again. The agent and
-    resource clauses of ``mask`` come from the store's cached clause masks.
+    resource clauses of ``mask`` are one pass over the store's row bitsets.
     Compares equal to a plain ``set`` of the same ids.
     """
 
@@ -425,8 +358,9 @@ class MemoryStore:
         self._write_lock = threading.Lock()  # single serialized writer
         self._filled = 0  # rows whose columns are written
         self._creator_ix: dict[PrincipalId, int] = {}
-        self._agents = _SubsetClause()
-        self._resources = _SubsetClause()
+        self._principal_ix: dict[PrincipalId, int] = {}  # agents and resources
+        self._bitsets: dict[frozenset[PrincipalId], int] = {}  # bits of each distinct set
+        self._words: list[np.ndarray] = []  # word w of each row's bitset, uint64
         self._columns = _Columns(
             np.zeros((0, dimension)),
             np.zeros(0, np.int64),
@@ -509,13 +443,28 @@ class MemoryStore:
         rows = _capacity(len(cols.created_at), end)
         if rows != len(cols.created_at):
             cols = self._columns = _Columns(*(_regrown(column, rows) for column in cols))
+            self._words = [_regrown(word, rows) for word in self._words]
         cols.embeddings[start:end] = [f.embedding for f in new]
         cols.created_at[start:end] = [f.provenance.created_at for f in new]
         cols.shared[start:end] = [f.tier is Tier.SHARED for f in new]
         cols.creator[start:end] = [_intern(self._creator_ix, f.provenance.creator) for f in new]
-        self._agents.extend([f.provenance.agents for f in new])
-        self._resources.extend([f.provenance.resources for f in new])
+        bits = [self._bits(f.provenance.agents) | self._bits(f.provenance.resources) for f in new]
+        width = max(map(int.bit_length, bits))  # words only as many as rows use
+        while 64 * len(self._words) < width:
+            self._words.append(_regrown(np.zeros(0, np.uint64), rows))
+        for w, word in enumerate(self._words):
+            word[start:end] = [(b >> (64 * w)) & _WORD for b in bits]
         self._filled = end
+
+    def _bits(self, pids: frozenset[PrincipalId]) -> int:
+        """Bitset of ``pids``, interning new names. The caller holds the write lock."""
+        bits = self._bitsets.get(pids)
+        if bits is None:
+            bits = 0
+            for pid in pids:
+                bits |= 1 << _intern(self._principal_ix, pid)
+            self._bitsets[pids] = bits
+        return bits
 
     # -- admissibility
 
@@ -544,9 +493,9 @@ class MemoryStore:
         ``agents_of(u, t)`` and touched resources in ``resources_of(a, t)``,
         with private fragments further restricted to their creator. The
         clauses are one mask over the rows of the ``fragments()`` snapshot:
-        ``(shared | creator == u) & agents within the user's agents &
-        resources within the agent's resources``, the last two from the
-        cached clause masks.
+        ``shared | creator == u``, AND-ed per word with ``(word & ~allowed) ==
+        0``, where ``allowed`` holds the bits of the user's agents and the
+        agent's resources.
         """
         user_agents = timeline.agents_of(u, t)
         agent_resources = timeline.resources_of(a, t)
@@ -556,10 +505,12 @@ class MemoryStore:
             if self._filled < len(self._rows):
                 self._fill()
             cols = self._columns.head(n)
-            agents_ok = self._agents.within(user_agents, n)
-            resources_ok = self._resources.within(agent_resources, n)
+            words = [word[:n] for word in self._words]
+            allowed = self._bits(user_agents) | self._bits(agent_resources)
             creator = self._creator_ix.get(u, -1)
-        mask = (cols.shared | (cols.creator == creator)) & agents_ok & resources_ok
+        mask = cols.shared | (cols.creator == creator)
+        for w, word in enumerate(words):
+            mask &= (word & np.uint64(~(allowed >> (64 * w)) & _WORD)) == 0
         return AdmissibleSet(rows, cols, mask)
 
     def explain(
@@ -618,6 +569,11 @@ class MemoryStore:
                 try:
                     (fid,) = rec.subjects
                     d = rec.detail
+                    if "key" not in d or "value" not in d:
+                        raise OutdatedAuditLog(
+                            f"fragment_write seq={rec.seq} has no key or value: the log "
+                            "predates the format that carries fragment content"
+                        )
                     agents, resources = map(agent, d["agents"]), map(resource, d["resources"])
                     prov = Provenance(rec.at, user(rec.actor), agents, resources)
                     key, value = d["key"], d["value"]

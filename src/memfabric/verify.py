@@ -5,7 +5,8 @@ store (whose embeddings no check reads) are replayed from its records unless
 an exported event log or store snapshot is given, which must then equal
 them. Every access decision a run made is re-derived and checked:
 
-- the log itself is well-formed (gap-free sequence, non-decreasing ticks);
+- the log itself is well-formed (gap-free sequence, non-decreasing ticks,
+  no torn last line: ``log_torn_tail``);
 - each grant/revoke record matches the timeline event at its tick
   (``permission_event_mismatch``, or ``permission_event_malformed`` for an
   edge that does not parse), and each timeline event has such a record
@@ -33,7 +34,7 @@ from typing import Sequence
 
 from . import wire
 from .access import AccessTimeline, PermissionEvent, logged_events
-from .audit import AuditAction, AuditRecord, load_audit_file
+from .audit import AuditAction, AuditRecord, read_audit_file
 from .errors import UnknownPrincipal
 from .principals import (
     PrincipalDirectory,
@@ -191,9 +192,10 @@ def verify_files(
     timeline and the store themselves, so no extra declaration is needed. A
     record naming a principal that none of them knows is a violation. Without
     ``timeline_path`` or ``store_path`` it is replayed from the log, leaving
-    out what does not replay (each such record is then a violation)."""
+    out what does not replay (each such record is then a violation). A torn
+    last line is one violation; the records before it are checked."""
     directory = PrincipalDirectory()
-    records = load_audit_file(audit_path)
+    records, tail = read_audit_file(audit_path)
     if timeline_path is None:
         events = logged_events(records, strict=False)
         timeline = AccessTimeline.replay(events, directory, strict=False)
@@ -205,4 +207,8 @@ def verify_files(
         store = MemoryStore.load(store_path, directory=directory)
     else:
         store = MemoryStore(dimension=1, directory=directory)
-    return verify_run(records, timeline, store)
+    violations = verify_run(records, timeline, store)
+    if tail:
+        message = f"{len(tail)} bytes after the last newline: a torn last record"
+        violations.append(Violation(None, "log_torn_tail", message))
+    return violations

@@ -9,6 +9,7 @@ from memfabric import (
     NonMonotonicTimestamp,
     access_matrix,
     compute_metrics,
+    read_audit_file,
     records_from_jsonl,
 )
 from rtutil import CountingFlushes
@@ -26,6 +27,22 @@ def test_append_rejects_regressing_tick():
     log.append(5, "admin", AuditAction.GRANT)
     with pytest.raises(NonMonotonicTimestamp):
         log.append(4, "admin", AuditAction.GRANT)
+
+
+def test_read_audit_file_splits_off_a_torn_tail_and_raises_on_a_bad_line(tmp_path):
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",), {"bin": "all", "query": "q"})
+    log.append(1, "u1", AuditAction.EPISODE_END, ("ep-0",), {"failure": None, "rounds": 0})
+    log.close()
+    whole = path.read_bytes()
+    path.write_bytes(whole + b'{"action": "ep')
+    assert read_audit_file(path) == (list(log.records), b'{"action": "ep')
+    path.write_bytes(whole + b"  ")  # blank: nothing torn
+    assert read_audit_file(path) == (list(log.records), b"")
+    path.write_bytes(whole.replace(b'"ep-0"', b'"ep-0', 1))
+    with pytest.raises(ValueError):
+        read_audit_file(path)
 
 
 def test_jsonl_round_trip_and_resume(tmp_path):

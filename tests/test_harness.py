@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from memfabric import (
     DuplicateId,
     InsufficientQueries,
     NonMonotonicTimestamp,
+    OutdatedAuditLog,
     RemoteUnavailable,
     ScenarioConfig,
     Tier,
@@ -24,6 +26,7 @@ from memfabric import (
     load_audit_file,
     load_config,
     plan_scenario,
+    run_episode,
     run_scenario,
     user,
     verify_files,
@@ -255,6 +258,7 @@ def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
         ("duplicate", NonMonotonicTimestamp),
         ("malformed", ValueError),
         ("duplicate write", DuplicateId),
+        ("pre-format write", OutdatedAuditLog),
     ],
 )
 def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
@@ -263,19 +267,23 @@ def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path)
     lines = artifacts.audit_path.read_text().splitlines(keepends=True)
-    action = "fragment_write" if edit == "duplicate write" else "grant"
+    action = "fragment_write" if edit.endswith("write") else "grant"
     i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == action)
     if edit.startswith("duplicate"):
         lines.insert(i, lines[i])
     else:
         doc = json.loads(lines[i])
-        doc["detail"]["edge"] = {"user": "user_1"}
+        if edit == "malformed":
+            doc["detail"]["edge"] = {"user": "user_1"}
+        else:  # written before fragment_write records carried key and value
+            del doc["detail"]["key"], doc["detail"]["value"]
         lines[i] = json.dumps(doc, sort_keys=True) + "\n"
     artifacts.audit_path.write_text("".join(lines))
     log = artifacts.audit_path.read_bytes()
+    reason = rf"seq={i} .* predates the format" if edit == "pre-format write" else None
 
     def resume():
-        with pytest.raises(error):
+        with pytest.raises(error, match=reason):
             build_runtime(cfg, artifacts.audit_path, resume=True)
 
     assert resource_warnings(resume) == []
@@ -295,6 +303,26 @@ def test_resume_with_its_remote_embedder_down_raises_and_leaves_no_file_open(tmp
 
     assert resource_warnings(resume) == []
     assert artifacts.audit_path.read_bytes() == log
+
+
+def test_resume_cuts_a_torn_last_line_and_the_log_goes_on_clean(tmp_path):
+    # a process killed mid-append leaves the last line of its log cut short
+    cfg = ScenarioConfig.from_dict(overlap_config())
+    artifacts = run_scenario(cfg, tmp_path)
+    torn = artifacts.audit_path.read_bytes()[:-40]
+    kept = torn[: torn.rindex(b"\n") + 1]
+    artifacts.audit_path.write_bytes(torn)
+    dropped = f"{artifacts.audit_path}: dropped a torn last line of {len(torn) - len(kept)} bytes"
+    with pytest.warns(RuntimeWarning, match=re.escape(dropped)):
+        rt = build_runtime(cfg, artifacts.audit_path, resume=True)
+    try:
+        assert artifacts.audit_path.read_bytes() == kept
+        run_episode(rt, user("user_1"), "one more query", rt.clock.tick())
+    finally:
+        rt.audit.close()
+    assert verify_files(artifacts.audit_path) == []
+    seqs = [r.seq for r in load_audit_file(artifacts.audit_path)]
+    assert seqs == list(range(len(seqs))) and len(seqs) > kept.count(b"\n")
 
 
 @pytest.mark.parametrize("config", [overlap_config, dynamic_config, revocation_phase_config])

@@ -393,7 +393,7 @@ _A_B_A = [  # u1's agents go {a1, a2, a3} -> {a1, a3} -> {a1, a2, a3}, inserts b
     ("toggle", 1),
     ("read", 0, 0, 11),
 ]
-_LATE_AGENT = [  # a4 is granted to u1 and first interned after u1's mask is cached
+_LATE_AGENT = [  # a4 is granted to u1, so interned by a read, before any row names it
     ("insert", 1, 1),
     ("toggle", 3),
     ("read", 0, 0, 2),
@@ -412,8 +412,9 @@ _LATE_AGENT = [  # a4 is granted to u1 and first interned after u1's mask is cac
 @example(ops=_A_B_A)
 @example(ops=_LATE_AGENT)
 def test_interleaved_reads_equal_a_full_scan_bit_for_bit(ops):
-    # Cached clause masks are extended over the rows added between reads;
-    # every read must still equal a full scan under the read-time grants.
+    # Rows are filled into the bitset words by the next read, and a granted
+    # name may be interned before any row names it; every read must still
+    # equal a full scan under the read-time grants.
     directory = PrincipalDirectory()
     users = [directory.add_user(name) for name in _USERS]
     agents = [directory.add_agent(name) for name in _AGENTS]

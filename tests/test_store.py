@@ -228,15 +228,20 @@ def test_admissible_matches_oracle_on_random_universes():
 
 
 
-def test_cached_masks_stay_exact_as_rows_need_more_bitset_words():
-    # each fragment names agents from a window sliding over 150 agents, so
-    # the interned agents pass 64 and 128 (one, two, three words) while
-    # cached masks of the same granted sets are extended over a few rows per
-    # read
+@pytest.mark.parametrize("n_resources", [3, 100], ids=["agents", "agents-and-resources"])
+def test_cached_masks_stay_exact_as_rows_need_more_bitset_words(n_resources):
+    # each fragment names agents from a window sliding over 150 agents and,
+    # with 100 resources, resources from a window sliding over those, so the
+    # one index of agents and resources passes 64 and 128 (one, two, three
+    # words and more) while reads, each a full pass over the words of every
+    # row, come every few inserts; an agent reaches all of 3 resources, or
+    # the 23 of 100 nearest its own place
     rng = random.Random(29)
-    directory, users, agents, resources = make_universe(3, 150, 3)
+    directory, users, agents, resources = make_universe(3, 150, n_resources)
     timeline, shadow = AccessTimeline(directory), []
-    edges = [(u, a) for u in users for a in agents] + [(a, r) for a in agents for r in resources]
+    reach = [(a, r) for j, a in enumerate(agents) for k, r in enumerate(resources)
+             if n_resources == 3 or abs(k - j * 2 // 3) < 12]
+    edges = [(u, a) for u in users for a in agents] + reach
     for tick, edge in enumerate(edges):
         if rng.random() < 0.8:
             timeline.grant(edge, tick)
@@ -245,8 +250,10 @@ def test_cached_masks_stay_exact_as_rows_need_more_bitset_words():
     store = MemoryStore(8, directory=directory)
     admitted = 0
     for i in range(240):
-        window = agents[i * 7 // 12 : i * 7 // 12 + 10]
-        store.insert(random_fragment(rng, users, window, resources, 8, f"f{i:04d}", t))
+        start = i * 7 // 12
+        window = agents[start : start + 10]
+        touched = resources[start * 2 // 3 : start * 2 // 3 + 10] if n_resources > 3 else resources
+        store.insert(random_fragment(rng, users, window, touched, 8, f"f{i:04d}", t))
         if i % 3 == 2:
             fragments = list(store.fragments())
             for u, a in zip(users, (agents[0], agents[140], agents[i % 150])):

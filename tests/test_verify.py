@@ -372,3 +372,13 @@ def test_verify_cli_needs_no_timeline(overlap_run, tmp_path):
     audit, _, _ = tampered_copy(overlap_run, tmp_path, "audit.jsonl", rewritten)
     tampered = verify(audit)
     assert tampered.returncode == 1 and "fragment_rewritten" in tampered.stdout
+
+
+def test_a_torn_last_line_is_one_violation_not_an_exception(overlap_run, tmp_path):
+    # a process killed mid-append leaves the last line of its log cut short
+    audit = tmp_path / "audit.jsonl"
+    audit.write_bytes(overlap_run.audit_path.read_bytes()[:-40])
+    assert [v.code for v in verify_files(audit)] == ["log_torn_tail"]
+    command = [sys.executable, "-m", "memfabric.cli", "verify", "--audit", str(audit)]
+    result = subprocess.run(command, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (1, "") and "log_torn_tail" in result.stdout
