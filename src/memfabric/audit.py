@@ -3,11 +3,14 @@
 Every permission change, memory operation, and invocation lands here as one
 immutable record. The log is the system's ground truth for "what happened":
 metrics, access matrices, and the offline verifier all consume it. Records
-are line-delimited JSON when persisted, flushed once per :meth:`AuditLog.operation`.
+are line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and
+kept nowhere else: readers stream them back from the file.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import threading
@@ -48,16 +51,6 @@ class AuditRecord:
     subjects: tuple[str, ...] = ()
     detail: Mapping[str, object] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "at": self.at,
-            "actor": self.actor,
-            "action": self.action.value,
-            "subjects": self.subjects,  # encoded as a list
-            "detail": self.detail,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "AuditRecord":
         return cls(
@@ -71,24 +64,29 @@ class AuditRecord:
 
 
 class AuditLog:
-    """Appender with optional line-delimited JSON file sink.
+    """Appender to a line-delimited JSON file, or to a buffer with no path.
 
     Sequence numbers are assigned here and have no gaps; appending with a
     tick behind the log head raises :class:`NonMonotonicTimestamp`. Records
-    are never mutated or deleted. Resumed, a torn last line (see
-    :func:`read_audit_file`) is cut off with a ``RuntimeWarning``.
+    are never mutated or deleted, nor kept: readers stream them from the
+    file. Resumed, a torn last line (see :func:`read_audit_file`) is cut off
+    with a ``RuntimeWarning``, and an episode a killed process left open
+    gets an ``episode_end`` with ``failure: "interrupted"`` at the first append.
     """
 
     def __init__(self, path: str | Path | None = None, resume: bool = False) -> None:
-        self._records: list[AuditRecord] = []
-        self._fp: IO[str] | None = None
+        self._fp: IO[str] = io.StringIO()  # a log with no path keeps its lines here
         self._lock = threading.Lock()  # a service appends from many request threads
         self._open = 0  # operation blocks entered and not yet exited
+        self._count = self._head = 0  # records written, tick of the last
+        self._interrupted: tuple | None = None  # the end of an episode left open, to append
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
-                self._records, tail = read_audit_file(self.path)
+                records, tail = read_audit_file(self.path)
+                self._count, self._head = len(records), max((r.at for r in records), default=0)
+                self._interrupted = _interrupted_end(records)
                 if tail:
                     os.truncate(self.path, self.path.stat().st_size - len(tail))
                     message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
@@ -106,24 +104,21 @@ class AuditLog:
         detail: Mapping[str, object] | None = None,
     ) -> int:
         with self._lock:
-            if self._records and at < self._records[-1].at:
-                raise NonMonotonicTimestamp(
-                    f"audit tick {at} is behind log head {self._records[-1].at}"
-                )
-            record = AuditRecord(
-                seq=len(self._records),
-                at=at,
-                actor=actor,
-                action=action,
-                subjects=tuple(subjects),
-                detail=dict(detail or {}),
-            )
-            self._records.append(record)
-            if self._fp is not None:
-                self._fp.write(wire.encode(record.to_dict()))
-                if not self._open:
-                    self._fp.flush()
-            return record.seq
+            if self._interrupted is not None:
+                self._write(*self._interrupted)
+                self._interrupted = None
+            return self._write(at, actor, action, subjects, detail)
+
+    def _write(self, at, actor, action, subjects, detail) -> int:
+        if self._count and at < self._head:
+            raise NonMonotonicTimestamp(f"audit tick {at} is behind log head {self._head}")
+        seq = self._count
+        self._fp.write(wire.encode({"seq": seq, "at": at, "actor": actor, "action": action.value,
+                                    "subjects": subjects, "detail": detail or {}}))
+        if not self._open:
+            self._fp.flush()
+        self._count, self._head = seq + 1, at
+        return seq
 
     @contextmanager
     def operation(self) -> Iterator[None]:
@@ -136,26 +131,53 @@ class AuditLog:
         finally:
             with self._lock:
                 self._open -= 1
-                if not self._open and self._fp is not None:
+                if not self._open:
                     self._fp.flush()
+
+    def lines(self) -> Iterator[str]:
+        """The log's lines, streamed from its file: as many as it held when the
+        first is asked for, so a concurrent append never shows half a line."""
+        with self._lock:
+            if self._open:
+                self._fp.flush()
+            count, path = self._count, self.path
+            source = path.open(encoding="utf-8") if path else io.StringIO(self._fp.getvalue())
+        with source:
+            yield from itertools.islice(source, count)
 
     @property
     def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def __iter__(self) -> Iterator[AuditRecord]:
-        return iter(self._records)
+        return map(AuditRecord.from_dict, map(json.loads, self.lines()))
 
     def to_jsonl(self) -> str:
-        return "".join(wire.encode(r.to_dict()) for r in self._records)
+        return "".join(self.lines())
 
     def close(self) -> None:
-        if self._fp is not None:
+        if self.path is not None:
             self._fp.close()
-            self._fp = None
+
+
+def _interrupted_end(records: Sequence[AuditRecord]) -> tuple | None:
+    """Arguments of :meth:`AuditLog.append` that end the episode still open
+    at the end of ``records`` as interrupted, or ``None`` if none is open."""
+    start, rounds = None, 0
+    for rec in records:
+        if rec.action is AuditAction.EPISODE_START:
+            start, rounds = rec, 0
+        elif rec.action is AuditAction.EPISODE_END:
+            start = None
+        elif rec.action is AuditAction.AGENT_INVOKE:
+            rounds += 1
+    if start is None:
+        return None
+    detail = {"failure": "interrupted", "rounds": rounds}
+    return records[-1].at, start.actor, AuditAction.EPISODE_END, start.subjects, detail
 
 
 def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:
@@ -236,7 +258,7 @@ class _EpisodeTally:
     score: float | None = None
 
 
-def _tally_episodes(records: Sequence[AuditRecord]) -> list[_EpisodeTally]:
+def _tally_episodes(records: Iterable[AuditRecord]) -> list[_EpisodeTally]:
     tallies: dict[str, _EpisodeTally] = {}
     order: list[str] = []
     for rec in records:
@@ -266,7 +288,7 @@ def _tally_episodes(records: Sequence[AuditRecord]) -> list[_EpisodeTally]:
 
 
 def compute_metrics(
-    records: Sequence[AuditRecord], binning: str | int = "bin"
+    records: Iterable[AuditRecord], binning: str | int = "bin"
 ) -> MetricsReport:
     """Aggregate per-episode usage into per-bin means.
 
@@ -320,7 +342,7 @@ class AccessMatrices:
 
 
 def access_matrix(
-    records: Sequence[AuditRecord], window: tuple[int, int] | None = None
+    records: Iterable[AuditRecord], window: tuple[int, int] | None = None
 ) -> AccessMatrices:
     """Count matrices over an inclusive tick window (whole log if ``None``)."""
     ua: dict[str, dict[str, int]] = {}

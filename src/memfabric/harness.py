@@ -40,13 +40,13 @@ import random
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
 from . import wire
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc, logged_events
-from .audit import AuditAction, AuditLog, MetricsReport, access_matrix, compute_metrics
+from .audit import AuditAction, AuditLog, AuditRecord, MetricsReport, access_matrix, compute_metrics
 from .clock import LogicalClock
 from .errors import ConfigError, InsufficientQueries
 from .orchestration import (
@@ -667,8 +667,9 @@ def build_runtime(
     # replay, so replayed history is not logged again
     audit = AuditLog(audit_path, resume=resume)
     try:
-        timeline = AccessTimeline.replay(logged_events(audit), directory)
-        store = MemoryStore.replay(audit, embedder.embed, embedder.dimension, directory)
+        records = audit.records  # one decode of the log for both replays
+        timeline = AccessTimeline.replay(logged_events(records), directory)
+        store = MemoryStore.replay(records, embedder.embed, embedder.dimension, directory)
     except BaseException:
         audit.close()
         raise
@@ -679,7 +680,7 @@ def build_runtime(
         id_factory()  # every fragment the log records drew exactly one id
     return Runtime(
         directory=directory,
-        clock=LogicalClock(max((r.at for r in audit), default=0)),
+        clock=LogicalClock(max((r.at for r in records), default=0)),
         timeline=timeline,
         store=store,
         policies=policies,
@@ -694,7 +695,7 @@ def build_runtime(
         id_factory=id_factory,
         force_private=cfg.memory_mode == "isolated",
         judge=judge,
-        _episode_counter=sum(1 for r in audit if r.action is AuditAction.EPISODE_START),
+        _episode_counter=sum(1 for r in records if r.action is AuditAction.EPISODE_START),
     )
 
 
@@ -769,8 +770,6 @@ def run_scenario(
                 transcript.write(wire.encode(_transcript_doc(item, phase.label, t, episode)))
             phase_windows[phase.label] = (window_start, rt.clock.now)
 
-    records = rt.audit.records
-
     timeline_path = out / "timeline.jsonl"
     rt.timeline.save(timeline_path)
     store_path = out / "store.jsonl"
@@ -779,7 +778,16 @@ def run_scenario(
     binning: str | int = "bin"
     if cfg.timeline.schedule is None and cfg.bin_size > 0:
         binning = cfg.bin_size
-    metrics = compute_metrics(records, binning)
+    # one streaming decode: the metrics read every record, the matrices only invocations
+    invocations: list[AuditRecord] = []
+
+    def noting_invocations(records: Iterable[AuditRecord]) -> Iterator[AuditRecord]:
+        for rec in records:
+            if rec.action in (AuditAction.AGENT_INVOKE, AuditAction.RESOURCE_INVOKE):
+                invocations.append(rec)
+            yield rec
+
+    metrics = compute_metrics(noting_invocations(rt.audit), binning)
     metrics_csv_path = out / "metrics.csv"
     metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
     metrics_json_path = out / "metrics.json"
@@ -788,7 +796,7 @@ def run_scenario(
     matrices_doc = []
     for phase in plan.phases:
         window = phase_windows[phase.label]
-        usage = access_matrix(records, window)
+        usage = access_matrix(invocations, window)
         granted_ua = sorted(
             (e[0].name, e[1].name)
             for e in rt.timeline.edges_at(window[1], EdgeKind.USER_AGENT)

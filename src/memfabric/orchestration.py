@@ -12,10 +12,11 @@ answer from the ordered (subquery, response) pairs.
 
 The runtime never trusts the coordinator: a message naming an agent outside
 ``agents_of(user, t)`` is a protocol violation, retried a configured number
-of times and then failing the episode. Scripted agents follow a memory-first
-contract - an exact-repeat hit in the view (similarity 1.0) answers from
-memory with zero resource calls; otherwise the agent consults its configured
-resource exactly once.
+of times and then failing the episode. A remote backend that fails (see
+:class:`RemoteUnavailable`) fails the episode too, not the run. Scripted
+agents follow a memory-first contract - an exact-repeat hit in the view
+(similarity 1.0) answers from memory with zero resource calls; otherwise
+the agent consults its configured resource exactly once.
 
 Every agent invocation, resource call, fragment read, and fragment write in
 an episode lands in the audit log under the episode's id.
@@ -508,10 +509,11 @@ def run_episode(
 ) -> QueryEpisode:
     """Serve one query end to end; see the module docstring for the loop.
 
-    A user with no accessible agents, or a coordinator that keeps violating
-    the protocol, ends the episode with the designated failure answer; the
-    episode still starts and ends in the audit log so failure episodes count
-    toward query totals.
+    A user with no accessible agents, a coordinator that keeps violating the
+    protocol, or a remote backend that fails (coordinator, agent, embedder,
+    write-policy transformer, aggregator or judge) ends the episode with the
+    designated failure answer; the episode still starts and ends in the
+    audit log so failure episodes count toward query totals.
     """
     with rt.audit.operation():  # one flush for the episode's records
         rt.directory.require(user, PrincipalKind.USER)
@@ -527,33 +529,38 @@ def run_episode(
         steps: list[tuple[CoordinationMessage, InteractionTrace]] = []
         history: list[tuple[str, str]] = []
         failure: str | None = None
+        score: float | None = None
+        final_answer = NO_AGENTS_ANSWER
 
         if not accessible:
             failure = "no_accessible_agents"
-            final_answer = NO_AGENTS_ANSWER
         else:
             briefs = [
                 AgentBrief(id=a, specialization=rt.agents[a].specialization)
                 for a in sorted(accessible)
             ]
-            while len(steps) < rt.limits.max_rounds:
-                try:
-                    message = _next_message(rt, query, briefs, history, accessible)
-                except CoordinatorProtocolViolation:
-                    failure = "coordinator_protocol"
-                    break
-                if message.stop:
-                    break
-                trace = _agent_round(rt, user, message, t, episode_id)
-                steps.append((message, trace))
-                history.append((trace.subquery, trace.response))
-            final_answer = (
-                NO_AGENTS_ANSWER if failure else rt.aggregator.aggregate(query, history)
-            )
+            try:
+                while len(steps) < rt.limits.max_rounds:
+                    try:
+                        message = _next_message(rt, query, briefs, history, accessible)
+                    except CoordinatorProtocolViolation:
+                        failure = "coordinator_protocol"
+                        break
+                    if message.stop:
+                        break
+                    trace = _agent_round(rt, user, message, t, episode_id)
+                    steps.append((message, trace))
+                    history.append((trace.subquery, trace.response))
+                if failure is None:
+                    final_answer = rt.aggregator.aggregate(query, history)
+                    if rt.judge is not None:
+                        score = _judge_score(rt.judge, query, final_answer)
+            except RemoteUnavailable:
+                failure, final_answer = "remote_unavailable", NO_AGENTS_ANSWER
 
         end_detail: dict[str, object] = {"failure": failure, "rounds": len(steps)}
-        if rt.judge is not None and failure is None:
-            end_detail["score"] = _judge_score(rt.judge, query, final_answer)
+        if score is not None:
+            end_detail["score"] = score
         rt.audit.append(
             at=t,
             actor=user.name,

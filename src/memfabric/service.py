@@ -9,8 +9,8 @@ reply carries the server's current logical tick):
 - ``POST /memory/read``   body ``{"user", "agent", "query"}``
 - ``POST /memory/write``  body ``{"agent", "subquery", "response", "resources"}``
 - ``POST /episodes``      body ``{"user", "query", "bin"?}``
-- ``GET  /audit?since_seq=N``  (line-delimited JSON stream, fragment content
-  and read queries included) admin only
+- ``GET  /audit?since_seq=N``  (the audit file's own lines from seq N on,
+  fragment content and read queries included) admin only
 
 Callers authenticate with the ``X-Identity`` header; authorization is the
 substrate's job. Provenance is always derived server-side - write bodies
@@ -45,11 +45,14 @@ is not decimal, or any ``Transfer-Encoding``; 414 for a request line over
 Errors: 400 validation (``bad_request`` also for an empty principal name or
 a malformed edge), 403 permission (``forbidden`` also for an agent asking
 for a resource it is not granted), 404 unknown id, 409 conflicts, 503
-remote backend unavailable - body ``{"error": code, "message": ...}``.
+remote backend unavailable - body ``{"error": code, "message": ...}``. An
+episode is the exception: a backend failing ends it, not the request, so
+``/episodes`` answers 200 with ``"failure": "remote_unavailable"``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import socketserver
@@ -161,12 +164,11 @@ class MemoryService:
             return 400, {"error": "bad_request", "message": str(exc)}
 
     def handle_audit_stream(self, params: dict[str, list[str]]) -> str:
-        """Audit records from ``since_seq`` on, one JSON object per line.
-        Raises :class:`ApiError` (400) when ``since_seq`` is not an integer."""
+        """The audit log's own lines from ``since_seq`` on, one JSON object per
+        line; line i holds seq i, as seq has no gaps. Raises :class:`ApiError`
+        (400) when ``since_seq`` is not an integer."""
         since = _int_param(params, "since_seq", 0)
-        return "".join(
-            wire.encode(rec.to_dict()) for rec in self.rt.audit.records if rec.seq >= since
-        )
+        return "".join(itertools.islice(self.rt.audit.lines(), max(since, 0), None))
 
     # -- handlers; each runs under the service lock
 

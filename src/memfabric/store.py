@@ -153,7 +153,7 @@ class MemoryFragment:
             "tier": self.tier.value,
             "key": self.key,
             "value": self.value,
-            "embedding": [float(x) for x in self.embedding],
+            "embedding": self.embedding.tolist(),  # float64 -> the same Python floats
             "provenance": self.provenance.to_dict(),
         }
 

@@ -6,7 +6,9 @@ an exported event log or store snapshot is given, which must then equal
 them. Every access decision a run made is re-derived and checked:
 
 - the log itself is well-formed (gap-free sequence, non-decreasing ticks,
-  no torn last line: ``log_torn_tail``);
+  no torn last line: ``log_torn_tail``), and every episode the log goes on
+  past ended (``episode_unterminated``): only the episode still open at its
+  end, the operation a killed process loses, may lack its ``episode_end``;
 - each grant/revoke record matches the timeline event at its tick
   (``permission_event_mismatch``, or ``permission_event_malformed`` for an
   edge that does not parse), and each timeline event has such a record
@@ -86,6 +88,7 @@ def verify_run(
     written: set[str] = set()
     expected_seq = 0
     last_at = None
+    started: AuditRecord | None = None  # the episode_start of the episode in progress
     for rec in records:
         seq, at = rec.seq, rec.at
         if seq != expected_seq:
@@ -94,6 +97,16 @@ def verify_run(
         if last_at is not None and at < last_at:
             report(seq, "time_regression", f"tick {at} after {last_at}")
         last_at = at
+
+        # an episode holds one tick; a later tick or episode means it is over
+        if started is not None and (at > started.at or rec.action is AuditAction.EPISODE_START):
+            message = f"episode {' '.join(started.subjects)} at t={started.at} never ended"
+            report(started.seq, "episode_unterminated", message)
+            started = None
+        if rec.action is AuditAction.EPISODE_START:
+            started = rec
+        elif rec.action is AuditAction.EPISODE_END and started and rec.subjects == started.subjects:
+            started = None
 
         if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
             try:

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from memfabric import (
     AuditAction,
     AuditLog,
+    AuditRecord,
     EmptyWindow,
     NonMonotonicTimestamp,
     access_matrix,
     compute_metrics,
+    load_audit_file,
     read_audit_file,
     records_from_jsonl,
 )
@@ -45,6 +52,50 @@ def test_read_audit_file_splits_off_a_torn_tail_and_raises_on_a_bad_line(tmp_pat
         read_audit_file(path)
 
 
+def test_a_file_backed_log_keeps_no_record_in_memory(tmp_path):
+    log = AuditLog(tmp_path / "audit.jsonl")
+    detail = {"user": "u1", "agent": "a1", "user_tier": ["f1", "f2"], "cross_tier": ["f3"]}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(5000):
+            log.append(t, "u1", AuditAction.FRAGMENT_READ, ("f1", "f2", "f3"), detail)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        log.close()
+    assert len(log) == 5000 and grown < 100_000
+
+
+def test_a_reader_racing_an_appender_never_sees_a_torn_line(tmp_path):
+    # each record outgrows the write buffer, so the file often ends mid-line
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    written = threading.Event()
+
+    def append_all() -> None:
+        for block in range(200):
+            with log.operation() if block % 2 else contextlib.nullcontext():
+                for i in range(block * 10, block * 10 + 10):
+                    log.append(i, "u1", AuditAction.AGENT_INVOKE, ("a1",), {"pad": "x" * 10_000})
+        written.set()
+
+    def read_until_written() -> list[AuditRecord]:
+        while True:
+            last = written.is_set()
+            records = list(log)
+            assert [r.seq for r in records] == list(range(len(records)))
+            if last:
+                return records
+
+    with ThreadPoolExecutor(2) as pool:
+        reader = pool.submit(read_until_written)
+        pool.submit(append_all).result()
+        records = reader.result()
+    log.close()
+    assert len(records) == 2000 and records == load_audit_file(path)
+
+
 def test_jsonl_round_trip_and_resume(tmp_path):
     path = tmp_path / "audit.jsonl"
     log = AuditLog(path)
@@ -57,6 +108,25 @@ def test_jsonl_round_trip_and_resume(tmp_path):
     resumed.close()
     records = records_from_jsonl(path.read_text())
     assert [r.seq for r in records] == [0, 1, 2]
+
+
+def test_resume_ends_an_episode_left_open_at_its_first_append(tmp_path):
+    # a killed process can leave an episode's first records without its end
+    path = tmp_path / "audit.jsonl"
+    log = AuditLog(path)
+    log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",), {"bin": "all", "query": "q"})
+    log.append(1, "u1", AuditAction.AGENT_INVOKE, ("a1",), {"episode": "ep-0", "subquery": "q"})
+    log.close()
+    kept = path.read_bytes()
+    resumed = AuditLog(path, resume=True)
+    assert path.read_bytes() == kept and len(resumed) == 2
+    assert resumed.append(2, "admin", AuditAction.GRANT, ("user:u1", "agent:a1")) == 3
+    resumed.close()
+    end = load_audit_file(path)[2]
+    assert (end.seq, end.at, end.actor, end.action, end.subjects) == (
+        2, 1, "u1", AuditAction.EPISODE_END, ("ep-0",)
+    )
+    assert end.detail == {"failure": "interrupted", "rounds": 1}
 
 
 def test_an_operation_flushes_its_records_once_at_the_outermost_exit(tmp_path):

@@ -17,6 +17,7 @@ from memfabric import (
     NonMonotonicTimestamp,
     OutdatedAuditLog,
     RemoteUnavailable,
+    ResourceNotPermitted,
     ScenarioConfig,
     Tier,
     agent,
@@ -34,6 +35,7 @@ from memfabric import (
 from memfabric.harness import build_policies, build_workload
 from memfabric.policy import Direction, IdentityTransform
 from memfabric.store import MemoryStore
+from rtutil import StubServer, refused_url
 from scenarios import asymmetric_config, dynamic_config, overlap_config, revocation_phase_config
 
 USERS5 = [f"user_{i}" for i in range(1, 6)]
@@ -200,14 +202,33 @@ def resource_warnings(action) -> list[warnings.WarningMessage]:
 
 
 def test_failed_run_closes_its_audit_log(tmp_path):
+    # an agent asking for a resource it is not granted aborts the run
     doc = overlap_config(count=4, n_users=2, n_agents=2)
-    doc["coordinator"] = {"endpoint": "http://127.0.0.1:1/never"}
+    ungranted = {"output": json.dumps({"invoke": ["domain1_kb", "domain2_kb"]})}
+    with StubServer(lambda request: ungranted) as stub:
+        for spec in doc["agents"]:
+            spec["endpoint"] = stub.url
 
-    def run():
-        with pytest.raises(RemoteUnavailable):
-            run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "run")
+        def run():
+            with pytest.raises(ResourceNotPermitted):
+                run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "run")
 
-    assert resource_warnings(run) == []
+        assert resource_warnings(run) == []
+
+
+def test_a_remote_agent_that_is_down_fails_its_episodes_not_the_run(tmp_path):
+    doc = overlap_config()
+    doc["agents"][0]["endpoint"] = refused_url()
+    artifacts = run_scenario(ScenarioConfig.from_dict(doc), tmp_path)
+    records = load_audit_file(artifacts.audit_path)
+    starts = [r.subjects for r in records if r.action is AuditAction.EPISODE_START]
+    ends = {r.subjects: r.detail["failure"] for r in records if r.action is AuditAction.EPISODE_END}
+    assert len(starts) == len(ends) and set(starts) == set(ends)
+    assert set(ends.values()) == {None, "remote_unavailable"}
+    transcript = [json.loads(line) for line in artifacts.transcript_path.read_text().splitlines()]
+    assert [doc["failure"] for doc in transcript] == [ends[s] for s in starts]  # one per episode
+    assert artifacts.metrics_json_path.exists() and artifacts.matrices_path.exists()
+    assert verify_files(artifacts.audit_path, artifacts.timeline_path, artifacts.store_path) == []
 
 
 # --- runtime construction ---

@@ -46,10 +46,12 @@ def test_an_episode_flushes_its_audit_records_once_even_when_it_raises():
     rt.audit._fp = sink = CountingFlushes(io.StringIO())
     run_episode(rt, users[0], "d1 question", rt.clock.tick())
     assert sink.fp.getvalue().count("\n") == len(rt.audit) - granted > 2 and sink.flushes == 1
-    rt.coordinator = DownCoordinator()
-    with pytest.raises(RemoteUnavailable):
-        run_episode(rt, users[0], "d1 question", rt.clock.tick())
-    assert '"episode_start"' in sink.fp.getvalue().splitlines()[-1] and sink.flushes == 2
+    rt.coordinator = DownCoordinator()  # the backend raises; the episode ends, failed
+    episode = run_episode(rt, users[0], "d1 question", rt.clock.tick())
+    assert (episode.failure, episode.final_answer) == ("remote_unavailable", NO_AGENTS_ANSWER)
+    last = json.loads(sink.fp.getvalue().splitlines()[-1])
+    assert (last["action"], last["detail"]["failure"]) == ("episode_end", "remote_unavailable")
+    assert sink.flushes == 2
 
 
 def test_no_accessible_agents_yields_failure_sentinel():

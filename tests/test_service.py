@@ -395,6 +395,20 @@ def test_a_request_flushes_its_audit_records_once(tmp_path):
     svc.rt.audit.close()
 
 
+def test_audit_stream_serves_the_lines_of_the_file_from_since_seq(tmp_path):
+    cfg = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
+    svc = granted_service(cfg, tmp_path / "audit.jsonl")
+    for query in ("domain1: first", "domain2: second"):
+        svc.handle("POST", "/episodes", {}, "user_1", {"user": "user_1", "query": query})
+    lines = (tmp_path / "audit.jsonl").read_bytes().splitlines(keepends=True)
+    count = len(svc.rt.audit)
+    assert len(lines) == count > 4
+    for since in (-3, 0, count // 2, count, count + 5):
+        status, text = svc.handle("GET", "/audit", {"since_seq": [str(since)]}, "admin", {})
+        assert (status, text.encode()) == (200, b"".join(lines[max(since, 0) :]))
+    svc.rt.audit.close()
+
+
 @pytest.mark.parametrize("component", [0.0, float("nan")])
 def test_unusable_remote_embedding_is_503(component):
     # a zero or NaN vector is the embedding backend's fault, not the caller's

@@ -382,3 +382,18 @@ def test_a_torn_last_line_is_one_violation_not_an_exception(overlap_run, tmp_pat
     command = [sys.executable, "-m", "memfabric.cli", "verify", "--audit", str(audit)]
     result = subprocess.run(command, capture_output=True, text=True)
     assert (result.returncode, result.stderr) == (1, "") and "log_torn_tail" in result.stdout
+
+
+def test_an_episode_the_log_goes_on_past_without_its_end_is_unterminated(overlap_run, tmp_path):
+    # an episode that raised and left the process running; only one still
+    # open at the end of the log is the operation a killed process loses
+    def drop_a_mid_log_episode_end(lines):
+        docs = [json.loads(line) for line in lines]
+        ends = [i for i, doc in enumerate(docs) if doc["action"] == "episode_end"]
+        del docs[ends[len(ends) // 2]]
+        for seq, doc in enumerate(docs):
+            doc["seq"] = seq
+        return [json.dumps(doc, sort_keys=True) for doc in docs]
+
+    paths = tampered_copy(overlap_run, tmp_path, "audit.jsonl", drop_a_mid_log_episode_end)
+    assert codes_with_and_without_store(*paths) == (["episode_unterminated"],) * 2

@@ -130,11 +130,15 @@ def test_every_remote_failure_is_remote_unavailable(client, failure):
 
 
 def test_service_answers_503_for_a_malformed_remote_reply():
+    # a read fails with its embedder; an episode ends failed and answers 200
     with StubServer(BAD_REPLIES["non_object_body"]) as stub:
         runtime, _ = make_runtime()
+        runtime.embedder = RemoteEmbedder(stub.url, 16, timeout=5)
         runtime.coordinator = RemoteCoordinator(stub.url, "route", timeout=5)
-        status, body = MemoryService(runtime).handle(
-            "POST", "/episodes", {}, "u1", {"user": "u1", "query": "d1 q"}
-        )
-    assert status == 503
-    assert body["error"] == "remote_unavailable"
+        service = MemoryService(runtime)
+        read = {"user": "u1", "agent": "a1", "query": "d1 q"}
+        status, body = service.handle("POST", "/memory/read", {}, "u1", read)
+        assert (status, body["error"]) == (503, "remote_unavailable")
+        episode = {"user": "u1", "query": "d1 q"}
+        status, body = service.handle("POST", "/episodes", {}, "u1", episode)
+    assert (status, body["failure"]) == (200, "remote_unavailable")
