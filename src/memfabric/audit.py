@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import mmap
 import os
 import threading
 import warnings
@@ -69,7 +70,7 @@ class AuditLog:
     Sequence numbers are assigned here and have no gaps; appending with a
     tick behind the log head raises :class:`NonMonotonicTimestamp`. Records
     are never mutated or deleted, nor kept: readers stream them from the
-    file. Resumed, a torn last line (see :func:`read_audit_file`) is cut off
+    file. Resumed, a torn last line (see :func:`torn_tail`) is cut off
     with a ``RuntimeWarning``, and an episode a killed process left open
     gets an ``episode_end`` with ``failure: "interrupted"`` at the first append.
     """
@@ -84,9 +85,8 @@ class AuditLog:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
-                records, tail = read_audit_file(self.path)
-                self._count, self._head = len(records), max((r.at for r in records), default=0)
-                self._interrupted = _interrupted_end(records)
+                tail = torn_tail(self.path)
+                self._count, self._head, self._interrupted = _resumed(iter_audit_file(self.path))
                 if tail:
                     os.truncate(self.path, self.path.stat().st_size - len(tail))
                     message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
@@ -163,43 +163,63 @@ class AuditLog:
             self._fp.close()
 
 
-def _interrupted_end(records: Sequence[AuditRecord]) -> tuple | None:
-    """Arguments of :meth:`AuditLog.append` that end the episode still open
-    at the end of ``records`` as interrupted, or ``None`` if none is open."""
-    start, rounds = None, 0
-    for rec in records:
-        if rec.action is AuditAction.EPISODE_START:
-            start, rounds = rec, 0
-        elif rec.action is AuditAction.EPISODE_END:
+def _resumed(records: Iterable[AuditRecord]) -> tuple[int, int, tuple | None]:
+    """The count and head tick of ``records``, and the arguments of
+    :meth:`AuditLog.append` that end the episode still open at their end as
+    interrupted, or ``None`` if none is open."""
+    count = head = rounds = 0
+    start = last = None
+    for last in records:
+        count, head = count + 1, max(head, last.at)
+        if last.action is AuditAction.EPISODE_START:
+            start, rounds = last, 0
+        elif last.action is AuditAction.EPISODE_END:
             start = None
-        elif rec.action is AuditAction.AGENT_INVOKE:
+        elif last.action is AuditAction.AGENT_INVOKE:
             rounds += 1
     if start is None:
-        return None
+        return count, head, None
     detail = {"failure": "interrupted", "rounds": rounds}
-    return records[-1].at, start.actor, AuditAction.EPISODE_END, start.subjects, detail
+    return count, head, (last.at, start.actor, AuditAction.EPISODE_END, start.subjects, detail)
 
 
 def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:
     return [AuditRecord.from_dict(doc) for doc in wire.decode(lines)]
 
 
+def iter_audit_file(path: str | Path) -> Iterator[AuditRecord]:
+    """The records of the log at ``path``, decoded one line at a time so none
+    is kept: every line up to its last newline, blank ones skipped. A bad
+    line raises; what follows the last newline is :func:`torn_tail`'s."""
+    with Path(path).open("rb") as fp:
+        for line in fp:
+            if line.endswith(b"\n") and not line.isspace():
+                yield AuditRecord.from_dict(json.loads(line))
+
+
+def torn_tail(path: str | Path) -> bytes:
+    """The bytes after the last newline of the log at ``path`` unless blank,
+    as a process killed mid-append leaves them; found from its end."""
+    with Path(path).open("rb") as fp:
+        if not os.fstat(fp.fileno()).st_size:
+            return b""
+        with mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ) as view:
+            tail = view[view.rfind(b"\n") + 1 :]
+    return b"" if tail.isspace() else tail
+
+
 def load_audit_file(path: str | Path) -> list[AuditRecord]:
-    return [AuditRecord.from_dict(doc) for doc in wire.load(path)]
+    """Every record of the log at ``path``; a torn last line raises."""
+    records, tail = read_audit_file(path)
+    if tail:
+        records.append(AuditRecord.from_dict(json.loads(tail)))
+    return records
 
 
 def read_audit_file(path: str | Path) -> tuple[list[AuditRecord], bytes]:
-    """The records of the log at ``path`` and its torn tail: the bytes after
-    its last newline unless blank, as a process killed mid-append leaves
-    them. A bad line before the last newline raises."""
-    records, tail = [], b""
-    with Path(path).open("rb") as fp:
-        for line in fp:
-            if not line.endswith(b"\n"):
-                tail = line if line.strip() else b""
-            elif line.strip():
-                records.append(AuditRecord.from_dict(json.loads(line)))
-    return records, tail
+    """The records of the log at ``path`` (:func:`iter_audit_file`) and its
+    :func:`torn_tail`. A bad line before the last newline raises."""
+    return list(iter_audit_file(path)), torn_tail(path)
 
 
 # --- metrics -----------------------------------------------------------------

@@ -46,7 +46,15 @@ import yaml
 
 from . import wire
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc, logged_events
-from .audit import AuditAction, AuditLog, AuditRecord, MetricsReport, access_matrix, compute_metrics
+from .audit import (
+    AuditAction,
+    AuditLog,
+    AuditRecord,
+    MetricsReport,
+    access_matrix,
+    compute_metrics,
+    iter_audit_file,
+)
 from .clock import LogicalClock
 from .errors import ConfigError, InsufficientQueries
 from .orchestration import (
@@ -863,12 +871,9 @@ class ComparisonReport:
 
 
 def _resource_calls_by_query(artifacts: RunArtifacts) -> dict[str, int]:
-    from .audit import load_audit_file
-
-    records = load_audit_file(artifacts.audit_path)
     episode_query: dict[str, str] = {}
     calls: dict[str, int] = {}
-    for rec in records:
+    for rec in iter_audit_file(artifacts.audit_path):
         if rec.action is AuditAction.EPISODE_START:
             episode_query[rec.subjects[0]] = str(rec.detail.get("query", ""))
             calls.setdefault(str(rec.detail.get("query", "")), 0)

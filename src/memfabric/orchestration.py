@@ -513,7 +513,9 @@ def run_episode(
     protocol, or a remote backend that fails (coordinator, agent, embedder,
     write-policy transformer, aggregator or judge) ends the episode with the
     designated failure answer; the episode still starts and ends in the
-    audit log so failure episodes count toward query totals.
+    audit log so failure episodes count toward query totals. A remote agent
+    asking for a resource it is not granted raises ``ResourceNotPermitted``
+    after the episode's end (``failure: "resource_not_permitted"``) is logged.
     """
     with rt.audit.operation():  # one flush for the episode's records
         rt.directory.require(user, PrincipalKind.USER)
@@ -531,6 +533,9 @@ def run_episode(
         failure: str | None = None
         score: float | None = None
         final_answer = NO_AGENTS_ANSWER
+
+        def end(detail: dict[str, object]) -> None:
+            rt.audit.append(t, user.name, AuditAction.EPISODE_END, (episode_id,), detail)
 
         if not accessible:
             failure = "no_accessible_agents"
@@ -557,17 +562,14 @@ def run_episode(
                         score = _judge_score(rt.judge, query, final_answer)
             except RemoteUnavailable:
                 failure, final_answer = "remote_unavailable", NO_AGENTS_ANSWER
+            except ResourceNotPermitted:  # the caller refuses the episode; its log still ends it
+                end({"failure": "resource_not_permitted", "rounds": len(steps)})
+                raise
 
         end_detail: dict[str, object] = {"failure": failure, "rounds": len(steps)}
         if score is not None:
             end_detail["score"] = score
-        rt.audit.append(
-            at=t,
-            actor=user.name,
-            action=AuditAction.EPISODE_END,
-            subjects=(episode_id,),
-            detail=end_detail,
-        )
+        end(end_detail)
         return QueryEpisode(
             episode_id=episode_id,
             user=user,

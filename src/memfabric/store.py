@@ -223,6 +223,25 @@ class AdmissibilityDecision:
         assert self.admitted == (self.failed_clause is None)
 
 
+def failed_clause(
+    fragment: MemoryFragment,
+    u: PrincipalId,
+    user_agents: frozenset[PrincipalId],
+    agent_resources: frozenset[PrincipalId],
+) -> AdmissibilityClause | None:
+    """The first clause ``fragment`` fails for user ``u`` holding the grants
+    ``user_agents`` through an agent holding ``agent_resources``, or ``None``
+    when it is admitted: the scalar rule :meth:`MemoryStore.explain` applies."""
+    prov = fragment.provenance
+    if fragment.tier is Tier.PRIVATE and prov.creator != u:
+        return AdmissibilityClause.TIER_OWNERSHIP
+    if not prov.agents <= user_agents:
+        return AdmissibilityClause.AGENT_SUBSET
+    if not prov.resources <= agent_resources:
+        return AdmissibilityClause.RESOURCE_SUBSET
+    return None
+
+
 class _Columns(NamedTuple):
     """Column arrays of the store; row i describes the i-th inserted fragment.
 
@@ -468,22 +487,6 @@ class MemoryStore:
 
     # -- admissibility
 
-    def _decide(
-        self,
-        fragment: MemoryFragment,
-        u: PrincipalId,
-        user_agents: frozenset[PrincipalId],
-        agent_resources: frozenset[PrincipalId],
-    ) -> AdmissibilityClause | None:
-        prov = fragment.provenance
-        if fragment.tier is Tier.PRIVATE and prov.creator != u:
-            return AdmissibilityClause.TIER_OWNERSHIP
-        if not prov.agents <= user_agents:
-            return AdmissibilityClause.AGENT_SUBSET
-        if not prov.resources <= agent_resources:
-            return AdmissibilityClause.RESOURCE_SUBSET
-        return None
-
     def admissible(
         self, timeline: AccessTimeline, u: PrincipalId, a: PrincipalId, t: int
     ) -> AdmissibleSet:
@@ -523,9 +526,7 @@ class MemoryStore:
     ) -> AdmissibilityDecision:
         """Audit-friendly decomposition of one admissibility check."""
         fragment = self.get(fragment_id)
-        failed = self._decide(
-            fragment, u, timeline.agents_of(u, t), timeline.resources_of(a, t)
-        )
+        failed = failed_clause(fragment, u, timeline.agents_of(u, t), timeline.resources_of(a, t))
         return AdmissibilityDecision(
             fragment_id=fragment_id, admitted=failed is None, failed_clause=failed
         )

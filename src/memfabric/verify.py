@@ -26,17 +26,23 @@ them. Every access decision a run made is re-derived and checked:
 
 An honest run verifies clean; a log with any injected or altered record
 yields at least one violation.
+
+The log is streamed a record at a time, once with both exports given, else
+twice (a pass replaying what is not given, then the checks), so memory grows
+with the store and the timeline, not the log. A read takes its reader's grants
+once and checks each id by the scalar rule :func:`memfabric.store.failed_clause`.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from . import wire
 from .access import AccessTimeline, PermissionEvent, logged_events
-from .audit import AuditAction, AuditRecord, read_audit_file
+from .audit import AuditAction, AuditRecord, iter_audit_file, torn_tail
 from .errors import UnknownPrincipal
 from .principals import (
     PrincipalDirectory,
@@ -44,7 +50,7 @@ from .principals import (
     resource as resource_id,
     user as user_id,
 )
-from .store import MemoryStore, write_detail
+from .store import MemoryStore, failed_clause, write_detail
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ def _snapshot(query, pid, t: int) -> frozenset:
 
 
 def verify_run(
-    records: Sequence[AuditRecord],
+    records: Iterable[AuditRecord],
     timeline: AccessTimeline,
     store: MemoryStore,
 ) -> list[Violation]:
@@ -146,22 +152,25 @@ def verify_run(
                 continue
             u = user_id(str(u_name))
             a = agent_id(str(a_name))
+            try:  # the reader's grants, taken once for all of its ids
+                granted, unknown = (timeline.agents_of(u, at), timeline.resources_of(a, at)), None
+            except UnknownPrincipal as exc:
+                granted, unknown = None, str(exc)
             for fid in rec.subjects:
                 if fid not in store:
                     report(seq, "fragment_unknown", f"read of unknown {fid}")
                     continue
-                created_at = store.get(fid).provenance.created_at
+                fragment = store.get(fid)
+                created_at = fragment.provenance.created_at
                 if created_at > at:
                     message = f"{fid} created at {created_at}, read at {at}"
                     report(seq, "fragment_future_read", message)
-                try:
-                    decision = store.explain(timeline, u, a, at, fid)
-                except UnknownPrincipal as exc:
-                    report(seq, "unknown_principal", str(exc))
+                if granted is None:
+                    report(seq, "unknown_principal", unknown)
                     continue
-                if not decision.admitted:
-                    clause = decision.failed_clause.value
-                    message = f"{fid} read by ({u_name}, {a_name}) at t={at} fails {clause}"
+                clause = failed_clause(fragment, u, *granted)
+                if clause is not None:
+                    message = f"{fid} read by ({u_name}, {a_name}) at t={at} fails {clause.value}"
                     report(seq, "fragment_not_admissible", message)
 
         elif rec.action is AuditAction.FRAGMENT_WRITE:
@@ -208,20 +217,34 @@ def verify_files(
     out what does not replay (each such record is then a violation). A torn
     last line is one violation; the records before it are checked."""
     directory = PrincipalDirectory()
-    records, tail = read_audit_file(audit_path)
-    if timeline_path is None:
-        events = logged_events(records, strict=False)
-        timeline = AccessTimeline.replay(events, directory, strict=False)
-    else:
+    tail = torn_tail(audit_path)
+    timeline = store = None
+    if timeline_path is not None:
         timeline = AccessTimeline.load(timeline_path, directory=directory)
-    if store_path is None:
-        store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
-    elif next(wire.load(store_path), None) is not None:
+    if store_path is not None and next(wire.load(store_path), None) is None:
+        store = MemoryStore(dimension=1, directory=directory)  # an empty export
+    elif store_path is not None:
         store = MemoryStore.load(store_path, directory=directory)
-    else:
-        store = MemoryStore(dimension=1, directory=directory)
-    violations = verify_run(records, timeline, store)
+    if timeline is None or store is None:  # one pass replays what is not given
+        permissions: list[AuditRecord] = []
+        records = _noting_permissions(iter_audit_file(audit_path), permissions)
+        if store is None:  # no check reads an embedding
+            store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
+        else:
+            collections.deque(records, maxlen=0)
+        if timeline is None:
+            events = logged_events(permissions, strict=False)
+            timeline = AccessTimeline.replay(events, directory, strict=False)
+    violations = verify_run(iter_audit_file(audit_path), timeline, store)
     if tail:
         message = f"{len(tail)} bytes after the last newline: a torn last record"
         violations.append(Violation(None, "log_torn_tail", message))
     return violations
+
+
+def _noting_permissions(records: Iterable[AuditRecord], noted: list) -> Iterator[AuditRecord]:
+    """``records``, each grant and revoke also appended to ``noted``."""
+    for rec in records:
+        if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
+            noted.append(rec)
+        yield rec

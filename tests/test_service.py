@@ -859,6 +859,33 @@ def test_remote_agent_asking_for_an_ungranted_resource_is_403():
     assert (status, body["error"]) == (403, "forbidden")
 
 
+def test_a_refused_episode_still_ends_in_the_log(tmp_path):
+    # the service answers 403, and the log it leaves verifies clean
+    doc = overlap_config(count=6, n_users=3, n_agents=2)
+    ungranted = {"output": json.dumps({"invoke": ["domain1_kb", "domain2_kb"]})}
+    audit = tmp_path / "audit.jsonl"
+    with StubServer(lambda request: ungranted) as stub:
+        for spec in doc["agents"]:
+            spec["endpoint"] = stub.url
+        cfg = ScenarioConfig.from_dict(doc)
+        runtime = build_runtime(cfg, audit_path=audit)
+        try:
+            svc = MemoryService(runtime)
+            for a, b in plan_scenario(cfg).setup_edges:
+                edge = {a.kind.value: a.name, b.kind.value: b.name}
+                assert svc.handle("POST", "/permissions/grant", {}, "admin", {"edge": edge})[0] == 200
+            episode = {"user": "user_1", "query": "domain1: topic"}
+            status, body = svc.handle("POST", "/episodes", {}, "user_1", episode)
+            assert (status, body["error"]) == (403, "forbidden")
+            write = {"agent": "domain1_agent", "subquery": "domain1: topic", "response": "details"}
+            assert svc.handle("POST", "/memory/write", {}, "user_1", write)[0] == 200
+        finally:
+            runtime.audit.close()
+    assert verify_files(audit) == []
+    end = next(r for r in load_audit_file(audit) if r.action.value == "episode_end")
+    assert end.detail == {"failure": "resource_not_permitted", "rounds": 0}
+
+
 # --- the serve command ---
 
 

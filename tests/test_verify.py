@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,14 +19,17 @@ from memfabric import (
     Provenance,
     ScenarioConfig,
     Tier,
+    Violation,
     agent,
     load_audit_file,
+    read_audit_file,
     resource,
     run_scenario,
     user,
     verify_files,
     verify_run,
 )
+from memfabric.access import logged_events
 from scenarios import overlap_config
 
 
@@ -242,7 +246,8 @@ def overlap_run(tmp_path_factory):
 
 def tampered_copy(artifacts, tmp_path, name, edit):
     """Copy the run's three files into ``tmp_path``, then rewrite the lines of
-    file ``name`` with ``edit``; return the three paths."""
+    file ``name`` with ``edit``; return the three paths, once the streamed
+    verifier agrees with the listed one on them."""
     paths = []
     for src in (artifacts.audit_path, artifacts.timeline_path, artifacts.store_path):
         lines = src.read_text().splitlines()
@@ -250,7 +255,37 @@ def tampered_copy(artifacts, tmp_path, name, edit):
             lines = edit(lines)
         paths.append(tmp_path / src.name)
         paths[-1].write_text("".join(line + "\n" for line in lines))
+    assert_streamed_as_listed(*paths)
     return paths
+
+
+def verify_listed(audit, timeline=None, store=None):
+    """What ``verify_files`` reports, computed by ``verify_run`` over the whole
+    log decoded into a list and the timeline and store replayed from it."""
+    directory = PrincipalDirectory()
+    records, tail = read_audit_file(audit)
+    if timeline is None:
+        timeline = AccessTimeline.replay(logged_events(records, strict=False), directory, strict=False)
+    else:
+        timeline = AccessTimeline.load(timeline, directory=directory)
+    if store is None:
+        store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
+    else:
+        store = MemoryStore.load(store, directory=directory)
+    violations = verify_run(records, timeline, store)
+    if tail:
+        message = f"{len(tail)} bytes after the last newline: a torn last record"
+        violations.append(Violation(None, "log_torn_tail", message))
+    return violations
+
+
+def assert_streamed_as_listed(audit, timeline, store):
+    """Streamed and listed, with the exports and from the log alone, the same
+    violations: codes, seqs and messages."""
+    for given_timeline in (timeline, None):
+        for given_store in (store, None):
+            streamed = verify_files(audit, given_timeline, given_store)
+            assert streamed == verify_listed(audit, given_timeline, given_store)
 
 
 def codes_with_and_without_store(audit, timeline, store) -> tuple[list[str], list[str]]:
@@ -397,3 +432,54 @@ def test_an_episode_the_log_goes_on_past_without_its_end_is_unterminated(overlap
 
     paths = tampered_copy(overlap_run, tmp_path, "audit.jsonl", drop_a_mid_log_episode_end)
     assert codes_with_and_without_store(*paths) == (["episode_unterminated"],) * 2
+
+
+# --- verify streams the log ---
+
+
+def test_the_honest_and_the_torn_log_verify_streamed_as_listed(overlap_run, tmp_path):
+    a = overlap_run
+    assert_streamed_as_listed(a.audit_path, a.timeline_path, a.store_path)
+    torn = tmp_path / "audit.jsonl"
+    torn.write_bytes(a.audit_path.read_bytes()[:-40])
+    assert_streamed_as_listed(torn, a.timeline_path, a.store_path)
+
+
+def test_a_read_by_an_unknown_agent_is_one_violation_per_stored_id(overlap_run, tmp_path):
+    # the reader's grants are taken once per record; each id still reports
+    def read_by_a_ghost(lines):
+        last = json.loads(lines[-1])
+        ids = [json.loads(line)["subjects"][0] for line in lines if "fragment_write" in line][:3]
+        detail = {"user": "user_1", "agent": "ghost_agent", "user_tier": ids, "cross_tier": []}
+        read = {"seq": last["seq"] + 1, "at": last["at"], "actor": "user_1",
+                "action": "fragment_read", "subjects": ids, "detail": detail}
+        return lines + [json.dumps(read, sort_keys=True)]
+
+    audit, timeline, store = tampered_copy(overlap_run, tmp_path, "audit.jsonl", read_by_a_ghost)
+    for given in (timeline, None):
+        with_store, from_log = codes_with_and_without_store(audit, given, store)
+        assert with_store == from_log == ["unknown_principal"] * 3
+
+
+def test_verify_keeps_no_record_of_the_log_in_memory(tmp_path):
+    directory = PrincipalDirectory()
+    directory.add_user("u1")
+    directory.add_agent("a1")
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    timeline = AccessTimeline(directory, audit=audit)
+    timeline.grant((user("u1"), agent("a1")), 1)
+    detail = {"subquery": "x" * 2000}
+    for t in range(2, 5002):
+        audit.append(t, "u1", AuditAction.AGENT_INVOKE, ("a1",), detail)
+    audit.close()
+    timeline_path = tmp_path / "timeline.jsonl"
+    timeline.save(timeline_path)
+    # decoded, the log is 5,000 records of 2 KB each
+    for given in (timeline_path, None):
+        tracemalloc.start()
+        try:
+            assert verify_files(audit.path, given) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
