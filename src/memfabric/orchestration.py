@@ -46,7 +46,7 @@ from .policy import (
     apply_read,
     encode_and_write,
 )
-from .principals import PrincipalDirectory, PrincipalId, PrincipalKind
+from .principals import PrincipalDirectory, PrincipalId, PrincipalKind, agent, resource
 from .retrieval import Embedder, RankedFragment, RetrievalConfig, retrieve
 from .store import MemoryStore, new_fragment_id
 from .wire import chat
@@ -95,7 +95,7 @@ class CoordinationMessage:
             return cls.halt()
         name = str(data.get("agent", ""))
         if name and "subquery" in data:
-            return cls.route(PrincipalId(PrincipalKind.AGENT, name), str(data["subquery"]))
+            return cls.route(agent(name), str(data["subquery"]))
         raise CoordinatorProtocolViolation(f"unrecognized message shape: {raw!r}")
 
 
@@ -278,7 +278,7 @@ def scripted_agent_respond(
         if hit.similarity >= EXACT_MATCH_SIMILARITY:
             return hit.value, []
     if spec.backend.resource is not None:
-        rid = PrincipalId(PrincipalKind.RESOURCE, spec.backend.resource)
+        rid = resource(spec.backend.resource)
         if rid in permitted:
             result = invoke(rid, subquery)
             return f"According to {rid.name}: {result}", [rid]
@@ -319,7 +319,7 @@ def remote_agent_respond(
     invoked: list[PrincipalId] = []
     results = []
     for name in names:
-        rid = PrincipalId(PrincipalKind.RESOURCE, str(name))
+        rid = resource(str(name))
         if rid not in permitted:
             raise ResourceNotPermitted(f"{spec.id} asked for {rid}")
         results.append(invoke(rid, subquery))

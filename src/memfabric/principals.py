@@ -4,10 +4,17 @@ Every actor in the system is one of three kinds: a human user, an agent
 acting on queries, or an external resource (knowledge base, tool, model).
 Names are case-sensitive and unique within their kind; the same name may
 exist under two different kinds without conflict.
+
+Identities are interned: :func:`user`, :func:`agent` and :func:`resource`
+return one :class:`PrincipalId` per (kind, name) from a table of weak
+references, bounded by the principals still held. Equality, hashing and
+ordering stay by value, so a ``PrincipalId`` built directly equals the
+interned one; interning makes set and dict lookups end at the identity check.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +31,9 @@ class PrincipalKind(str, Enum):
 class PrincipalId:
     """Identity of a user, agent, or resource."""
 
+    # spelt out, not slots=True: Python 3.10 has no weakref_slot
+    __slots__ = ("kind", "name", "__weakref__")
+
     kind: PrincipalKind
     name: str
 
@@ -37,16 +47,27 @@ class PrincipalId:
         return f"{self.kind.value}:{self.name}"
 
 
+_INTERNED = {kind: weakref.WeakValueDictionary() for kind in PrincipalKind}
+
+
+def _interned(kind: PrincipalKind, name: str) -> PrincipalId:
+    table = _INTERNED[kind]
+    pid = table.get(name)
+    if pid is None:  # two racing threads may each build one; both are equal
+        pid = table.setdefault(name, PrincipalId(kind, name))
+    return pid
+
+
 def user(name: str) -> PrincipalId:
-    return PrincipalId(PrincipalKind.USER, name)
+    return _interned(PrincipalKind.USER, name)
 
 
 def agent(name: str) -> PrincipalId:
-    return PrincipalId(PrincipalKind.AGENT, name)
+    return _interned(PrincipalKind.AGENT, name)
 
 
 def resource(name: str) -> PrincipalId:
-    return PrincipalId(PrincipalKind.RESOURCE, name)
+    return _interned(PrincipalKind.RESOURCE, name)
 
 
 class PrincipalDirectory:

@@ -19,9 +19,12 @@ therefore exactly those of a full scan, ties included.
 The deterministic embedder hashes character n-grams into a fixed-dimension
 unit vector. Similarity is then a pure function of surface text: identical
 strings embed identically (cosine 1.0), which is what lets scripted agents
-recognize an exact repeat without any remote model. Each embedder keeps
-the vectors of the texts it embedded last, so a repeated text costs one
-lookup.
+recognize an exact repeat without any remote model. The bucket and sign of
+each n-gram are cached per dimension, so an unseen text costs one lookup and
+one add per n-gram, and each embedder keeps the vectors of the texts it
+embedded last, so a repeated text costs one lookup. Both embedders return a
+:func:`~memfabric.store.frozen_vector`, which fragments adopt without a
+copy: every fragment of one text shares the one immutable vector.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from . import wire
 from .access import AccessTimeline
 from .errors import DimensionMismatch, EmptyText, NonFiniteVector, RemoteUnavailable
 from .principals import PrincipalId
-from .store import AdmissibleSet, MemoryStore, Tier
+from .store import AdmissibleSet, MemoryStore, Tier, frozen_vector
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.1
 
@@ -50,16 +53,18 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
 
-# distinct n-grams whose hashes are kept, and distinct texts whose vectors
-# each deterministic embedder keeps; bounded, so memory stays flat however
-# much distinct text a long-running service embeds
+# distinct (dimension, n-gram) pairs whose terms are kept, and distinct texts
+# whose vectors each deterministic embedder keeps; bounded, so memory stays
+# flat however much distinct text a long-running service embeds
 NGRAM_CACHE_SIZE = 1 << 14
 EMBED_CACHE_SIZE = 1 << 10
 
 
 @lru_cache(maxsize=NGRAM_CACHE_SIZE)
-def _ngram_hash(gram: str) -> int:
-    return int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+def _ngram_term(dimension: int, gram: str) -> tuple[int, float]:
+    """The bucket and the sign +-1.0 that ``gram`` adds to a vector of ``dimension``."""
+    h = int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+    return (h >> 1) % dimension, 1.0 if h & 1 else -1.0
 
 
 def _vector(dimension: int, text: str) -> np.ndarray:
@@ -69,21 +74,19 @@ def _vector(dimension: int, text: str) -> np.ndarray:
     counts = [0.0] * dimension
     for n in (2, 3):
         for i in range(len(marked) - n + 1):
-            h = _ngram_hash(marked[i : i + n])
-            counts[(h >> 1) % dimension] += 1.0 if h & 1 else -1.0
+            bucket, sign = _ngram_term(dimension, marked[i : i + n])
+            counts[bucket] += sign
     # never zero: a text of L marked characters adds 2L - 3 terms of +-1,
     # an odd count, so they cannot all cancel
     vec = np.array(counts, dtype=np.float64)
-    out = vec / float(np.linalg.norm(vec))
-    out.setflags(write=False)
-    return out
+    return frozen_vector(vec / float(np.linalg.norm(vec)))
 
 
 class DeterministicEmbedder:
     """Hash character 2-/3-grams of the input into a unit vector.
 
     Pure function of the text: stable across processes (keyed on blake2b,
-    not Python's randomized ``hash``). The read-only vectors of the last
+    not Python's randomized ``hash``). The immutable vectors of the last
     ``EMBED_CACHE_SIZE`` distinct texts are kept and returned again.
     """
 
@@ -125,9 +128,7 @@ class RemoteEmbedder:
         if not math.isfinite(norm) or norm == 0.0:
             # the backend is at fault, not the caller
             raise RemoteUnavailable(f"embedder returned a vector of norm {norm}")
-        vec = vec / norm
-        vec.setflags(write=False)
-        return vec
+        return frozen_vector(vec / norm)
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:

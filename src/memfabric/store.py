@@ -18,6 +18,11 @@ the creation-time one, so revoking an edge retro-actively hides fragments
 that were reachable before. Deletion is deliberately not exposed: forgetting
 is modeled as revocation, keeping the audit trail total.
 
+Records are slotted and share equal immutable values: interned principals
+(:mod:`memfabric.principals`), one empty resource set, and embeddings held
+as a :func:`frozen_vector`, which a fragment adopts as given, so the
+fragments of one text, both tiers of a write included, share one vector.
+
 Beside the ``id -> MemoryFragment`` records the store keeps columns: an
 N x d embedding matrix and ``created_at``, tier and creator arrays. Inserts
 only append a record; the next read fills the new rows' columns under the
@@ -48,7 +53,7 @@ import mmap
 import threading
 import uuid
 from collections.abc import Sequence, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -86,18 +91,29 @@ class Tier(str, Enum):
     SHARED = "shared"
 
 
-@dataclass(frozen=True)
+_NO_PRINCIPALS: frozenset[PrincipalId] = frozenset()
+
+
+def frozen_vector(values) -> np.ndarray:
+    """``values`` as a float64 array over its own ``bytes``: immutable, since
+    no holder can make an array over ``bytes`` writable again."""
+    array = np.asarray(values, dtype=np.float64)
+    vector = np.frombuffer(array.tobytes(), np.float64)
+    return vector if array.ndim == 1 else vector.reshape(array.shape)
+
+
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Immutable origin stamp attached to a fragment at insert time."""
 
     created_at: int
     creator: PrincipalId
     agents: frozenset[PrincipalId]
-    resources: frozenset[PrincipalId] = field(default_factory=frozenset)
+    resources: frozenset[PrincipalId] = _NO_PRINCIPALS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", frozenset(self.agents))
-        object.__setattr__(self, "resources", frozenset(self.resources))
+        object.__setattr__(self, "resources", frozenset(self.resources) or _NO_PRINCIPALS)
         if self.created_at < 0:
             raise InvalidFragment("created_at must be a non-negative tick")
         if self.creator.kind is not PrincipalKind.USER:
@@ -129,8 +145,12 @@ class Provenance:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MemoryFragment:
+    """A key/value record, its key's embedding and its provenance. A 1-d
+    :func:`frozen_vector` embedding is adopted as given; any other value is
+    copied into one."""
+
     id: str
     tier: Tier
     key: str
@@ -143,9 +163,10 @@ class MemoryFragment:
             raise InvalidFragment("fragment id must be non-empty")
         if not self.key or not self.value:
             raise InvalidFragment(f"fragment {self.id}: key and value must be non-empty")
-        emb = np.array(self.embedding, dtype=np.float64)
-        emb.setflags(write=False)
-        object.__setattr__(self, "embedding", emb)
+        emb = self.embedding
+        frozen = type(emb) is np.ndarray and type(emb.base) is bytes and emb.ndim == 1
+        if not (frozen and emb.dtype == np.float64):
+            object.__setattr__(self, "embedding", frozen_vector(emb))
 
     def to_dict(self) -> dict:
         return {
@@ -164,7 +185,7 @@ class MemoryFragment:
             tier=Tier(data["tier"]),
             key=data["key"],
             value=data["value"],
-            embedding=np.array(data["embedding"], dtype=np.float64),
+            embedding=data["embedding"],  # decoded once, by __post_init__
             provenance=Provenance.from_dict(data["provenance"]),
         )
 
@@ -463,7 +484,8 @@ class MemoryStore:
         if rows != len(cols.created_at):
             cols = self._columns = _Columns(*(_regrown(column, rows) for column in cols))
             self._words = [_regrown(word, rows) for word in self._words]
-        cols.embeddings[start:end] = [f.embedding for f in new]
+        # rows of a C-contiguous matrix: the reshape is a view, written in place
+        np.concatenate([f.embedding for f in new], out=cols.embeddings[start:end].reshape(-1))
         cols.created_at[start:end] = [f.provenance.created_at for f in new]
         cols.shared[start:end] = [f.tier is Tier.SHARED for f in new]
         cols.creator[start:end] = [_intern(self._creator_ix, f.provenance.creator) for f in new]

@@ -50,7 +50,7 @@ from .principals import (
     resource as resource_id,
     user as user_id,
 )
-from .store import MemoryStore, failed_clause, write_detail
+from .store import MemoryStore, failed_clause, frozen_vector, write_detail
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,9 @@ def verify_files(
     if timeline is None or store is None:  # one pass replays what is not given
         permissions: list[AuditRecord] = []
         records = _noting_permissions(iter_audit_file(audit_path), permissions)
-        if store is None:  # no check reads an embedding
-            store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
+        if store is None:  # no check reads an embedding: every fragment shares one
+            unit = frozen_vector([1.0])
+            store = MemoryStore.replay(records, lambda key: unit, 1, directory, strict=False)
         else:
             collections.deque(records, maxlen=0)
         if timeline is None:

@@ -317,7 +317,7 @@ def test_encode_and_write_embeds_each_distinct_key_once():
     assert counting.texts == ["what is x"]
     private, shared = (store.get(i) for i in ids)
     assert (private.tier, shared.tier) == (Tier.PRIVATE, Tier.SHARED)
-    assert private.embedding.tobytes() == shared.embedding.tobytes()
+    assert private.embedding is shared.embedding  # one immutable vector per text
 
     # a shared-tier rule that rewrites the key gives that fragment its own embedding
     redact_key = PolicyTable(

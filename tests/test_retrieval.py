@@ -23,8 +23,10 @@ from memfabric import (
     RemoteUnavailable,
     RetrievalConfig,
     Tier,
+    agent,
     cosine,
     retrieve,
+    user,
 )
 from memfabric.errors import NonFiniteVector
 from genutil import make_universe, random_store, random_timeline, random_unit_vector
@@ -488,6 +490,8 @@ def test_embed_cache_returns_the_same_read_only_vector():
     first = embedder.embed("kiln glaze")
     assert embedder.embed("kiln glaze") is first
     assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first.setflags(write=True)
     assert first.tobytes() == oracle_embed("kiln glaze", 16).tobytes()
     assert DeterministicEmbedder(16).embed("kiln glaze").tobytes() == first.tobytes()
 
@@ -543,6 +547,10 @@ def test_remote_embedder_round_trip():
         vec = emb.embed("hello")
         assert vec.shape == (8,)
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-9
+        with pytest.raises(ValueError):
+            vec.setflags(write=True)
+        provenance = Provenance(0, user("u1"), [agent("a1")])
+        assert MemoryFragment("f1", Tier.SHARED, "hello", "v", vec, provenance).embedding is vec
 
 
 def test_remote_embedder_unavailable():

@@ -13,6 +13,7 @@ import pytest
 from memfabric import (
     AccessTimeline,
     AdmissibilityClause,
+    DeterministicEmbedder,
     DimensionMismatch,
     DuplicateId,
     InvalidFragment,
@@ -149,12 +150,60 @@ def test_provenance_is_frozen():
         f.provenance.created_at = 99  # type: ignore[misc]
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.key = "other"  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.provenance.creator.name = "other"  # type: ignore[misc]
+
+
+def test_records_are_slotted_and_share_the_empty_resource_set():
+    f = fragment(resources=())
+    for record in (f, f.provenance, f.provenance.creator):
+        assert not hasattr(record, "__dict__")
+    other = Provenance(created_at=1, creator=user("u2"), agents=[agent("a2")], resources=[])
+    assert other.resources is f.provenance.resources
 
 
 def test_embedding_is_read_only():
     f = fragment()
     with pytest.raises(ValueError):
         f.embedding[0] = 0.5
+    with pytest.raises(ValueError):
+        f.embedding.setflags(write=True)
+
+
+def test_immutable_vector_is_adopted():
+    vector = DeterministicEmbedder(4).embed("kiln glaze")
+    f = dataclasses.replace(fragment(), embedding=vector)
+    assert f.embedding is vector
+    assert dataclasses.replace(f, id="f2", tier=Tier.PRIVATE).embedding is vector
+
+
+def _writable() -> np.ndarray:
+    return unit(4, 1)
+
+
+def _read_only_view() -> np.ndarray:
+    view = unit(4, 1)[:]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_writable, _read_only_view, lambda: unit(4, 1).astype(np.float32)],
+    ids=["writable", "read-only-view", "float32"],
+)
+def test_other_embeddings_are_copied(make):
+    given = make()
+    f = dataclasses.replace(fragment(), embedding=given)
+    assert f.embedding is not given and not np.shares_memory(f.embedding, given)
+    assert f.embedding.dtype == np.float64 and f.embedding.tolist() == [0.0, 1.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        f.embedding.setflags(write=True)
+    if given.flags.writeable:
+        given[1] = 0.5
+    else:
+        given.base[1] = 0.5
+    assert f.embedding[1] == 1.0
 
 
 def test_provenance_bytes_stable_across_reads(directory):
@@ -414,6 +463,30 @@ def test_loaded_store_admits_and_retrieves_like_the_saved_one(tmp_path):
                 assert retrieve(loaded, timeline, u, a, t, q, cfg) == retrieve(
                     store, timeline, u, a, t, q, cfg
                 )
+
+
+def test_fill_writes_the_same_columns_in_one_batch_or_many():
+    rng = random.Random(41)
+    directory, users, agents, resources = make_universe(3, 4, 4)
+    timeline, _ = random_timeline(rng, directory, users, agents, resources, 20)
+    fragments = [
+        random_fragment(rng, users, agents, resources, 8, f"f{i:05d}") for i in range(10_000)
+    ]
+    reader = (users[0], agents[0], timeline.latest_tick)
+    one, many = MemoryStore(8, directory), MemoryStore(8, directory)
+    for fragment_ in fragments:
+        one.insert(fragment_)
+    i = 0
+    while i < len(fragments):
+        for fragment_ in fragments[i : i + rng.randint(1, 2)]:
+            many.insert(fragment_)
+            i += 1
+        many.admissible(timeline, *reader)  # fills the rows inserted since the last read
+    once, batched = one.admissible(timeline, *reader), many.admissible(timeline, *reader)
+    assert np.array_equal(once.mask, batched.mask)
+    for column_once, column_batched in zip(once.columns, batched.columns):
+        assert column_once.tobytes() == column_batched.tobytes()
+    assert once.columns.embeddings.tobytes() == b"".join(f.embedding.tobytes() for f in fragments)
 
 
 def test_fragments_view_keeps_its_rows_across_inserts(directory):
