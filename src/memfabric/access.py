@@ -21,11 +21,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import wire
 from .audit import AuditAction, AuditLog, AuditRecord
-from .errors import DuplicateEdge, EdgeNotPresent, MemFabricError, NonMonotonicTimestamp
+from .errors import DuplicateEdge, EdgeNotPresent, NonMonotonicTimestamp
 from .principals import PrincipalDirectory, PrincipalId, PrincipalKind, agent, resource, user
 
 
@@ -92,28 +92,12 @@ class PermissionEvent:
         return cls(rec.at, action, edge_from_doc(rec.detail.get("edge")))
 
 
-def logged_events(
-    records: Iterable[AuditRecord], strict: bool = True
-) -> Iterator[PermissionEvent]:
-    """The events of an audit log's grant and revoke records, in log order. A
-    malformed edge raises ``ValueError``, or with ``strict=False`` is left out."""
-    for rec in records:
-        if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
-            try:
-                event = PermissionEvent.from_record(rec)
-            except ValueError:
-                if strict:
-                    raise
-                continue
-            yield event
-
-
 class AccessTimeline:
     """Append-only permission history with snapshot queries.
 
     When an :class:`AuditLog` is attached, every grant/revoke also lands
     there (actor ``admin``); resume and the offline verifier rebuild the
-    timeline from those records with :meth:`replay`.
+    timeline from those records with :meth:`restore`.
     """
 
     def __init__(self, directory: PrincipalDirectory, audit: AuditLog | None = None) -> None:
@@ -148,8 +132,8 @@ class AccessTimeline:
         return self.revoke(edge, at)
 
     def attach_audit(self, audit: AuditLog | None) -> None:
-        """Swap the audit sink; a resumed runtime attaches its log after
-        :meth:`replay` rebuilt the history from it, so nothing is logged twice."""
+        """Swap the audit sink; a resumed runtime attaches its log after the
+        history was rebuilt from it, so nothing is logged twice."""
         self._audit = audit
 
     def _validate_edge(self, edge: Edge) -> None:
@@ -230,37 +214,23 @@ class AccessTimeline:
     def save(self, path: str | Path) -> None:
         wire.dump(path, (e.to_dict() for e in self._events))
 
-    @classmethod
-    def replay(
-        cls,
-        events: Iterable[PermissionEvent],
-        directory: PrincipalDirectory | None = None,
-        strict: bool = True,
-    ) -> "AccessTimeline":
-        """Rebuild a timeline, without an audit sink, from ``events`` in order.
-
-        Principals the events name are registered in ``directory`` (a fresh
-        one when none is given). An event the timeline refuses raises, or
-        with ``strict=False`` is left out for a verifier to report.
-        """
-        directory = directory if directory is not None else PrincipalDirectory()
-        timeline = cls(directory)
-        for event in events:
-            directory.register(event.edge[0])
-            directory.register(event.edge[1])
-            try:
-                timeline.apply(event.action, event.edge, event.tick)
-            except MemFabricError:
-                if strict:
-                    raise
-        return timeline
+    def restore(self, event: PermissionEvent) -> None:
+        """Apply a logged ``event``, first registering the principals it names: the
+        one step that rebuilds a timeline from an event log or an audit log."""
+        self.directory.register(event.edge[0])
+        self.directory.register(event.edge[1])
+        self.apply(event.action, event.edge, event.tick)
 
     @classmethod
     def from_jsonl(
         cls, lines: Iterable[str] | str, directory: PrincipalDirectory | None = None
     ) -> "AccessTimeline":
-        """Rebuild a timeline from an event log (see :meth:`replay`)."""
-        return cls.replay(map(PermissionEvent.from_dict, wire.decode(lines)), directory)
+        """Rebuild a timeline, without an audit sink, from an event log; principals
+        the events name are registered in ``directory`` (a fresh one when none is given)."""
+        timeline = cls(directory if directory is not None else PrincipalDirectory())
+        for doc in wire.decode(lines):
+            timeline.restore(PermissionEvent.from_dict(doc))
+        return timeline
 
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> "AccessTimeline":

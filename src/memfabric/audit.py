@@ -4,7 +4,9 @@ Every permission change, memory operation, and invocation lands here as one
 immutable record. The log is the system's ground truth for "what happened":
 metrics, access matrices, and the offline verifier all consume it. Records
 are line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and
-kept nowhere else: readers stream them back from the file.
+kept nowhere else: readers stream them back from the file. Resume and verify
+fold the log a record at a time into a :class:`LogTally` (count, head tick,
+episodes, the one left open), extended by :class:`memfabric.store.LogState`.
 """
 
 from __future__ import annotations
@@ -85,15 +87,26 @@ class AuditLog:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             if resume and self.path.exists():
-                tail = torn_tail(self.path)
-                self._count, self._head, self._interrupted = _resumed(iter_audit_file(self.path))
-                if tail:
-                    os.truncate(self.path, self.path.stat().st_size - len(tail))
-                    message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
-                    warnings.warn(message, RuntimeWarning, stacklevel=2)
-                self._fp = self.path.open("a", encoding="utf-8")
+                self._continue(LogTally().fold(self.path))
             else:
                 self._fp = self.path.open("w", encoding="utf-8")
+
+    @classmethod
+    def continuing(cls, path: str | Path, tally: "LogTally") -> "AuditLog":
+        """The log at ``path`` reopened to append after ``tally``'s fold of it, as by ``resume``."""
+        log = cls()
+        log.path = Path(path)
+        log._continue(tally)
+        return log
+
+    def _continue(self, tally: "LogTally") -> None:
+        tail = torn_tail(self.path)
+        if tail:
+            os.truncate(self.path, self.path.stat().st_size - len(tail))
+            message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
+            warnings.warn(message, RuntimeWarning, stacklevel=3)
+        self._count, self._head, self._interrupted = tally.count, tally.head, tally.interrupted()
+        self._fp = self.path.open("a", encoding="utf-8")
 
     def append(
         self,
@@ -163,24 +176,40 @@ class AuditLog:
             self._fp.close()
 
 
-def _resumed(records: Iterable[AuditRecord]) -> tuple[int, int, tuple | None]:
-    """The count and head tick of ``records``, and the arguments of
-    :meth:`AuditLog.append` that end the episode still open at their end as
-    interrupted, or ``None`` if none is open."""
-    count = head = rounds = 0
-    start = last = None
-    for last in records:
-        count, head = count + 1, max(head, last.at)
-        if last.action is AuditAction.EPISODE_START:
-            start, rounds = last, 0
-        elif last.action is AuditAction.EPISODE_END:
-            start = None
-        elif last.action is AuditAction.AGENT_INVOKE:
-            rounds += 1
-    if start is None:
-        return count, head, None
-    detail = {"failure": "interrupted", "rounds": rounds}
-    return count, head, (last.at, start.actor, AuditAction.EPISODE_END, start.subjects, detail)
+class LogTally:
+    """What a replay keeps of the records of an audit log fed to it in order:
+    their count, the head tick, the episodes started, and the episode still
+    open after the last, which :meth:`interrupted` ends."""
+
+    def __init__(self) -> None:
+        self.count = self.head = self.episodes = 0
+        self._start: AuditRecord | None = None  # the episode_start of the open episode
+        self._rounds = self._at = 0  # its agent_invoke records; the last record's tick
+
+    def feed(self, rec: AuditRecord) -> None:
+        self.count, self.head, self._at = self.count + 1, max(self.head, rec.at), rec.at
+        if rec.action is AuditAction.EPISODE_START:
+            self._start, self._rounds = rec, 0
+            self.episodes += 1
+        elif rec.action is AuditAction.EPISODE_END:
+            self._start = None
+        elif rec.action is AuditAction.AGENT_INVOKE:
+            self._rounds += 1
+
+    def fold(self, path: str | Path) -> "LogTally":
+        """Feed every record of the log at ``path`` (:func:`iter_audit_file`); return self."""
+        for rec in iter_audit_file(path):
+            self.feed(rec)
+        return self
+
+    def interrupted(self) -> tuple | None:
+        """The arguments of :meth:`AuditLog.append` that end the open episode
+        as interrupted, or ``None`` if none is open."""
+        start = self._start
+        if start is None:
+            return None
+        detail = {"failure": "interrupted", "rounds": self._rounds}
+        return self._at, start.actor, AuditAction.EPISODE_END, start.subjects, detail
 
 
 def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:

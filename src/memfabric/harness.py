@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import yaml
 
 from . import wire
-from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc, logged_events
+from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc
 from .audit import (
     AuditAction,
     AuditLog,
@@ -85,7 +85,7 @@ from .policy import (
 from .principals import PrincipalDirectory, PrincipalId, agent, resource, user
 from .retrieval import DeterministicEmbedder, Embedder, RemoteEmbedder, RetrievalConfig
 from .schedule import DEFAULT_ACCEPT_PROBABILITY, GraphSchedule, plan_schedule, schedule_from_targets
-from .store import MemoryStore, seeded_id_factory
+from .store import LogState, MemoryStore, seeded_id_factory
 
 DEFAULT_SHARED_WRITE_RULES = (("{user}", "[user]"),)
 _STOCK_PROMPTS = {
@@ -609,14 +609,16 @@ def build_runtime(
 ) -> Runtime:
     """Wire a runtime from a config, fresh or continuing a previous run.
 
-    Fresh, the audit log at ``audit_path`` is truncated and the runtime holds
-    nothing. With ``resume``, the log is reopened in append mode. Both ways the
-    runtime continues from the log alone: the timeline and store are replayed
-    from its records, each key embedded again, and the audit ``seq``, the clock
-    (the last tick logged), episode ids and the seeded fragment ids follow it,
-    starting at zero when it is empty (``timeline.jsonl`` and ``store.jsonl``
-    are exports). A log that does not replay, or an embedder that fails in
-    the replay, raises and leaves no file open.
+    Fresh, the audit log at ``audit_path`` is truncated, never read, and the
+    runtime holds nothing. With ``resume``, the runtime continues from the log
+    alone (``timeline.jsonl`` and ``store.jsonl`` are exports): one streamed
+    pass of a :class:`~memfabric.store.LogState` decodes each record once,
+    applies it to the timeline or the store (each key embedded again) and
+    keeps no record, and the audit ``seq``, the clock (the last tick logged),
+    episode ids and the seeded fragment ids follow it. Only then is the log
+    reopened to append, its torn last line cut. A log that does not replay
+    raises at its first record that does not apply, as does an embedder that
+    fails in the replay, leaving the log as it was and no file open.
     Permission edges are *not* applied here; the run (or an API driver)
     issues them so that both paths produce identical event and audit logs.
     """
@@ -671,16 +673,15 @@ def build_runtime(
     judge = cfg.judge.build() if cfg.judge is not None else None
     policies = build_policies(cfg)
 
-    # opened last, so a bad config leaves no file open, and attached after
-    # replay, so replayed history is not logged again
-    audit = AuditLog(audit_path, resume=resume)
-    try:
-        records = audit.records  # one decode of the log for both replays
-        timeline = AccessTimeline.replay(logged_events(records), directory)
-        store = MemoryStore.replay(records, embedder.embed, embedder.dimension, directory)
-    except BaseException:
-        audit.close()
-        raise
+    # the log is opened last, so a bad config or a log that does not replay leaves
+    # it as it was and no file open, and attached after, so replay logs nothing
+    timeline = AccessTimeline(directory)
+    store = MemoryStore(embedder.dimension, directory)
+    state = LogState(timeline, store, embedder.embed)
+    if resume and audit_path is not None and Path(audit_path).exists():
+        audit = AuditLog.continuing(audit_path, state.fold(audit_path))
+    else:
+        audit = AuditLog(audit_path)
     timeline.attach_audit(audit)
     store.attach_audit(audit)
     id_factory = seeded_id_factory(cfg.seed)
@@ -688,7 +689,7 @@ def build_runtime(
         id_factory()  # every fragment the log records drew exactly one id
     return Runtime(
         directory=directory,
-        clock=LogicalClock(max((r.at for r in records), default=0)),
+        clock=LogicalClock(state.head),
         timeline=timeline,
         store=store,
         policies=policies,
@@ -703,7 +704,7 @@ def build_runtime(
         id_factory=id_factory,
         force_private=cfg.memory_mode == "isolated",
         judge=judge,
-        _episode_counter=sum(1 for r in records if r.action is AuditAction.EPISODE_START),
+        _episode_counter=state.episodes,
     )
 
 

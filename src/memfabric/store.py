@@ -61,8 +61,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from . import wire
-from .access import AccessTimeline
-from .audit import AuditAction, AuditLog, AuditRecord
+from .access import AccessTimeline, PermissionEvent
+from .audit import AuditAction, AuditLog, AuditRecord, LogTally
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -379,7 +379,7 @@ class MemoryStore:
     The store validates embeddings against a fixed dimension, finiteness and
     unit L2 norm on insert; provenance principals are checked against
     ``directory`` when one is attached. Inserts emit ``fragment_write`` audit
-    records, from which :meth:`replay` rebuilds the store; :meth:`save` exports it.
+    records, from which a :class:`LogState` rebuilds the store; :meth:`save` exports it.
     """
 
     def __init__(
@@ -573,42 +573,9 @@ class MemoryStore:
         directory = directory if directory is not None else PrincipalDirectory()
         return cls(fragments[0].embedding.shape[0], directory)._add(*fragments)
 
-    @classmethod
-    def replay(
-        cls,
-        records: Iterable[AuditRecord],
-        embed: Callable[[str], np.ndarray],
-        dimension: int,
-        directory: PrincipalDirectory,
-        strict: bool = True,
-    ) -> "MemoryStore":
-        """Rebuild a store from the ``fragment_write`` records of an audit log
-        (see :meth:`_add`), embedding each key with ``embed``. A record that
-        does not parse or that the store refuses (a second write of an id)
-        raises, or with ``strict=False`` is left out for a verifier to report."""
-        store = cls(dimension, directory)
-        for rec in records:
-            if rec.action is AuditAction.FRAGMENT_WRITE:
-                try:
-                    (fid,) = rec.subjects
-                    d = rec.detail
-                    if "key" not in d or "value" not in d:
-                        raise OutdatedAuditLog(
-                            f"fragment_write seq={rec.seq} has no key or value: the log "
-                            "predates the format that carries fragment content"
-                        )
-                    agents, resources = map(agent, d["agents"]), map(resource, d["resources"])
-                    prov = Provenance(rec.at, user(rec.actor), agents, resources)
-                    key, value = d["key"], d["value"]
-                    store._add(MemoryFragment(fid, Tier(d["tier"]), key, value, embed(key), prov))
-                except (LookupError, TypeError, ValueError, MemFabricError):
-                    if strict:
-                        raise
-        return store
-
     def _add(self, *fragments: MemoryFragment) -> "MemoryStore":
         """Store ``fragments`` in order, unaudited, registering the principals
-        their provenance names."""
+        their provenance names first."""
         for fragment in fragments:
             prov = fragment.provenance
             for pid in (prov.creator, *prov.agents, *prov.resources):
@@ -621,3 +588,40 @@ class MemoryStore:
     def load(cls, path: str | Path, **kwargs) -> "MemoryStore":
         with Path(path).open(encoding="utf-8") as fp:
             return cls.from_jsonl(fp, **kwargs)
+
+
+class LogState(LogTally):
+    """A :class:`LogTally` that also applies each grant or revoke to ``timeline``
+    (:meth:`AccessTimeline.restore`) and stores each ``fragment_write`` in ``store``,
+    its key embedded with ``embed``; ``None`` leaves that part alone. The first record
+    that does not apply raises, or with ``strict=False`` is left out for a verifier."""
+
+    def __init__(self, timeline: AccessTimeline | None, store: MemoryStore | None,
+                 embed: Callable[[str], np.ndarray], strict: bool = True) -> None:
+        super().__init__()
+        self.timeline, self.store, self.embed, self.strict = timeline, store, embed, strict
+
+    def feed(self, rec: AuditRecord) -> None:
+        super().feed(rec)
+        try:
+            if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
+                if self.timeline is not None:
+                    self.timeline.restore(PermissionEvent.from_record(rec))
+            elif rec.action is AuditAction.FRAGMENT_WRITE and self.store is not None:
+                self.store._add(self._fragment(rec))
+        except (LookupError, TypeError, ValueError, MemFabricError):
+            if self.strict:
+                raise
+
+    def _fragment(self, rec: AuditRecord) -> MemoryFragment:
+        (fid,) = rec.subjects
+        d = rec.detail
+        if "key" not in d or "value" not in d:
+            raise OutdatedAuditLog(
+                f"fragment_write seq={rec.seq} has no key or value: the log "
+                "predates the format that carries fragment content"
+            )
+        agents, resources = map(agent, d["agents"]), map(resource, d["resources"])
+        prov = Provenance(rec.at, user(rec.actor), agents, resources)
+        key = d["key"]
+        return MemoryFragment(fid, Tier(d["tier"]), key, d["value"], self.embed(key), prov)

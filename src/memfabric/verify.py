@@ -28,20 +28,20 @@ An honest run verifies clean; a log with any injected or altered record
 yields at least one violation.
 
 The log is streamed a record at a time, once with both exports given, else
-twice (a pass replaying what is not given, then the checks), so memory grows
-with the store and the timeline, not the log. A read takes its reader's grants
-once and checks each id by the scalar rule :func:`memfabric.store.failed_clause`.
+twice: a :class:`~memfabric.store.LogState` fold, as on resume, replays what
+is not given, then the checks run, so memory grows with the store and the
+timeline, not the log. A read takes its reader's grants once and checks each
+id by the scalar rule :func:`memfabric.store.failed_clause`.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import wire
-from .access import AccessTimeline, PermissionEvent, logged_events
+from .access import AccessTimeline, PermissionEvent
 from .audit import AuditAction, AuditRecord, iter_audit_file, torn_tail
 from .errors import UnknownPrincipal
 from .principals import (
@@ -50,7 +50,7 @@ from .principals import (
     resource as resource_id,
     user as user_id,
 )
-from .store import MemoryStore, failed_clause, frozen_vector, write_detail
+from .store import LogState, MemoryStore, failed_clause, frozen_vector, write_detail
 
 
 @dataclass(frozen=True)
@@ -218,34 +218,23 @@ def verify_files(
     last line is one violation; the records before it are checked."""
     directory = PrincipalDirectory()
     tail = torn_tail(audit_path)
-    timeline = store = None
-    if timeline_path is not None:
+    unit = frozen_vector([1.0])  # no check reads an embedding: every fragment shares one
+    replayed = LogState(None, None, lambda key: unit, strict=False)  # what is not given
+    if timeline_path is None:
+        timeline = replayed.timeline = AccessTimeline(directory)
+    else:
         timeline = AccessTimeline.load(timeline_path, directory=directory)
-    if store_path is not None and next(wire.load(store_path), None) is None:
-        store = MemoryStore(dimension=1, directory=directory)  # an empty export
-    elif store_path is not None:
+    if store_path is None:
+        store = replayed.store = MemoryStore(1, directory)
+    elif next(wire.load(store_path), None) is None:
+        store = MemoryStore(1, directory)  # an empty export
+    else:
         store = MemoryStore.load(store_path, directory=directory)
-    if timeline is None or store is None:  # one pass replays what is not given
-        permissions: list[AuditRecord] = []
-        records = _noting_permissions(iter_audit_file(audit_path), permissions)
-        if store is None:  # no check reads an embedding: every fragment shares one
-            unit = frozen_vector([1.0])
-            store = MemoryStore.replay(records, lambda key: unit, 1, directory, strict=False)
-        else:
-            collections.deque(records, maxlen=0)
-        if timeline is None:
-            events = logged_events(permissions, strict=False)
-            timeline = AccessTimeline.replay(events, directory, strict=False)
+    if timeline_path is None or store_path is None:
+        replayed.fold(audit_path)
     violations = verify_run(iter_audit_file(audit_path), timeline, store)
     if tail:
         message = f"{len(tail)} bytes after the last newline: a torn last record"
         violations.append(Violation(None, "log_torn_tail", message))
     return violations
 
-
-def _noting_permissions(records: Iterable[AuditRecord], noted: list) -> Iterator[AuditRecord]:
-    """``records``, each grant and revoke also appended to ``noted``."""
-    for rec in records:
-        if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
-            noted.append(rec)
-        yield rec

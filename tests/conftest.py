@@ -4,8 +4,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# more examples than tier-1's time allows, for CI's separate run of the
+# restart model: pytest tests/test_model.py --hypothesis-profile=thorough
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 from memfabric import PrincipalDirectory
 

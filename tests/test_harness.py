@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,12 +11,15 @@ import pytest
 import yaml
 
 from memfabric import (
+    AccessTimeline,
     AuditAction,
+    AuditLog,
     ConfigError,
     DuplicateId,
     InsufficientQueries,
     NonMonotonicTimestamp,
     OutdatedAuditLog,
+    PrincipalDirectory,
     RemoteUnavailable,
     ResourceNotPermitted,
     ScenarioConfig,
@@ -280,6 +284,10 @@ def test_failed_build_leaves_no_file_open_and_the_log_intact(tmp_path):
         ("malformed", ValueError),
         ("duplicate write", DuplicateId),
         ("pre-format write", OutdatedAuditLog),
+        # the torn tail is cut only once the log has replayed
+        ("duplicate write, torn tail", DuplicateId),
+        # the first record in log order that does not replay raises: the write at seq 8
+        ("duplicate write, malformed revoke", DuplicateId),
     ],
 )
 def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
@@ -288,18 +296,28 @@ def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path)
     lines = artifacts.audit_path.read_text().splitlines(keepends=True)
-    action = "fragment_write" if edit.endswith("write") else "grant"
-    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == action)
+
+    def first(action):
+        return next(i for i, line in enumerate(lines) if json.loads(line)["action"] == action)
+
+    def malform(i):
+        doc = json.loads(lines[i])
+        doc["detail"]["edge"] = {"user": "user_1"}
+        lines[i] = json.dumps(doc, sort_keys=True) + "\n"
+
+    i = first("fragment_write" if "write" in edit else "grant")
     if edit.startswith("duplicate"):
         lines.insert(i, lines[i])
-    else:
+    elif edit == "malformed":
+        malform(i)
+    else:  # written before fragment_write records carried key and value
         doc = json.loads(lines[i])
-        if edit == "malformed":
-            doc["detail"]["edge"] = {"user": "user_1"}
-        else:  # written before fragment_write records carried key and value
-            del doc["detail"]["key"], doc["detail"]["value"]
+        del doc["detail"]["key"], doc["detail"]["value"]
         lines[i] = json.dumps(doc, sort_keys=True) + "\n"
-    artifacts.audit_path.write_text("".join(lines))
+    if edit.endswith("malformed revoke"):
+        malform(first("revoke"))
+    tail = b'{"seq": 25, "a' if edit.endswith("torn tail") else b""
+    artifacts.audit_path.write_bytes("".join(lines).encode() + tail)
     log = artifacts.audit_path.read_bytes()
     reason = rf"seq={i} .* predates the format" if edit == "pre-format write" else None
 
@@ -350,15 +368,38 @@ def test_resume_cuts_a_torn_last_line_and_the_log_goes_on_clean(tmp_path):
 def test_the_log_alone_rebuilds_the_store_and_verifies(tmp_path, config):
     cfg = ScenarioConfig.from_dict(config())
     artifacts = run_scenario(cfg, tmp_path)
-    exported = artifacts.store_path.read_text()
+    exported = artifacts.store_path.read_text(), artifacts.timeline_path.read_text()
     artifacts.store_path.unlink()
     artifacts.timeline_path.unlink()
     rt = build_runtime(cfg, artifacts.audit_path, resume=True)
     try:
-        assert rt.store.to_jsonl() == exported
+        assert (rt.store.to_jsonl(), rt.timeline.to_jsonl()) == exported
     finally:
         rt.audit.close()
     assert verify_files(artifacts.audit_path) == []
+
+
+def test_resume_keeps_no_record_of_the_log_in_memory(tmp_path):
+    cfg = ScenarioConfig.from_dict(overlap_config(n_users=1, n_agents=1))
+    directory = PrincipalDirectory()
+    directory.add_user("user_1")
+    directory.add_agent("domain1_agent")
+    audit = AuditLog(tmp_path / "audit.jsonl")
+    AccessTimeline(directory, audit=audit).grant((user("user_1"), agent("domain1_agent")), 1)
+    detail = {"subquery": "x" * 2000}
+    for t in range(2, 5002):
+        audit.append(t, "user_1", AuditAction.AGENT_INVOKE, ("domain1_agent",), detail)
+    audit.close()
+    # decoded, the log is 5,000 records of 2 KB each
+    tracemalloc.start()
+    try:
+        rt = build_runtime(cfg, audit.path, resume=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rt.audit.close()
+    assert (len(rt.audit), rt.clock.now, len(rt.timeline.events)) == (5001, 5001, 1)
+    assert peak < 1_000_000
 
 
 # --- schedule run ---

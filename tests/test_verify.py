@@ -29,7 +29,7 @@ from memfabric import (
     verify_files,
     verify_run,
 )
-from memfabric.access import logged_events
+from memfabric.store import LogState
 from scenarios import overlap_config
 
 
@@ -261,15 +261,24 @@ def tampered_copy(artifacts, tmp_path, name, edit):
 
 def verify_listed(audit, timeline=None, store=None):
     """What ``verify_files`` reports, computed by ``verify_run`` over the whole
-    log decoded into a list and the timeline and store replayed from it."""
+    log decoded into a list, and the timeline and store each replayed from it
+    in a pass of its own."""
     directory = PrincipalDirectory()
     records, tail = read_audit_file(audit)
+
+    def replay(timeline=None, store=None):
+        state = LogState(timeline, store, lambda key: [1.0], strict=False)
+        for rec in records:
+            state.feed(rec)
+
     if timeline is None:
-        timeline = AccessTimeline.replay(logged_events(records, strict=False), directory, strict=False)
+        timeline = AccessTimeline(directory)
+        replay(timeline=timeline)
     else:
         timeline = AccessTimeline.load(timeline, directory=directory)
     if store is None:
-        store = MemoryStore.replay(records, lambda key: [1.0], 1, directory, strict=False)
+        store = MemoryStore(1, directory)
+        replay(store=store)
     else:
         store = MemoryStore.load(store, directory=directory)
     violations = verify_run(records, timeline, store)
