@@ -4,8 +4,9 @@ Every permission change, memory operation, and invocation lands here as one
 immutable record. The log is the system's ground truth for "what happened":
 metrics, access matrices, and the offline verifier all consume it. Records
 are line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and
-kept nowhere else: readers stream them back from the file. Resume and verify
-fold the log a record at a time into a :class:`LogTally` (count, head tick,
+kept nowhere else: readers stream them back from the file. A line is one
+f-string, byte for byte ``wire.encode`` of its record. Resume and verify fold
+the log a record at a time into a :class:`LogTally` (count, head tick,
 episodes, the one left open), extended by :class:`memfabric.store.LogState`.
 """
 
@@ -25,7 +26,9 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from . import wire
-from .errors import EmptyWindow, NonMonotonicTimestamp
+from .errors import EmptyWindow, MemFabricError, NonMonotonicTimestamp
+
+_quote = json.encoder.encode_basestring_ascii  # how wire.dumps writes a str
 
 
 class AuditAction(str, Enum):
@@ -126,8 +129,9 @@ class AuditLog:
         if self._count and at < self._head:
             raise NonMonotonicTimestamp(f"audit tick {at} is behind log head {self._head}")
         seq = self._count
-        self._fp.write(wire.encode({"seq": seq, "at": at, "actor": actor, "action": action.value,
-                                    "subjects": subjects, "detail": detail or {}}))
+        self._fp.write(f'{{"action": {_quote(action.value)}, "actor": {_quote(actor)}, "at": {at}, '
+                       f'"detail": {wire.dumps(detail or {})}, "seq": {seq}, '
+                       f'"subjects": [{", ".join(map(_quote, subjects))}]}}\n')
         if not self._open:
             self._fp.flush()
         self._count, self._head = seq + 1, at
@@ -177,9 +181,11 @@ class AuditLog:
 
 
 class LogTally:
-    """What a replay keeps of the records of an audit log fed to it in order:
-    their count, the head tick, the episodes started, and the episode still
-    open after the last, which :meth:`interrupted` ends."""
+    """What a replay keeps of the records of an audit log fed to it in order: their count,
+    the head tick, the episodes started, and the episode still open after the last, which
+    :meth:`interrupted` ends. Strict, it refuses a seq or tick that ``append`` never writes."""
+
+    strict = True  # a verifier's LogState is not: it reports such records instead
 
     def __init__(self) -> None:
         self.count = self.head = self.episodes = 0
@@ -187,6 +193,8 @@ class LogTally:
         self._rounds = self._at = 0  # its agent_invoke records; the last record's tick
 
     def feed(self, rec: AuditRecord) -> None:
+        if self.strict and (rec.seq != self.count or rec.at < self.head):
+            raise MemFabricError(f"log record {self.count}: seq={rec.seq} at={rec.at}, head {self.head}")
         self.count, self.head, self._at = self.count + 1, max(self.head, rec.at), rec.at
         if rec.action is AuditAction.EPISODE_START:
             self._start, self._rounds = rec, 0

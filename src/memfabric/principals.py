@@ -10,6 +10,10 @@ return one :class:`PrincipalId` per (kind, name) from a table of weak
 references, bounded by the principals still held. Equality, hashing and
 ordering stay by value, so a ``PrincipalId`` built directly equals the
 interned one; interning makes set and dict lookups end at the identity check.
+
+Sets of principals are interned too (hash-consing, Filliâtre & Conchon 2006):
+one :class:`PrincipalSet` per distinct set, with its names sorted once. A
+store's fragments name few distinct agent and resource sets, and share them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .errors import UnknownPrincipal
 
@@ -46,6 +51,9 @@ class PrincipalId:
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.name}"
 
+    def __reduce__(self):  # copies and unpickled ids are the interned ones
+        return _interned, (self.kind, self.name)
+
 
 _INTERNED = {kind: weakref.WeakValueDictionary() for kind in PrincipalKind}
 
@@ -56,6 +64,23 @@ def _interned(kind: PrincipalKind, name: str) -> PrincipalId:
     if pid is None:  # two racing threads may each build one; both are equal
         pid = table.setdefault(name, PrincipalId(kind, name))
     return pid
+
+
+class PrincipalSet(frozenset):
+    """A frozenset of principals with ``names``, their names sorted. Interned: building one
+    equal to a live one (by copy or pickle too) returns that one; the table holds it weakly."""
+
+    __slots__ = ("names",)
+    _table = weakref.WeakValueDictionary()  # each frozenset -> the PrincipalSet equal to it
+
+    def __new__(cls, pids: Iterable[PrincipalId] = ()) -> "PrincipalSet":
+        key = frozenset(pids)
+        found = cls._table.get(key)
+        if found is None:  # as in _interned, a racing thread may build an equal one
+            found = super().__new__(cls, key)
+            found.names = tuple(sorted(pid.name for pid in key))
+            found = cls._table.setdefault(key, found)
+        return found
 
 
 def user(name: str) -> PrincipalId:
@@ -84,12 +109,7 @@ class PrincipalDirectory:
         }
 
     def register(self, pid: PrincipalId) -> PrincipalId:
-        table = self._known[pid.kind]
-        existing = table.get(pid.name)
-        if existing is not None:
-            return existing
-        table[pid.name] = pid
-        return pid
+        return self._known[pid.kind].setdefault(pid.name, pid)
 
     def add_user(self, name: str) -> PrincipalId:
         return self.register(user(name))

@@ -18,8 +18,8 @@ the creation-time one, so revoking an edge retro-actively hides fragments
 that were reachable before. Deletion is deliberately not exposed: forgetting
 is modeled as revocation, keeping the audit trail total.
 
-Records are slotted and share equal immutable values: interned principals
-(:mod:`memfabric.principals`), one empty resource set, and embeddings held
+Records are slotted and share equal immutable values: interned principals and
+principal sets with their sorted names (:mod:`memfabric.principals`), and embeddings held
 as a :func:`frozen_vector`, which a fragment adopts as given, so the
 fragments of one text, both tiers of a write included, share one vector.
 
@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
+import random
 import threading
 import uuid
 from collections.abc import Sequence, Set
@@ -77,6 +78,7 @@ from .principals import (
     PrincipalDirectory,
     PrincipalId,
     PrincipalKind,
+    PrincipalSet,
     agent,
     resource,
     user,
@@ -91,9 +93,6 @@ class Tier(str, Enum):
     SHARED = "shared"
 
 
-_NO_PRINCIPALS: frozenset[PrincipalId] = frozenset()
-
-
 def frozen_vector(values) -> np.ndarray:
     """``values`` as a float64 array over its own ``bytes``: immutable, since
     no holder can make an array over ``bytes`` writable again."""
@@ -104,16 +103,16 @@ def frozen_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class Provenance:
-    """Immutable origin stamp attached to a fragment at insert time."""
+    """Immutable origin stamp attached to a fragment at insert time; its sets are interned."""
 
     created_at: int
     creator: PrincipalId
-    agents: frozenset[PrincipalId]
-    resources: frozenset[PrincipalId] = _NO_PRINCIPALS
+    agents: PrincipalSet
+    resources: PrincipalSet = PrincipalSet()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", frozenset(self.agents))
-        object.__setattr__(self, "resources", frozenset(self.resources) or _NO_PRINCIPALS)
+        object.__setattr__(self, "agents", PrincipalSet(self.agents))
+        object.__setattr__(self, "resources", PrincipalSet(self.resources))
         if self.created_at < 0:
             raise InvalidFragment("created_at must be a non-negative tick")
         if self.creator.kind is not PrincipalKind.USER:
@@ -131,8 +130,8 @@ class Provenance:
         return {
             "created_at": self.created_at,
             "creator": self.creator.name,
-            "agents": sorted(a.name for a in self.agents),
-            "resources": sorted(r.name for r in self.resources),
+            "agents": list(self.agents.names),
+            "resources": list(self.resources.names),
         }
 
     @classmethod
@@ -140,8 +139,8 @@ class Provenance:
         return cls(
             created_at=int(data["created_at"]),
             creator=user(data["creator"]),
-            agents=frozenset(agent(n) for n in data["agents"]),
-            resources=frozenset(resource(n) for n in data["resources"]),
+            agents=map(agent, data["agents"]),
+            resources=map(resource, data["resources"]),
         )
 
 
@@ -191,13 +190,13 @@ class MemoryFragment:
 
 
 def write_detail(fragment: MemoryFragment) -> dict:
-    """The ``detail`` of the ``fragment_write`` audit record that stores ``fragment``."""
+    """The ``detail`` of the ``fragment_write`` record of ``fragment``, in fresh lists."""
     return {
         "tier": fragment.tier.value,
         "key": fragment.key,
         "value": fragment.value,
-        "agents": sorted(a.name for a in fragment.provenance.agents),
-        "resources": sorted(r.name for r in fragment.provenance.resources),
+        "agents": list(fragment.provenance.agents.names),
+        "resources": list(fragment.provenance.resources.names),
     }
 
 
@@ -211,8 +210,6 @@ def seeded_id_factory(seed: int):
     Used by the scenario harness so replays with the same seed produce
     byte-identical stores and audit logs.
     """
-    import random
-
     rng = random.Random(seed)
 
     def factory() -> str:
@@ -593,8 +590,8 @@ class MemoryStore:
 class LogState(LogTally):
     """A :class:`LogTally` that also applies each grant or revoke to ``timeline``
     (:meth:`AccessTimeline.restore`) and stores each ``fragment_write`` in ``store``,
-    its key embedded with ``embed``; ``None`` leaves that part alone. The first record
-    that does not apply raises, or with ``strict=False`` is left out for a verifier."""
+    its key embedded with ``embed``; ``None`` leaves that part alone. The first record that
+    fails to apply or then to tally raises, or with ``strict=False`` is left out for a verifier."""
 
     def __init__(self, timeline: AccessTimeline | None, store: MemoryStore | None,
                  embed: Callable[[str], np.ndarray], strict: bool = True) -> None:
@@ -602,7 +599,6 @@ class LogState(LogTally):
         self.timeline, self.store, self.embed, self.strict = timeline, store, embed, strict
 
     def feed(self, rec: AuditRecord) -> None:
-        super().feed(rec)
         try:
             if rec.action in (AuditAction.GRANT, AuditAction.REVOKE):
                 if self.timeline is not None:
@@ -612,6 +608,7 @@ class LogState(LogTally):
         except (LookupError, TypeError, ValueError, MemFabricError):
             if self.strict:
                 raise
+        super().feed(rec)
 
     def _fragment(self, rec: AuditRecord) -> MemoryFragment:
         (fid,) = rec.subjects

@@ -17,6 +17,7 @@ from memfabric import (
     ConfigError,
     DuplicateId,
     InsufficientQueries,
+    MemFabricError,
     NonMonotonicTimestamp,
     OutdatedAuditLog,
     PrincipalDirectory,
@@ -327,6 +328,39 @@ def test_resume_from_a_log_that_does_not_replay_raises_and_leaves_no_file_open(
 
     assert resource_warnings(resume) == []
     assert artifacts.audit_path.read_bytes() == log
+
+
+@pytest.mark.parametrize("edit", ["dropped line", "tick behind"])
+def test_resume_refuses_a_log_append_would_not_write_and_leaves_it_intact(tmp_path, edit):
+    # with its first agent_invoke line dropped, every later seq is one past its
+    # position, and a resumed log used to append the last seq again
+    cfg = ScenarioConfig.from_dict(overlap_config(count=4, n_users=2, n_agents=2))
+    artifacts = run_scenario(cfg, tmp_path)
+    lines = artifacts.audit_path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["action"] == "agent_invoke")
+    doc = json.loads(lines[i])
+    if edit == "dropped line":
+        del lines[i]
+        expected = [(i + 1, "seq_gap")]
+        reason = rf"log record {i}: seq={i + 1} at={doc['at']}, head {doc['at']}$"
+    else:  # its episode_start, one line up, holds the same tick
+        doc["at"] -= 1
+        lines[i] = json.dumps(doc, sort_keys=True) + "\n"
+        expected = [(i, "time_regression")]
+        reason = rf"log record {i}: seq={i} at={doc['at']}, head {doc['at'] + 1}$"
+    artifacts.audit_path.write_text("".join(lines))
+    log = artifacts.audit_path.read_bytes()
+
+    def resume():
+        with pytest.raises(MemFabricError, match=reason):
+            build_runtime(cfg, artifacts.audit_path, resume=True)
+        with pytest.raises(MemFabricError, match=reason):
+            AuditLog(artifacts.audit_path, resume=True)
+
+    assert resource_warnings(resume) == []
+    assert artifacts.audit_path.read_bytes() == log
+    # the verifier still reports the edit rather than raising
+    assert [(v.seq, v.code) for v in verify_files(artifacts.audit_path)] == expected
 
 
 def test_resume_with_its_remote_embedder_down_raises_and_leaves_no_file_open(tmp_path):

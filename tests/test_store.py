@@ -29,6 +29,7 @@ from memfabric import (
 )
 from memfabric import RetrievalConfig, retrieve
 from memfabric.errors import NonFiniteVector
+from memfabric.store import write_detail
 from genutil import (
     make_universe,
     random_fragment,
@@ -160,6 +161,27 @@ def test_records_are_slotted_and_share_the_empty_resource_set():
         assert not hasattr(record, "__dict__")
     other = Provenance(created_at=1, creator=user("u2"), agents=[agent("a2")], resources=[])
     assert other.resources is f.provenance.resources
+
+
+def test_provenance_holds_one_interned_set_per_distinct_set():
+    f = fragment(agents=("a2", "a1"), resources=("r1",))
+    other = Provenance(created_at=3, creator=user("u2"), agents=[agent("a1"), agent("a2")],
+                       resources=iter([resource("r1")]))
+    assert other.agents is f.provenance.agents and other.resources is f.provenance.resources
+    assert f.provenance.agents.names == ("a1", "a2")
+    assert Provenance.from_dict(f.provenance.to_dict()).agents is f.provenance.agents
+
+
+def test_write_detail_lists_are_fresh():
+    # verify compares them with decoded lists, and a caller may edit its copy
+    f = fragment(agents=("a2", "a1"), resources=("r1",))
+    first = write_detail(f)
+    first["agents"].append("a9")
+    first["resources"].clear()
+    assert write_detail(f)["agents"] == ["a1", "a2"] and write_detail(f)["resources"] == ["r1"]
+    first = f.provenance.to_dict()
+    first["agents"].pop()
+    assert f.provenance.to_dict()["agents"] == ["a1", "a2"]
 
 
 def test_embedding_is_read_only():

@@ -54,6 +54,37 @@ def test_encode_gives_the_bytes_of_json_dumps(doc):
     assert wire.encode(doc) == json.dumps(doc, sort_keys=True) + "\n"
 
 
+# any code point, lone surrogates included, and the ones JSON escapes
+ESCAPED = st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600')
+TEXT = st.text(st.characters(exclude_categories=()) | ESCAPED)
+RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 2**40),  # the tick step
+        st.sampled_from(AuditAction),
+        TEXT,
+        st.lists(TEXT, max_size=20) | st.lists(TEXT, max_size=3).map(tuple),
+        st.none() | st.dictionaries(TEXT, DOCUMENTS, max_size=3),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RECORDS)
+@example([(1, action, "user_1", ("f1",), {"n": 1}) for action in AuditAction])
+@example([(0, AuditAction.FRAGMENT_READ, "", [], None), (0, AuditAction.GRANT, '"\\', ["s"] * 500, {})])
+@example([(3, AuditAction.EPISODE_END, "\u00e9\x00", ["\ud800"], {"a": {"b": [{"c": None}]}})])
+def test_an_audit_line_is_wire_encode_of_its_record(records):
+    log, at, expected = AuditLog(), 0, []
+    for step, action, actor, subjects, detail in records:
+        at += step
+        seq = log.append(at, actor, action, subjects, detail)
+        record = {"seq": seq, "at": at, "actor": actor, "action": action.value,
+                  "subjects": subjects, "detail": detail or {}}
+        expected.append(wire.encode(record))
+    assert list(log.lines()) == expected
+
+
 def test_save_writes_exactly_to_jsonl(tmp_path):
     timeline, store = _artifacts()
     timeline.save(tmp_path / "timeline.jsonl")
