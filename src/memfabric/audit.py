@@ -5,9 +5,12 @@ immutable record. The log is the system's ground truth for "what happened":
 metrics, access matrices, and the offline verifier all consume it. Records
 are line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and
 kept nowhere else: readers stream them back from the file. A line is one
-f-string, byte for byte ``wire.encode`` of its record. Resume and verify fold
-the log a record at a time into a :class:`LogTally` (count, head tick,
-episodes, the one left open), extended by :class:`memfabric.store.LogState`.
+f-string, byte for byte ``wire.encode`` of its record. A detail given as a
+``str`` is its JSON text and is written as given (``MemoryStore.insert`` builds
+its ``fragment_write`` details so); any other goes through ``wire.dumps``.
+Resume and verify fold the log a record at a time into a :class:`LogTally`
+(count, head tick, episodes, the one left open), extended by
+:class:`memfabric.store.LogState`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 from . import wire
 from .errors import EmptyWindow, MemFabricError, NonMonotonicTimestamp
 
-_quote = json.encoder.encode_basestring_ascii  # how wire.dumps writes a str
+_quote = wire.quote
 
 
 class AuditAction(str, Enum):
@@ -40,6 +43,9 @@ class AuditAction(str, Enum):
     RESOURCE_INVOKE = "resource_invoke"
     EPISODE_START = "episode_start"
     EPISODE_END = "episode_end"
+
+
+_ACTION_JSON = {action: _quote(action.value) for action in AuditAction}  # a lookup beats .value
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,9 @@ class AuditLog:
         actor: str,
         action: AuditAction,
         subjects: Sequence[str] = (),
-        detail: Mapping[str, object] | None = None,
+        detail: Mapping[str, object] | str | None = None,
     ) -> int:
+        """Write one record; a ``str`` detail is taken as its JSON text, written as given."""
         with self._lock:
             if self._interrupted is not None:
                 self._write(*self._interrupted)
@@ -129,8 +136,10 @@ class AuditLog:
         if self._count and at < self._head:
             raise NonMonotonicTimestamp(f"audit tick {at} is behind log head {self._head}")
         seq = self._count
-        self._fp.write(f'{{"action": {_quote(action.value)}, "actor": {_quote(actor)}, "at": {at}, '
-                       f'"detail": {wire.dumps(detail or {})}, "seq": {seq}, '
+        if type(detail) is not str:
+            detail = wire.dumps(detail or {})
+        self._fp.write(f'{{"action": {_ACTION_JSON[action]}, "actor": {_quote(actor)}, "at": {at}, '
+                       f'"detail": {detail}, "seq": {seq}, '
                        f'"subjects": [{", ".join(map(_quote, subjects))}]}}\n')
         if not self._open:
             self._fp.flush()
@@ -391,31 +400,32 @@ class AccessMatrices:
     """Usage counts keyed by user: who invoked which agent, and which
     resources were reached on whose behalf."""
 
-    user_agent: dict[str, dict[str, int]]
-    user_resource: dict[str, dict[str, int]]
+    user_agent: dict[str, dict[str, int]] = field(default_factory=dict)
+    user_resource: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def count(self, rec: AuditRecord) -> None:
+        """Add ``rec`` to the counts if it is an agent or resource invocation."""
+        if rec.action is AuditAction.AGENT_INVOKE:
+            row = self.user_agent.setdefault(rec.actor, {})
+            for a in rec.subjects:
+                row[a] = row.get(a, 0) + 1
+        elif rec.action is AuditAction.RESOURCE_INVOKE:
+            u = rec.detail.get("user")
+            if u is not None:
+                row = self.user_resource.setdefault(str(u), {})
+                for r in rec.subjects:
+                    row[r] = row.get(r, 0) + 1
 
 
 def access_matrix(
     records: Iterable[AuditRecord], window: tuple[int, int] | None = None
 ) -> AccessMatrices:
     """Count matrices over an inclusive tick window (whole log if ``None``)."""
-    ua: dict[str, dict[str, int]] = {}
-    ur: dict[str, dict[str, int]] = {}
+    matrices = AccessMatrices()
     for rec in records:
-        if window is not None and not (window[0] <= rec.at <= window[1]):
-            continue
-        if rec.action is AuditAction.AGENT_INVOKE:
-            row = ua.setdefault(rec.actor, {})
-            for a in rec.subjects:
-                row[a] = row.get(a, 0) + 1
-        elif rec.action is AuditAction.RESOURCE_INVOKE:
-            u = rec.detail.get("user")
-            if u is None:
-                continue
-            row = ur.setdefault(str(u), {})
-            for r in rec.subjects:
-                row[r] = row.get(r, 0) + 1
-    return AccessMatrices(user_agent=ua, user_resource=ur)
+        if window is None or window[0] <= rec.at <= window[1]:
+            matrices.count(rec)
+    return matrices

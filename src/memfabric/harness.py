@@ -47,11 +47,11 @@ import yaml
 from . import wire
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc
 from .audit import (
+    AccessMatrices,
     AuditAction,
     AuditLog,
     AuditRecord,
     MetricsReport,
-    access_matrix,
     compute_metrics,
     iter_audit_file,
 )
@@ -787,16 +787,18 @@ def run_scenario(
     binning: str | int = "bin"
     if cfg.timeline.schedule is None and cfg.bin_size > 0:
         binning = cfg.bin_size
-    # one streaming decode: the metrics read every record, the matrices only invocations
-    invocations: list[AuditRecord] = []
+    # one streaming decode: the metrics read every record, and each phase's
+    # matrices count it on the way if it lies in the phase's window
+    usages = {label: AccessMatrices() for label in phase_windows}
 
-    def noting_invocations(records: Iterable[AuditRecord]) -> Iterator[AuditRecord]:
+    def counting_invocations(records: Iterable[AuditRecord]) -> Iterator[AuditRecord]:
         for rec in records:
-            if rec.action in (AuditAction.AGENT_INVOKE, AuditAction.RESOURCE_INVOKE):
-                invocations.append(rec)
+            for label, (first, last) in phase_windows.items():
+                if first <= rec.at <= last:
+                    usages[label].count(rec)
             yield rec
 
-    metrics = compute_metrics(noting_invocations(rt.audit), binning)
+    metrics = compute_metrics(counting_invocations(rt.audit), binning)
     metrics_csv_path = out / "metrics.csv"
     metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
     metrics_json_path = out / "metrics.json"
@@ -805,7 +807,7 @@ def run_scenario(
     matrices_doc = []
     for phase in plan.phases:
         window = phase_windows[phase.label]
-        usage = access_matrix(invocations, window)
+        usage = usages[phase.label]
         granted_ua = sorted(
             (e[0].name, e[1].name)
             for e in rt.timeline.edges_at(window[1], EdgeKind.USER_AGENT)

@@ -12,8 +12,10 @@ ordering stay by value, so a ``PrincipalId`` built directly equals the
 interned one; interning makes set and dict lookups end at the identity check.
 
 Sets of principals are interned too (hash-consing, Filliâtre & Conchon 2006):
-one :class:`PrincipalSet` per distinct set, with its names sorted once. A
-store's fragments name few distinct agent and resource sets, and share them.
+one :class:`PrincipalSet` per distinct set, with its names sorted once and,
+beside them, their JSON list text rendered once, as ``wire.dumps`` writes it,
+for the audit line of each fragment that names the set. A store's fragments
+name few distinct agent and resource sets, and share them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
+from . import wire
 from .errors import UnknownPrincipal
 
 
@@ -67,10 +70,11 @@ def _interned(kind: PrincipalKind, name: str) -> PrincipalId:
 
 
 class PrincipalSet(frozenset):
-    """A frozenset of principals with ``names``, their names sorted. Interned: building one
-    equal to a live one (by copy or pickle too) returns that one; the table holds it weakly."""
+    """A frozenset of principals with ``names``, their names sorted, and ``names_json``, the
+    JSON text of that list. Interned: building one equal to a live one (by copy or pickle
+    too) returns that one; the table holds it weakly."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "names_json")
     _table = weakref.WeakValueDictionary()  # each frozenset -> the PrincipalSet equal to it
 
     def __new__(cls, pids: Iterable[PrincipalId] = ()) -> "PrincipalSet":
@@ -79,6 +83,7 @@ class PrincipalSet(frozenset):
         if found is None:  # as in _interned, a racing thread may build an equal one
             found = super().__new__(cls, key)
             found.names = tuple(sorted(pid.name for pid in key))
+            found.names_json = wire.dumps(found.names)
             found = cls._table.setdefault(key, found)
         return found
 

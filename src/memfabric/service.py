@@ -233,6 +233,9 @@ class MemoryService:
             response = str(body["response"])
         except KeyError as exc:
             raise ApiError(400, "bad_request", f"missing field {exc}") from exc
+        names = body.get("resources", [])
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ApiError(400, "bad_request", "resources must be a list of strings")
         if "user" in body and str(body["user"]) != identity and identity != self.admin:
             raise ApiError(403, "forbidden", "trace user must be the caller")
         u = user(str(body.get("user", identity)))
@@ -245,7 +248,7 @@ class MemoryService:
             timestamp=t,
             subquery=subquery,
             response=response,
-            resources_invoked=tuple(resource(str(r)) for r in body.get("resources", ())),
+            resources_invoked=tuple(map(resource, names)),
         )
         ids = encode_and_write(
             trace,

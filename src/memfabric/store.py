@@ -22,6 +22,15 @@ Records are slotted and share equal immutable values: interned principals and
 principal sets with their sorted names (:mod:`memfabric.principals`), and embeddings held
 as a :func:`frozen_vector`, which a fragment adopts as given, so the
 fragments of one text, both tiers of a write included, share one vector.
+An insert hands the audit log its ``fragment_write`` detail as JSON text built
+by one f-string of each set's cached list text and the quoted key and value:
+the bytes of ``wire.dumps(write_detail(f))``.
+
+With a directory attached, :meth:`MemoryStore.check` looks every principal of
+a provenance up, but remembers each agent or resource set whose names it has
+all found and looks it up no more. That is sound because a directory only
+ever adds names; as sets are interned, the memo lookup ends at an identity
+check. The creator and the embedding are checked on every insert.
 
 Beside the ``id -> MemoryFragment`` records the store keeps columns: an
 N x d embedding matrix and ``created_at``, tier and creator arrays. Inserts
@@ -85,12 +94,16 @@ from .principals import (
 )
 
 UNIT_NORM_TOLERANCE = 1e-6
+_quote = wire.quote
 _WORD = (1 << 64) - 1
 
 
 class Tier(str, Enum):
     PRIVATE = "private"
     SHARED = "shared"
+
+
+_TIER_JSON = {tier: wire.dumps(tier.value) for tier in Tier}  # a lookup beats .value
 
 
 def frozen_vector(values) -> np.ndarray:
@@ -391,6 +404,7 @@ class MemoryStore:
         self.directory = directory
         self._audit = audit
         self._fragments: dict[str, MemoryFragment] = {}
+        self._known_sets: set[PrincipalSet] = set()  # sets whose every name is in directory
         self._rows: list[MemoryFragment] = []  # insertion order; row i of the columns
         self._write_lock = threading.Lock()  # single serialized writer
         self._filled = 0  # rows whose columns are written
@@ -412,12 +426,17 @@ class MemoryStore:
         with self._write_lock:
             self._append(fragment, checked)
             if self._audit is not None:
+                prov = fragment.provenance
+                # the text of wire.dumps(write_detail(fragment)), keys sorted
+                detail = (f'{{"agents": {prov.agents.names_json}, "key": {_quote(fragment.key)}, '
+                          f'"resources": {prov.resources.names_json}, '
+                          f'"tier": {_TIER_JSON[fragment.tier]}, "value": {_quote(fragment.value)}}}')
                 self._audit.append(
-                    at=fragment.provenance.created_at,
-                    actor=fragment.provenance.creator.name,
+                    at=prov.created_at,
+                    actor=prov.creator.name,
                     action=AuditAction.FRAGMENT_WRITE,
                     subjects=(fragment.id,),
-                    detail=write_detail(fragment),
+                    detail=detail,
                 )
         return fragment.id
 
@@ -434,9 +453,14 @@ class MemoryStore:
         if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
             raise InvalidFragment(f"embedding norm {norm} is not unit")
         if self.directory is not None:
-            for pid in [provenance.creator, *provenance.agents, *provenance.resources]:
-                if not self.directory.known(pid):
-                    raise UnknownPrincipalInProvenance(str(pid))
+            if not self.directory.known(provenance.creator):
+                raise UnknownPrincipalInProvenance(str(provenance.creator))
+            for pids in (provenance.agents, provenance.resources):
+                if pids not in self._known_sets:
+                    for pid in pids:
+                        if not self.directory.known(pid):
+                            raise UnknownPrincipalInProvenance(str(pid))
+                    self._known_sets.add(pids)
 
     def _append(self, fragment: MemoryFragment, checked: bool = False) -> None:
         """Check and record one fragment; the next read fills its columns.

@@ -25,8 +25,9 @@ from .errors import RemoteUnavailable
 # json.dumps and ENCODER.encode build a C encoder per call; one built once gives
 # the same bytes. No cycle check: documents are built here or decoded from JSON
 ENCODER = json.JSONEncoder(sort_keys=True)
+quote = json.encoder.encode_basestring_ascii  # how dumps writes a str
 _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None, ENCODER.default, json.encoder.encode_basestring_ascii, None, ENCODER.key_separator,
+    None, ENCODER.default, quote, None, ENCODER.key_separator,
     ENCODER.item_separator, ENCODER.sort_keys, ENCODER.skipkeys, ENCODER.allow_nan)
 
 

@@ -818,6 +818,11 @@ def test_episode_for_an_unknown_user_takes_no_tick():
             {},
             {"user": "u1", "agent": "a1", "subquery": "q", "response": "r", "resources": [""]},
         ),
+        *(
+            ("POST", "/memory/write", {},
+             {"user": "u1", "agent": "a1", "subquery": "q", "response": "r", "resources": resources})
+            for resources in (5, None, "r1", [["r1"]])
+        ),
         ("POST", "/episodes", {}, {"user": "", "query": "q"}),
     ],
     ids=[
@@ -832,6 +837,10 @@ def test_episode_for_an_unknown_user_takes_no_tick():
         "read-empty-agent",
         "write-empty-user",
         "write-empty-resource",
+        "write-resources-number",
+        "write-resources-null",
+        "write-resources-string",
+        "write-resources-nested-list",
         "episode-empty-user",
     ],
 )

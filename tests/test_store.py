@@ -13,17 +13,22 @@ import pytest
 from memfabric import (
     AccessTimeline,
     AdmissibilityClause,
+    AuditLog,
     DeterministicEmbedder,
     DimensionMismatch,
     DuplicateId,
+    InteractionTrace,
     InvalidFragment,
     MemoryFragment,
     MemoryStore,
+    PolicyTable,
+    PrincipalDirectory,
     Provenance,
     Tier,
     UnknownFragment,
     UnknownPrincipalInProvenance,
     agent,
+    encode_and_write,
     resource,
     user,
 )
@@ -126,9 +131,29 @@ def test_empty_key_or_value_rejected():
 
 
 def test_unknown_provenance_principal_rejected(directory):
-    store = MemoryStore(4, directory=directory)
+    log = AuditLog()
+    store = MemoryStore(4, directory=directory, audit=log)
     with pytest.raises(UnknownPrincipalInProvenance):
         store.insert(fragment(agents=("phantom",)))
+    # sets the store has found known do not vouch for a larger set, nor for the creator
+    store.insert(fragment("f1", agents=("a1",), resources=("r1",)))
+    with pytest.raises(UnknownPrincipalInProvenance, match="agent:phantom"):
+        store.insert(fragment("f2", agents=("a1", "phantom"), resources=("r1",)))
+    with pytest.raises(UnknownPrincipalInProvenance, match="user:u9"):
+        store.insert(fragment("f3", creator="u9", agents=("a1",), resources=("r1",)))
+    assert [f.id for f in store.fragments()] == ["f1"] and len(log) == 1
+    # encode_and_write checks before it inserts: an agent its timeline knows and the
+    # store's directory does not stores and audits nothing
+    wider = PrincipalDirectory()
+    for pid in (agent("a1"), agent("phantom")):
+        wider.register(pid)
+    timeline, embedder = AccessTimeline(wider), DeterministicEmbedder(4)
+    write = InteractionTrace(user("u1"), agent("a1"), 1, "what is x", "x is y")
+    assert len(encode_and_write(write, PolicyTable(), store, timeline, embedder)) == 2
+    phantom = dataclasses.replace(write, agent=agent("phantom"), timestamp=2)
+    with pytest.raises(UnknownPrincipalInProvenance, match="agent:phantom"):
+        encode_and_write(phantom, PolicyTable(), store, timeline, embedder)
+    assert len(store) == 3 and len(log) == 3
 
 
 def test_provenance_needs_an_agent():

@@ -13,16 +13,23 @@ from memfabric import (
     AccessTimeline,
     AuditAction,
     AuditLog,
+    MemoryFragment,
     MemoryService,
     MemoryStore,
     PromptedRemote,
+    Provenance,
     RemoteCoordinator,
     RemoteEmbedder,
     RemoteUnavailable,
+    Tier,
+    agent,
     load_audit_file,
     records_from_jsonl,
+    resource,
+    user,
 )
 from memfabric import wire
+from memfabric.store import write_detail
 from genutil import make_universe, random_store, random_timeline
 from rtutil import StubServer, make_runtime, refused_url
 
@@ -47,7 +54,13 @@ DOCUMENTS = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+def examples(n: int) -> int:
+    """``n``, or more under a profile that asks for more (CI runs these tests
+    again with --hypothesis-profile=thorough)."""
+    return max(n, settings.default.max_examples)
+
+
+@settings(max_examples=examples(200), deadline=None)
 @given(DOCUMENTS)
 @example({"z": [float("nan"), float("inf"), -float("inf"), 0.1, -0.0], "\u00e9": ["\u2603"]})
 def test_encode_gives_the_bytes_of_json_dumps(doc):
@@ -69,7 +82,7 @@ RECORDS = st.lists(
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(RECORDS)
 @example([(1, action, "user_1", ("f1",), {"n": 1}) for action in AuditAction])
 @example([(0, AuditAction.FRAGMENT_READ, "", [], None), (0, AuditAction.GRANT, '"\\', ["s"] * 500, {})])
@@ -81,6 +94,33 @@ def test_an_audit_line_is_wire_encode_of_its_record(records):
         seq = log.append(at, actor, action, subjects, detail)
         record = {"seq": seq, "at": at, "actor": actor, "action": action.value,
                   "subjects": subjects, "detail": detail or {}}
+        expected.append(wire.encode(record))
+    assert list(log.lines()) == expected
+
+
+NAMES = st.frozensets(TEXT.filter(bool), max_size=5)  # principal names, escaped ones too
+WRITES = st.lists(
+    st.tuples(TEXT.filter(bool), TEXT.filter(bool), TEXT.filter(bool),
+              NAMES.filter(bool), NAMES, st.sampled_from(Tier)),
+    max_size=4,
+)
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(WRITES)
+@example([("k", "v", "u1", {"a1"}, set(), Tier.PRIVATE),
+          ('"\\', "\x00\x1f\n\t\u2028", '"u', {"a", "b\\", "c"}, {"r1", "r2", "r3", "r4", "r5"}, Tier.SHARED)])
+@example([("\ud800\udfff", "\udc00\U0001f600\u00e9", "\u00e9\x7f", {"\ud800"}, {'"'}, Tier.SHARED)])
+def test_a_fragment_write_line_is_wire_encode_of_its_record(writes):
+    log = AuditLog()
+    store = MemoryStore(2, audit=log)
+    expected = []
+    for at, (key, value, creator, agents, resources, tier) in enumerate(writes):
+        prov = Provenance(at, user(creator), map(agent, agents), map(resource, resources))
+        fragment = MemoryFragment(f"f{at}", tier, key, value, [1.0, 0.0], prov)
+        store.insert(fragment)
+        record = {"seq": at, "at": at, "actor": creator, "action": "fragment_write",
+                  "subjects": [fragment.id], "detail": write_detail(fragment)}
         expected.append(wire.encode(record))
     assert list(log.lines()) == expected
 
