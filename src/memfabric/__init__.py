@@ -34,9 +34,8 @@ from .audit import (
     MetricsReport,
     access_matrix,
     compute_metrics,
-    load_audit_file,
-    read_audit_file,
-    records_from_jsonl,
+    iter_audit_file,
+    torn_tail,
 )
 from .clock import LogicalClock
 from .errors import (

@@ -8,9 +8,11 @@ kept nowhere else: readers stream them back from the file. A line is one
 f-string, byte for byte ``wire.encode`` of its record. A detail given as a
 ``str`` is its JSON text and is written as given (``MemoryStore.insert`` builds
 its ``fragment_write`` details so); any other goes through ``wire.dumps``.
-Resume and verify fold the log a record at a time into a :class:`LogTally`
-(count, head tick, episodes, the one left open), extended by
-:class:`memfabric.store.LogState`.
+:func:`iter_audit_file` reads a log file by path, a line at a time, and
+:func:`torn_tail` finds what a killed process left after its last newline.
+Resume and verify fold the log a record at a time through
+:class:`memfabric.store.LogState`; :meth:`AuditLog.continuing` reopens a
+folded log, cutting a torn last line and ending an episode left open.
 """
 
 from __future__ import annotations
@@ -26,10 +28,13 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from . import wire
-from .errors import EmptyWindow, MemFabricError, NonMonotonicTimestamp
+from .errors import EmptyWindow, NonMonotonicTimestamp
+
+if TYPE_CHECKING:
+    from .store import LogState
 
 _quote = wire.quote
 
@@ -81,41 +86,39 @@ class AuditLog:
     Sequence numbers are assigned here and have no gaps; appending with a
     tick behind the log head raises :class:`NonMonotonicTimestamp`. Records
     are never mutated or deleted, nor kept: readers stream them from the
-    file. Resumed, a torn last line (see :func:`torn_tail`) is cut off
-    with a ``RuntimeWarning``, and an episode a killed process left open
-    gets an ``episode_end`` with ``failure: "interrupted"`` at the first append.
+    file. A log with a path starts its file empty; :meth:`continuing`
+    reopens one to append.
     """
 
-    def __init__(self, path: str | Path | None = None, resume: bool = False) -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._fp: IO[str] = io.StringIO()  # a log with no path keeps its lines here
         self._lock = threading.Lock()  # a service appends from many request threads
         self._open = 0  # operation blocks entered and not yet exited
         self._count = self._head = 0  # records written, tick of the last
-        self._interrupted: tuple | None = None  # the end of an episode left open, to append
         self.path = Path(path) if path is not None else None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if resume and self.path.exists():
-                self._continue(LogTally().fold(self.path))
-            else:
-                self._fp = self.path.open("w", encoding="utf-8")
+            self._fp = self.path.open("w", encoding="utf-8")
 
     @classmethod
-    def continuing(cls, path: str | Path, tally: "LogTally") -> "AuditLog":
-        """The log at ``path`` reopened to append after ``tally``'s fold of it, as by ``resume``."""
+    def continuing(cls, path: str | Path, state: "LogState") -> "AuditLog":
+        """The log at ``path`` reopened to append after ``state``'s fold of it.
+        A torn last line (see :func:`torn_tail`) is cut off with a
+        ``RuntimeWarning``, and an episode left open gets its ``episode_end``
+        with ``failure: "interrupted"`` at once."""
         log = cls()
-        log.path = Path(path)
-        log._continue(tally)
-        return log
-
-    def _continue(self, tally: "LogTally") -> None:
-        tail = torn_tail(self.path)
+        log.path = path = Path(path)
+        tail = torn_tail(path)
         if tail:
-            os.truncate(self.path, self.path.stat().st_size - len(tail))
-            message = f"{self.path}: dropped a torn last line of {len(tail)} bytes"
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
-        self._count, self._head, self._interrupted = tally.count, tally.head, tally.interrupted()
-        self._fp = self.path.open("a", encoding="utf-8")
+            os.truncate(path, path.stat().st_size - len(tail))
+            message = f"{path}: dropped a torn last line of {len(tail)} bytes"
+            warnings.warn(message, RuntimeWarning, stacklevel=2)
+        log._count, log._head = state.count, state.head
+        log._fp = path.open("a", encoding="utf-8")
+        if (start := state.started) is not None:
+            detail = {"failure": "interrupted", "rounds": state.rounds}
+            log.append(state.head, start.actor, AuditAction.EPISODE_END, start.subjects, detail)
+        return log
 
     def append(
         self,
@@ -127,24 +130,18 @@ class AuditLog:
     ) -> int:
         """Write one record; a ``str`` detail is taken as its JSON text, written as given."""
         with self._lock:
-            if self._interrupted is not None:
-                self._write(*self._interrupted)
-                self._interrupted = None
-            return self._write(at, actor, action, subjects, detail)
-
-    def _write(self, at, actor, action, subjects, detail) -> int:
-        if self._count and at < self._head:
-            raise NonMonotonicTimestamp(f"audit tick {at} is behind log head {self._head}")
-        seq = self._count
-        if type(detail) is not str:
-            detail = wire.dumps(detail or {})
-        self._fp.write(f'{{"action": {_ACTION_JSON[action]}, "actor": {_quote(actor)}, "at": {at}, '
-                       f'"detail": {detail}, "seq": {seq}, '
-                       f'"subjects": [{", ".join(map(_quote, subjects))}]}}\n')
-        if not self._open:
-            self._fp.flush()
-        self._count, self._head = seq + 1, at
-        return seq
+            if self._count and at < self._head:
+                raise NonMonotonicTimestamp(f"audit tick {at} is behind log head {self._head}")
+            seq = self._count
+            if type(detail) is not str:
+                detail = wire.dumps(detail or {})
+            self._fp.write(f'{{"action": {_ACTION_JSON[action]}, "actor": {_quote(actor)}, "at": {at}, '
+                           f'"detail": {detail}, "seq": {seq}, '
+                           f'"subjects": [{", ".join(map(_quote, subjects))}]}}\n')
+            if not self._open:
+                self._fp.flush()
+            self._count, self._head = seq + 1, at
+            return seq
 
     @contextmanager
     def operation(self) -> Iterator[None]:
@@ -189,50 +186,6 @@ class AuditLog:
             self._fp.close()
 
 
-class LogTally:
-    """What a replay keeps of the records of an audit log fed to it in order: their count,
-    the head tick, the episodes started, and the episode still open after the last, which
-    :meth:`interrupted` ends. Strict, it refuses a seq or tick that ``append`` never writes."""
-
-    strict = True  # a verifier's LogState is not: it reports such records instead
-
-    def __init__(self) -> None:
-        self.count = self.head = self.episodes = 0
-        self._start: AuditRecord | None = None  # the episode_start of the open episode
-        self._rounds = self._at = 0  # its agent_invoke records; the last record's tick
-
-    def feed(self, rec: AuditRecord) -> None:
-        if self.strict and (rec.seq != self.count or rec.at < self.head):
-            raise MemFabricError(f"log record {self.count}: seq={rec.seq} at={rec.at}, head {self.head}")
-        self.count, self.head, self._at = self.count + 1, max(self.head, rec.at), rec.at
-        if rec.action is AuditAction.EPISODE_START:
-            self._start, self._rounds = rec, 0
-            self.episodes += 1
-        elif rec.action is AuditAction.EPISODE_END:
-            self._start = None
-        elif rec.action is AuditAction.AGENT_INVOKE:
-            self._rounds += 1
-
-    def fold(self, path: str | Path) -> "LogTally":
-        """Feed every record of the log at ``path`` (:func:`iter_audit_file`); return self."""
-        for rec in iter_audit_file(path):
-            self.feed(rec)
-        return self
-
-    def interrupted(self) -> tuple | None:
-        """The arguments of :meth:`AuditLog.append` that end the open episode
-        as interrupted, or ``None`` if none is open."""
-        start = self._start
-        if start is None:
-            return None
-        detail = {"failure": "interrupted", "rounds": self._rounds}
-        return self._at, start.actor, AuditAction.EPISODE_END, start.subjects, detail
-
-
-def records_from_jsonl(lines: Iterable[str] | str) -> list[AuditRecord]:
-    return [AuditRecord.from_dict(doc) for doc in wire.decode(lines)]
-
-
 def iter_audit_file(path: str | Path) -> Iterator[AuditRecord]:
     """The records of the log at ``path``, decoded one line at a time so none
     is kept: every line up to its last newline, blank ones skipped. A bad
@@ -252,20 +205,6 @@ def torn_tail(path: str | Path) -> bytes:
         with mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ) as view:
             tail = view[view.rfind(b"\n") + 1 :]
     return b"" if tail.isspace() else tail
-
-
-def load_audit_file(path: str | Path) -> list[AuditRecord]:
-    """Every record of the log at ``path``; a torn last line raises."""
-    records, tail = read_audit_file(path)
-    if tail:
-        records.append(AuditRecord.from_dict(json.loads(tail)))
-    return records
-
-
-def read_audit_file(path: str | Path) -> tuple[list[AuditRecord], bytes]:
-    """The records of the log at ``path`` (:func:`iter_audit_file`) and its
-    :func:`torn_tail`. A bad line before the last newline raises."""
-    return list(iter_audit_file(path)), torn_tail(path)
 
 
 # --- metrics -----------------------------------------------------------------

@@ -616,7 +616,8 @@ def build_runtime(
     applies it to the timeline or the store (each key embedded again) and
     keeps no record, and the audit ``seq``, the clock (the last tick logged),
     episode ids and the seeded fragment ids follow it. Only then is the log
-    reopened to append, its torn last line cut. A log that does not replay
+    reopened to append (:meth:`AuditLog.continuing`): its torn last line is
+    cut and an episode left open ends as interrupted. A log that does not replay
     raises at its first record that does not apply, as does an embedder that
     fails in the replay, leaving the log as it was and no file open.
     Permission edges are *not* applied here; the run (or an API driver)

@@ -513,9 +513,11 @@ def run_episode(
     protocol, or a remote backend that fails (coordinator, agent, embedder,
     write-policy transformer, aggregator or judge) ends the episode with the
     designated failure answer; the episode still starts and ends in the
-    audit log so failure episodes count toward query totals. A remote agent
-    asking for a resource it is not granted raises ``ResourceNotPermitted``
-    after the episode's end (``failure: "resource_not_permitted"``) is logged.
+    audit log so failure episodes count toward query totals. Any other error
+    (a remote agent asking for a resource it is not granted, an answer the
+    store rejects) is raised after the episode's end is logged, its failure
+    the error's class in snake case (``ResourceNotPermitted`` is
+    ``"resource_not_permitted"``).
     """
     with rt.audit.operation():  # one flush for the episode's records
         rt.directory.require(user, PrincipalKind.USER)
@@ -562,8 +564,8 @@ def run_episode(
                         score = _judge_score(rt.judge, query, final_answer)
             except RemoteUnavailable:
                 failure, final_answer = "remote_unavailable", NO_AGENTS_ANSWER
-            except ResourceNotPermitted:  # the caller refuses the episode; its log still ends it
-                end({"failure": "resource_not_permitted", "rounds": len(steps)})
+            except Exception as exc:  # the caller refuses the episode; its log still ends it
+                end({"failure": _snake_case(type(exc).__name__), "rounds": len(steps)})
                 raise
 
         end_detail: dict[str, object] = {"failure": failure, "rounds": len(steps)}
@@ -579,6 +581,10 @@ def run_episode(
             final_answer=final_answer,
             failure=failure,
         )
+
+
+def _snake_case(name: str) -> str:
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
 
 
 def _judge_score(judge: Transformer, query: str, answer: str) -> float:

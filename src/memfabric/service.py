@@ -42,12 +42,13 @@ is not decimal, or any ``Transfer-Encoding``; 414 for a request line over
 65,536 bytes; 431 for more than 100 header lines or one over 65,536 bytes;
 501 for any other method.
 
-Errors: 400 validation (``bad_request`` also for an empty principal name or
-a malformed edge), 403 permission (``forbidden`` also for an agent asking
-for a resource it is not granted), 404 unknown id, 409 conflicts, 503
-remote backend unavailable - body ``{"error": code, "message": ...}``. An
-episode is the exception: a backend failing ends it, not the request, so
-``/episodes`` answers 200 with ``"failure": "remote_unavailable"``.
+Errors: 400 validation (``bad_request`` also for an empty principal name, a
+body field that is missing or not a string, or a malformed edge), 403
+permission (``forbidden`` also for an agent asking for a resource it is not
+granted), 404 unknown id, 409 conflicts, 503 remote backend unavailable -
+body ``{"error": code, "message": ...}``. An episode is the exception: a
+backend failing ends it, not the request, so ``/episodes`` answers 200 with
+``"failure": "remote_unavailable"``; any other error ends it in the log too.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def _int_param(params: dict[str, list[str]], name: str, default: int) -> int:
         return int(params[name][0])
     except ValueError:
         raise ApiError(400, "bad_request", f"{name} must be an integer") from None
+
+
+def _text(body: dict, name: str, default: str | None = None) -> str:
+    """Field ``name`` of a request body, ``default`` if absent; 400 unless it is a string."""
+    value = body.get(name, default)
+    if not isinstance(value, str):
+        reason = f"{name!r} must be a string" if name in body else f"missing field {name!r}"
+        raise ApiError(400, "bad_request", reason)
+    return value
 
 
 class MemoryService:
@@ -200,12 +210,7 @@ class MemoryService:
         raise ApiError(400, "bad_request", "snapshot needs ?user= or ?agent=")
 
     def _memory_read(self, identity: str, body: dict) -> dict:
-        try:
-            u = user(str(body["user"]))
-            a = agent(str(body["agent"]))
-            query = str(body["query"])
-        except KeyError as exc:
-            raise ApiError(400, "bad_request", f"missing field {exc}") from exc
+        u, a, query = user(_text(body, "user")), agent(_text(body, "agent")), _text(body, "query")
         self._require_user(identity, u.name)
         t = self.rt.clock.now
         if not self.rt.timeline.edge_present((u, a), t):
@@ -227,18 +232,15 @@ class MemoryService:
         }
 
     def _memory_write(self, identity: str, body: dict) -> dict:
-        try:
-            a = agent(str(body["agent"]))
-            subquery = str(body["subquery"])
-            response = str(body["response"])
-        except KeyError as exc:
-            raise ApiError(400, "bad_request", f"missing field {exc}") from exc
+        a = agent(_text(body, "agent"))
+        subquery, response = _text(body, "subquery"), _text(body, "response")
         names = body.get("resources", [])
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise ApiError(400, "bad_request", "resources must be a list of strings")
-        if "user" in body and str(body["user"]) != identity and identity != self.admin:
+        name = _text(body, "user", identity)
+        if name != identity and identity != self.admin:
             raise ApiError(403, "forbidden", "trace user must be the caller")
-        u = user(str(body.get("user", identity)))
+        u = user(name)
         t = self.rt.clock.now + 1
         if not self.rt.timeline.edge_present((u, a), t):
             raise ApiError(403, "forbidden", f"{u.name} cannot invoke {a.name} at t={t}")
@@ -263,17 +265,13 @@ class MemoryService:
         return {"tick": t, "fragment_ids": ids}
 
     def _episode(self, identity: str, body: dict) -> dict:
-        try:
-            u = user(str(body["user"]))
-            query = str(body["query"])
-        except KeyError as exc:
-            raise ApiError(400, "bad_request", f"missing field {exc}") from exc
+        u, query, bin_label = user(_text(body, "user")), _text(body, "query"), _text(body, "bin", "all")
         self._require_user(identity, u.name)
         # an unknown user must not use up a tick: the episode_start record
         # that holds it is never written
         self.rt.directory.require(u, PrincipalKind.USER)
         t = self.rt.clock.tick()
-        episode = run_episode(self.rt, u, query, t, bin_label=str(body.get("bin", "all")))
+        episode = run_episode(self.rt, u, query, t, bin_label=bin_label)
         return {
             "tick": t,
             "episode_id": episode.episode_id,

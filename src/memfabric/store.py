@@ -52,6 +52,10 @@ bits of each distinct set, row or granted, are kept per set; a granted name
 is interned when first read, so they never go stale. The tier clause is
 ``shared | creator == u``. :meth:`MemoryStore.explain` stays the scalar
 clause-by-clause reference.
+
+:class:`LogState` is the one fold of an audit log: fed its records in order,
+it rebuilds the permission timeline and the store, and tallies the count,
+head tick and episodes that resume and verify continue from.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import numpy as np
 
 from . import wire
 from .access import AccessTimeline, PermissionEvent
-from .audit import AuditAction, AuditLog, AuditRecord, LogTally
+from .audit import AuditAction, AuditLog, AuditRecord, iter_audit_file
 from .errors import (
     DimensionMismatch,
     DuplicateId,
@@ -611,16 +615,21 @@ class MemoryStore:
             return cls.from_jsonl(fp, **kwargs)
 
 
-class LogState(LogTally):
-    """A :class:`LogTally` that also applies each grant or revoke to ``timeline``
-    (:meth:`AccessTimeline.restore`) and stores each ``fragment_write`` in ``store``,
-    its key embedded with ``embed``; ``None`` leaves that part alone. The first record that
-    fails to apply or then to tally raises, or with ``strict=False`` is left out for a verifier."""
+class LogState:
+    """What a replay keeps of an audit log's records fed to it in order: their count, the head
+    tick, the episodes started and the one still open (``started``, with its ``rounds``). It also
+    applies each grant or revoke to ``timeline`` (:meth:`AccessTimeline.restore`) and stores each
+    ``fragment_write`` in ``store``, its key embedded with ``embed``; ``None`` leaves that part
+    alone, so ``LogState()`` keeps the tally only. Strict, the first record that fails to apply,
+    or whose seq is not its position or whose tick is behind the head, raises; ``strict=False``
+    leaves out what does not apply, for a verifier to report."""
 
-    def __init__(self, timeline: AccessTimeline | None, store: MemoryStore | None,
-                 embed: Callable[[str], np.ndarray], strict: bool = True) -> None:
-        super().__init__()
+    def __init__(self, timeline: AccessTimeline | None = None, store: MemoryStore | None = None,
+                 embed: Callable[[str], np.ndarray] | None = None, strict: bool = True) -> None:
         self.timeline, self.store, self.embed, self.strict = timeline, store, embed, strict
+        self.count = self.head = self.episodes = 0
+        self.started: AuditRecord | None = None  # the episode_start of the open episode
+        self.rounds = 0  # its agent_invoke records
 
     def feed(self, rec: AuditRecord) -> None:
         try:
@@ -632,7 +641,23 @@ class LogState(LogTally):
         except (LookupError, TypeError, ValueError, MemFabricError):
             if self.strict:
                 raise
-        super().feed(rec)
+        if self.strict and (rec.seq != self.count or rec.at < self.head):
+            message = f"log record {self.count}: seq={rec.seq} at={rec.at}, head {self.head}"
+            raise MemFabricError(message)
+        self.count, self.head = self.count + 1, max(self.head, rec.at)
+        if rec.action is AuditAction.EPISODE_START:
+            self.started, self.rounds = rec, 0
+            self.episodes += 1
+        elif rec.action is AuditAction.EPISODE_END:
+            self.started = None
+        elif rec.action is AuditAction.AGENT_INVOKE:
+            self.rounds += 1
+
+    def fold(self, path: str | Path) -> "LogState":
+        """Feed every record of the log at ``path`` (:func:`iter_audit_file`); return self."""
+        for rec in iter_audit_file(path):
+            self.feed(rec)
+        return self
 
     def _fragment(self, rec: AuditRecord) -> MemoryFragment:
         (fid,) = rec.subjects

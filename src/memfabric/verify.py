@@ -27,7 +27,8 @@ them. Every access decision a run made is re-derived and checked:
 An honest run verifies clean; a log with any injected or altered record
 yields at least one violation.
 
-The log is streamed a record at a time, once with both exports given, else
+The log is streamed a record at a time through
+:func:`~memfabric.audit.iter_audit_file`, once with both exports given, else
 twice: a :class:`~memfabric.store.LogState` fold, as on resume, replays what
 is not given, then the checks run, so memory grows with the store and the
 timeline, not the log. A read takes its reader's grants once and checks each
@@ -219,7 +220,7 @@ def verify_files(
     directory = PrincipalDirectory()
     tail = torn_tail(audit_path)
     unit = frozen_vector([1.0])  # no check reads an embedding: every fragment shares one
-    replayed = LogState(None, None, lambda key: unit, strict=False)  # what is not given
+    replayed = LogState(embed=lambda key: unit, strict=False)  # what is not given
     if timeline_path is None:
         timeline = replayed.timeline = AccessTimeline(directory)
     else:

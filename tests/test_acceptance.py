@@ -29,7 +29,7 @@ from memfabric import (
     build_runtime,
     compare_modes,
     generate_schedule,
-    load_audit_file,
+    iter_audit_file,
     make_server,
     plan_scenario,
     resource,
@@ -133,7 +133,7 @@ def test_criterion_2_access_matrix_safety_and_verify_cli(dynamic_run, out_root):
     assert honest.returncode == 0, honest.stdout + honest.stderr
 
     # inject exactly one illegal read at the end of a copied log
-    records = load_audit_file(artifacts.audit_path)
+    records = list(iter_audit_file(artifacts.audit_path))
     store = MemoryStore.load(artifacts.store_path)
     timeline = AccessTimeline.load(artifacts.timeline_path)
     final_tick = records[-1].at
@@ -294,7 +294,7 @@ def test_criterion_7_isolation_no_cross_creator_reads(out_root):
         )
         artifacts = run_scenario(cfg, out_root / f"iso{i}")
         store = MemoryStore.load(artifacts.store_path)
-        for rec in load_audit_file(artifacts.audit_path):
+        for rec in iter_audit_file(artifacts.audit_path):
             if rec.action is AuditAction.FRAGMENT_READ:
                 for fid in rec.subjects:
                     creator = store.get(fid).provenance.creator.name

@@ -15,10 +15,10 @@ from memfabric import (
     NonMonotonicTimestamp,
     access_matrix,
     compute_metrics,
-    load_audit_file,
-    read_audit_file,
-    records_from_jsonl,
+    iter_audit_file,
+    torn_tail,
 )
+from memfabric.store import LogState
 from rtutil import CountingFlushes
 
 
@@ -36,7 +36,7 @@ def test_append_rejects_regressing_tick():
         log.append(4, "admin", AuditAction.GRANT)
 
 
-def test_read_audit_file_splits_off_a_torn_tail_and_raises_on_a_bad_line(tmp_path):
+def test_the_reader_leaves_a_torn_tail_to_torn_tail_and_raises_on_a_bad_line(tmp_path):
     path = tmp_path / "audit.jsonl"
     log = AuditLog(path)
     log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",), {"bin": "all", "query": "q"})
@@ -44,12 +44,12 @@ def test_read_audit_file_splits_off_a_torn_tail_and_raises_on_a_bad_line(tmp_pat
     log.close()
     whole = path.read_bytes()
     path.write_bytes(whole + b'{"action": "ep')
-    assert read_audit_file(path) == (list(log.records), b'{"action": "ep')
+    assert (list(iter_audit_file(path)), torn_tail(path)) == (list(log.records), b'{"action": "ep')
     path.write_bytes(whole + b"  ")  # blank: nothing torn
-    assert read_audit_file(path) == (list(log.records), b"")
+    assert (list(iter_audit_file(path)), torn_tail(path)) == (list(log.records), b"")
     path.write_bytes(whole.replace(b'"ep-0"', b'"ep-0', 1))
     with pytest.raises(ValueError):
-        read_audit_file(path)
+        list(iter_audit_file(path))
 
 
 def test_a_file_backed_log_keeps_no_record_in_memory(tmp_path):
@@ -93,7 +93,7 @@ def test_a_reader_racing_an_appender_never_sees_a_torn_line(tmp_path):
         pool.submit(append_all).result()
         records = reader.result()
     log.close()
-    assert len(records) == 2000 and records == load_audit_file(path)
+    assert len(records) == 2000 and records == list(iter_audit_file(path))
 
 
 def test_jsonl_round_trip_and_resume(tmp_path):
@@ -102,15 +102,13 @@ def test_jsonl_round_trip_and_resume(tmp_path):
     log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",), {"bin": "all", "query": "q"})
     log.append(1, "u1", AuditAction.EPISODE_END, ("ep-0",), {"failure": None, "rounds": 0})
     log.close()
-    resumed = AuditLog(path, resume=True)
-    assert len(resumed) == 2
-    assert resumed.append(2, "u1", AuditAction.EPISODE_START, ("ep-1",)) == 2
-    resumed.close()
-    records = records_from_jsonl(path.read_text())
-    assert [r.seq for r in records] == [0, 1, 2]
+    with contextlib.closing(AuditLog.continuing(path, LogState().fold(path))) as resumed:
+        assert len(resumed) == 2
+        assert resumed.append(2, "u1", AuditAction.EPISODE_START, ("ep-1",)) == 2
+    assert [r.seq for r in iter_audit_file(path)] == [0, 1, 2]
 
 
-def test_resume_ends_an_episode_left_open_at_its_first_append(tmp_path):
+def test_resume_ends_an_episode_left_open_as_it_reopens_the_log(tmp_path):
     # a killed process can leave an episode's first records without its end
     path = tmp_path / "audit.jsonl"
     log = AuditLog(path)
@@ -118,15 +116,28 @@ def test_resume_ends_an_episode_left_open_at_its_first_append(tmp_path):
     log.append(1, "u1", AuditAction.AGENT_INVOKE, ("a1",), {"episode": "ep-0", "subquery": "q"})
     log.close()
     kept = path.read_bytes()
-    resumed = AuditLog(path, resume=True)
-    assert path.read_bytes() == kept and len(resumed) == 2
-    assert resumed.append(2, "admin", AuditAction.GRANT, ("user:u1", "agent:a1")) == 3
-    resumed.close()
-    end = load_audit_file(path)[2]
+    with contextlib.closing(AuditLog.continuing(path, LogState().fold(path))) as resumed:
+        assert len(resumed) == 3 and path.read_bytes().startswith(kept)
+        assert resumed.append(2, "admin", AuditAction.GRANT, ("user:u1", "agent:a1")) == 3
+    end = list(iter_audit_file(path))[2]
     assert (end.seq, end.at, end.actor, end.action, end.subjects) == (
         2, 1, "u1", AuditAction.EPISODE_END, ("ep-0",)
     )
     assert end.detail == {"failure": "interrupted", "rounds": 1}
+
+
+def test_a_strict_fold_accepts_an_episode_left_open_in_mid_log(tmp_path):
+    # logs written before every failing episode logged its end hold such episodes
+    path = tmp_path / "audit.jsonl"
+    with contextlib.closing(AuditLog(path)) as log:
+        log.append(1, "u1", AuditAction.EPISODE_START, ("ep-0",), {"bin": "all", "query": "q"})
+        log.append(1, "u1", AuditAction.AGENT_INVOKE, ("a1",), {"episode": "ep-0", "subquery": "q"})
+        log.append(2, "u1", AuditAction.EPISODE_START, ("ep-1",), {"bin": "all", "query": "q"})
+        log.append(2, "u1", AuditAction.EPISODE_END, ("ep-1",), {"failure": None, "rounds": 0})
+    state = LogState().fold(path)
+    assert (state.count, state.head, state.episodes, state.started) == (4, 2, 2, None)
+    with contextlib.closing(AuditLog.continuing(path, state)) as resumed:
+        assert len(resumed) == 4
 
 
 def test_an_operation_flushes_its_records_once_at_the_outermost_exit(tmp_path):
@@ -250,12 +261,13 @@ def test_empty_window_raises():
         compute_metrics(AuditLog().records)
 
 
-def test_metrics_stable_under_log_round_trip():
+def test_metrics_stable_under_log_round_trip(tmp_path):
     log = AuditLog()
     episode(log, "ep-0", 1, "u1", [("a1", 2, ["f1"])])
     episode(log, "ep-1", 2, "u2", [("a2", 1, [])])
     direct = compute_metrics(log.records)
-    reloaded = compute_metrics(records_from_jsonl(log.to_jsonl()))
+    (tmp_path / "audit.jsonl").write_text(log.to_jsonl(), encoding="utf-8")
+    reloaded = compute_metrics(iter_audit_file(tmp_path / "audit.jsonl"))
     assert direct.to_csv() == reloaded.to_csv()
     assert direct.to_summary() == reloaded.to_summary()
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import gc
 import json
-import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -29,7 +28,7 @@ from memfabric import (
     build_runtime,
     compare_modes,
     generate_workload,
-    load_audit_file,
+    iter_audit_file,
     load_config,
     plan_scenario,
     run_episode,
@@ -39,7 +38,7 @@ from memfabric import (
 )
 from memfabric.harness import build_policies, build_workload
 from memfabric.policy import Direction, IdentityTransform
-from memfabric.store import MemoryStore
+from memfabric.store import LogState, MemoryStore
 from rtutil import StubServer, refused_url
 from scenarios import asymmetric_config, dynamic_config, overlap_config, revocation_phase_config
 
@@ -225,7 +224,7 @@ def test_a_remote_agent_that_is_down_fails_its_episodes_not_the_run(tmp_path):
     doc = overlap_config()
     doc["agents"][0]["endpoint"] = refused_url()
     artifacts = run_scenario(ScenarioConfig.from_dict(doc), tmp_path)
-    records = load_audit_file(artifacts.audit_path)
+    records = list(iter_audit_file(artifacts.audit_path))
     starts = [r.subjects for r in records if r.action is AuditAction.EPISODE_START]
     ends = {r.subjects: r.detail["failure"] for r in records if r.action is AuditAction.EPISODE_END}
     assert len(starts) == len(ends) and set(starts) == set(ends)
@@ -355,7 +354,7 @@ def test_resume_refuses_a_log_append_would_not_write_and_leaves_it_intact(tmp_pa
         with pytest.raises(MemFabricError, match=reason):
             build_runtime(cfg, artifacts.audit_path, resume=True)
         with pytest.raises(MemFabricError, match=reason):
-            AuditLog(artifacts.audit_path, resume=True)
+            LogState().fold(artifacts.audit_path)
 
     assert resource_warnings(resume) == []
     assert artifacts.audit_path.read_bytes() == log
@@ -386,15 +385,20 @@ def test_resume_cuts_a_torn_last_line_and_the_log_goes_on_clean(tmp_path):
     kept = torn[: torn.rindex(b"\n") + 1]
     artifacts.audit_path.write_bytes(torn)
     dropped = f"{artifacts.audit_path}: dropped a torn last line of {len(torn) - len(kept)} bytes"
-    with pytest.warns(RuntimeWarning, match=re.escape(dropped)):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rt = build_runtime(cfg, artifacts.audit_path, resume=True)
-    try:
-        assert artifacts.audit_path.read_bytes() == kept
+    try:  # the log is closed even when an assertion fails, so no later test sees it leak
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == [dropped]
+        # the torn line was the last episode's end: the reopened log ends it as interrupted
+        resumed = artifacts.audit_path.read_bytes()
+        assert resumed.startswith(kept) and resumed.count(b"\n") == kept.count(b"\n") + 1
+        assert json.loads(resumed[len(kept):])["detail"]["failure"] == "interrupted"
         run_episode(rt, user("user_1"), "one more query", rt.clock.tick())
     finally:
         rt.audit.close()
     assert verify_files(artifacts.audit_path) == []
-    seqs = [r.seq for r in load_audit_file(artifacts.audit_path)]
+    seqs = [r.seq for r in iter_audit_file(artifacts.audit_path)]
     assert seqs == list(range(len(seqs))) and len(seqs) > kept.count(b"\n")
 
 
@@ -468,7 +472,7 @@ def test_asymmetric_usage_stays_in_role_lanes(tmp_path):
 def test_director_reuses_subtask_answers_cross_user(tmp_path):
     cfg = ScenarioConfig.from_dict(asymmetric_config())
     artifacts = run_scenario(cfg, tmp_path / "asym2")
-    records = load_audit_file(artifacts.audit_path)
+    records = list(iter_audit_file(artifacts.audit_path))
     # director episodes repeat the exact role subtasks, so they hit shared
     # memory and trigger zero resource calls
     director_episodes = {
@@ -518,7 +522,7 @@ def test_isolated_mode_all_fragments_private(tmp_path):
 def test_phase_boundary_revocation_hides_fragment(tmp_path):
     cfg = ScenarioConfig.from_dict(revocation_phase_config())
     artifacts = run_scenario(cfg, tmp_path / "rev")
-    records = load_audit_file(artifacts.audit_path)
+    records = list(iter_audit_file(artifacts.audit_path))
     reads_by_phase: dict[str, list] = {"p0": [], "p1": []}
     episode_bin: dict[str, str] = {}
     episode_user: dict[str, str] = {}

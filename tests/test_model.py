@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import event, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
-from memfabric import MemoryService, ScenarioConfig, build_runtime, load_audit_file, verify_files
+from memfabric import MemoryService, ScenarioConfig, build_runtime, iter_audit_file, verify_files
 from scenarios import overlap_config
 
 CFG = ScenarioConfig.from_dict(overlap_config(count=6, n_users=3, n_agents=2))
@@ -106,7 +106,7 @@ class RestartTwins(RuleBasedStateMachine):
     def one_log_that_verifies_alone(self):
         steady, restarted = (path.read_bytes() for path in self.paths)
         assert restarted == steady
-        seqs = [r.seq for r in load_audit_file(self.paths[1])]
+        seqs = [r.seq for r in iter_audit_file(self.paths[1])]
         assert seqs == list(range(len(seqs)))
         assert verify_files(self.paths[1]) == []
 

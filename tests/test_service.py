@@ -24,7 +24,7 @@ from memfabric import (
     ScenarioConfig,
     agent,
     build_runtime,
-    load_audit_file,
+    iter_audit_file,
     make_server,
     plan_scenario,
     run_scenario,
@@ -824,6 +824,17 @@ def test_episode_for_an_unknown_user_takes_no_tick():
             for resources in (5, None, "r1", [["r1"]])
         ),
         ("POST", "/episodes", {}, {"user": "", "query": "q"}),
+        # a field that is not a string is refused, not stored or searched as its repr
+        ("POST", "/memory/read", {}, {"user": "u1", "agent": "a1", "query": None}),
+        ("POST", "/memory/read", {}, {"user": 1, "agent": "a1", "query": "q"}),
+        ("POST", "/memory/read", {}, {"user": "u1", "agent": "a1"}),
+        ("POST", "/memory/write", {}, {"user": "u1", "agent": "a1", "subquery": {"q": 1}, "response": "r"}),
+        ("POST", "/memory/write", {}, {"user": "u1", "agent": "a1", "subquery": "q", "response": None}),
+        ("POST", "/memory/write", {}, {"user": "u1", "agent": ["a1"], "subquery": "q", "response": "r"}),
+        ("POST", "/memory/write", {}, {"user": None, "agent": "a1", "subquery": "q", "response": "r"}),
+        ("POST", "/episodes", {}, {"user": "u1", "query": None}),
+        ("POST", "/episodes", {}, {"user": ["u1"], "query": "q"}),
+        ("POST", "/episodes", {}, {"user": "u1", "query": "d1 q", "bin": 3}),
     ],
     ids=[
         "grant-empty-user",
@@ -842,6 +853,16 @@ def test_episode_for_an_unknown_user_takes_no_tick():
         "write-resources-string",
         "write-resources-nested-list",
         "episode-empty-user",
+        "read-query-null",
+        "read-user-number",
+        "read-query-missing",
+        "write-subquery-object",
+        "write-response-null",
+        "write-agent-list",
+        "write-user-null",
+        "episode-query-null",
+        "episode-user-list",
+        "episode-bin-number",
     ],
 )
 def test_empty_names_and_malformed_edges_are_bad_requests(method, route, params, body):
@@ -891,8 +912,37 @@ def test_a_refused_episode_still_ends_in_the_log(tmp_path):
         finally:
             runtime.audit.close()
     assert verify_files(audit) == []
-    end = next(r for r in load_audit_file(audit) if r.action.value == "episode_end")
+    end = next(r for r in iter_audit_file(audit) if r.action.value == "episode_end")
     assert end.detail == {"failure": "resource_not_permitted", "rounds": 0}
+
+
+def test_an_episode_failing_on_any_error_still_ends_in_the_log_and_resumes(tmp_path):
+    # an empty agent answer makes the episode's write raise InvalidFragment
+    doc = overlap_config(count=6, n_users=3, n_agents=2)
+    audit = tmp_path / "audit.jsonl"
+    episode = {"user": "user_1", "query": "domain1: topic"}
+    with StubServer(lambda request: {"output": ""}) as stub:
+        for spec in doc["agents"]:
+            spec["endpoint"] = stub.url
+        cfg = ScenarioConfig.from_dict(doc)
+        svc = granted_service(cfg, audit)
+        try:
+            status, body = svc.handle("POST", "/episodes", {}, "user_1", episode)
+        finally:
+            svc.rt.audit.close()
+    assert (status, body["error"]) == (400, "InvalidFragment")
+    assert verify_files(audit) == []
+    records = list(iter_audit_file(audit))
+    assert [r.action.value for r in records[-4:]] == [
+        "episode_start", "agent_invoke", "fragment_read", "episode_end"
+    ]
+    assert records[-1].detail == {"failure": "invalid_fragment", "rounds": 0}
+    svc = granted_service(cfg, audit, resume=True)
+    try:
+        assert (len(svc.rt.audit), svc.rt.next_episode_id()) == (len(records), "ep-00001")
+    finally:
+        svc.rt.audit.close()
+    assert audit.read_bytes().count(b"\n") == len(records)
 
 
 # --- the serve command ---
@@ -944,7 +994,7 @@ def test_serve_command_answers_and_audits(tmp_path):
     status, body = view
     assert status == 200 and body["t"] == 2
     assert sorted(hit["id"] for hit in body["view"]) == sorted(ids)
-    records = load_audit_file(audit)
+    records = list(iter_audit_file(audit))
     assert [(r.at, r.action.value) for r in records] == [
         (1, "grant"),
         (2, "fragment_write"),
@@ -961,7 +1011,7 @@ def test_serve_command_answers_and_audits(tmp_path):
     assert sorted(hit["id"] for hit in body["view"]) == sorted(ids)
     status, body = written
     assert status == 200 and body["tick"] == 3 and not set(body["fragment_ids"]) & set(ids)
-    records = load_audit_file(audit)
+    records = list(iter_audit_file(audit))
     assert [(r.at, r.action.value) for r in records[4:]] == [
         (2, "fragment_read"),
         (3, "fragment_write"),

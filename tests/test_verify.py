@@ -21,10 +21,10 @@ from memfabric import (
     Tier,
     Violation,
     agent,
-    load_audit_file,
-    read_audit_file,
+    iter_audit_file,
     resource,
     run_scenario,
+    torn_tail,
     user,
     verify_files,
     verify_run,
@@ -264,7 +264,7 @@ def verify_listed(audit, timeline=None, store=None):
     log decoded into a list, and the timeline and store each replayed from it
     in a pass of its own."""
     directory = PrincipalDirectory()
-    records, tail = read_audit_file(audit)
+    records, tail = list(iter_audit_file(audit)), torn_tail(audit)
 
     def replay(timeline=None, store=None):
         state = LogState(timeline, store, lambda key: [1.0], strict=False)
@@ -311,7 +311,7 @@ def test_the_honest_run_verifies_clean_with_and_without_its_timeline(overlap_run
 
 
 def test_an_unaudited_revoke_in_the_timeline_is_a_violation(overlap_run, tmp_path):
-    last_at = load_audit_file(overlap_run.audit_path)[-1].at
+    last_at = list(iter_audit_file(overlap_run.audit_path))[-1].at
     revoke = {"action": "revoke", "edge": {"user": "user_1", "agent": "domain1_agent"}}
     audit, timeline, store = tampered_copy(
         overlap_run, tmp_path, "timeline.jsonl",

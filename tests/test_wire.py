@@ -23,8 +23,7 @@ from memfabric import (
     RemoteUnavailable,
     Tier,
     agent,
-    load_audit_file,
-    records_from_jsonl,
+    iter_audit_file,
     resource,
     user,
 )
@@ -159,10 +158,8 @@ def test_blank_lines_are_skipped_on_load(tmp_path):
     (tmp_path / "store.jsonl").write_text(spread, encoding="utf-8")
     assert MemoryStore.load(tmp_path / "store.jsonl").to_jsonl() == store.to_jsonl()
 
-    spread = _spread_blank_lines(log.to_jsonl())
-    assert records_from_jsonl(spread) == list(log.records)
-    (tmp_path / "audit.jsonl").write_text(spread, encoding="utf-8")
-    assert load_audit_file(tmp_path / "audit.jsonl") == list(log.records)
+    (tmp_path / "audit.jsonl").write_text(_spread_blank_lines(log.to_jsonl()), encoding="utf-8")
+    assert list(iter_audit_file(tmp_path / "audit.jsonl")) == list(log.records)
 
 
 def test_decode_parses_one_line_at_a_time():
