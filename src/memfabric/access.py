@@ -54,13 +54,14 @@ def classify_edge(edge: Edge) -> EdgeKind:
 
 def edge_from_doc(doc: object) -> Edge:
     """The edge a ``{"user", "agent"}`` or ``{"agent", "resource"}`` document
-    names; raise ``ValueError`` for any other document or an empty name."""
-    keys = set(doc) if isinstance(doc, Mapping) else None
-    if keys == {"user", "agent"}:
-        return (user(str(doc["user"])), agent(str(doc["agent"])))
-    if keys == {"agent", "resource"}:
-        return (agent(str(doc["agent"])), resource(str(doc["resource"])))
-    raise ValueError(f"edge must name user/agent or agent/resource: {doc!r}")
+    names; raise ``ValueError`` for any other document, or a name that is
+    empty or not a string."""
+    if isinstance(doc, Mapping) and all(isinstance(name, str) for name in doc.values()):
+        if set(doc) == {"user", "agent"}:
+            return (user(doc["user"]), agent(doc["agent"]))
+        if set(doc) == {"agent", "resource"}:
+            return (agent(doc["agent"]), resource(doc["resource"]))
+    raise ValueError(f"edge must name user/agent or agent/resource as text: {doc!r}")
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,15 @@ halts (or the round limit hits), the aggregator synthesizes the final
 answer from the ordered (subquery, response) pairs.
 
 The runtime never trusts the coordinator: a message naming an agent outside
-``agents_of(user, t)`` is a protocol violation, retried a configured number
-of times and then failing the episode. A remote backend that fails (see
-:class:`RemoteUnavailable`) fails the episode too, not the run. Scripted
-agents follow a memory-first contract - an exact-repeat hit in the view
+``agents_of(user, t)``, or naming its agent or subquery with anything but a
+non-empty string, is a protocol violation, retried a configured number of
+times and then failing the episode. A remote backend that fails (see
+:class:`RemoteUnavailable`) fails the episode too, not the run, and so does
+one whose reply has a field of the wrong type: a remote agent's JSON-object
+reply is ``{"invoke": [names], "answer": text}``, a judge's is a finite
+number. Nothing a backend sends is coerced into text, so a malformed reply
+is never stored and never read as a permission decision. Scripted agents
+follow a memory-first contract - an exact-repeat hit in the view
 (similarity 1.0) answers from memory with zero resource calls; otherwise
 the agent consults its configured resource exactly once.
 
@@ -25,6 +30,7 @@ an episode lands in the audit log under the episode's id.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from dataclasses import dataclass, field
@@ -84,18 +90,19 @@ class CoordinationMessage:
     @classmethod
     def from_wire(cls, raw: str) -> "CoordinationMessage":
         """Parse the wire form; raises :class:`CoordinatorProtocolViolation`
-        on anything malformed, an empty agent name included."""
+        on anything malformed: an agent or subquery that is empty or not a
+        string included."""
         try:
             data = json.loads(raw)
-        except ValueError as exc:
-            raise CoordinatorProtocolViolation(f"not JSON: {raw!r}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise CoordinatorProtocolViolation(f"not JSON it can read: {raw!r}") from exc
         if not isinstance(data, dict):
             raise CoordinatorProtocolViolation(f"not an object: {raw!r}")
         if data.get("stop") is True:
             return cls.halt()
-        name = str(data.get("agent", ""))
-        if name and "subquery" in data:
-            return cls.route(agent(name), str(data["subquery"]))
+        name, subquery = data.get("agent"), data.get("subquery")
+        if isinstance(name, str) and name and isinstance(subquery, str) and subquery:
+            return cls.route(agent(name), subquery)
         raise CoordinatorProtocolViolation(f"unrecognized message shape: {raw!r}")
 
 
@@ -294,10 +301,13 @@ def remote_agent_respond(
 ) -> tuple[str, list[PrincipalId]]:
     """Single-shot remote agent: one chat call with the view inlined.
 
-    The reply may request resource lookups via {"invoke": [names...],
-    "answer": ...}; any other reply is the answer verbatim. Requested
-    resources outside the permitted set are an error surfaced to the caller,
-    never silently honored.
+    A reply that is a JSON object is ``{"invoke": [names], "answer": text}``:
+    ``invoke`` lists non-empty resource names (default none) and ``answer``
+    defaults to the looked-up results joined by "; ". A field of any other
+    type, or JSON nested too deeply to read, raises :class:`RemoteUnavailable`
+    before any resource is invoked. Any other reply is the answer verbatim.
+    ``invoke`` refuses a resource outside the permitted set with
+    :class:`ResourceNotPermitted`, never silently honoring it.
     """
     assert isinstance(spec.backend, RemoteAgentBackend)
     payload = json.dumps(
@@ -313,19 +323,18 @@ def remote_agent_respond(
         data = json.loads(raw)
     except ValueError:
         data = None
+    except RecursionError as exc:
+        raise RemoteUnavailable(f"{spec.id} sent JSON nested too deeply to read") from exc
     if not isinstance(data, dict):
         return raw, []
-    names = data.get("invoke", [])
-    invoked: list[PrincipalId] = []
-    results = []
-    for name in names:
-        rid = resource(str(name))
-        if rid not in permitted:
-            raise ResourceNotPermitted(f"{spec.id} asked for {rid}")
-        results.append(invoke(rid, subquery))
-        invoked.append(rid)
-    answer = str(data.get("answer", "")) or "; ".join(results)
-    return answer, invoked
+    names, answer = data.get("invoke", []), data.get("answer", "")
+    if not isinstance(names, list) or not all(isinstance(n, str) and n for n in names):
+        raise RemoteUnavailable(f"{spec.id} sent invoke {names!r}, not a list of names")
+    if not isinstance(answer, str):
+        raise RemoteUnavailable(f"{spec.id} sent answer {answer!r}, not text")
+    invoked = [resource(name) for name in names]
+    results = [invoke(rid, subquery) for rid in invoked]
+    return answer or "; ".join(results), invoked
 
 
 # --- runtime and the episode loop ----------------------------------------------
@@ -591,6 +600,8 @@ def _judge_score(judge: Transformer, query: str, answer: str) -> float:
     raw = judge.apply(json.dumps({"query": query, "answer": answer}, sort_keys=True))
     try:
         score = float(raw)
-    except ValueError as exc:
-        raise RemoteUnavailable(f"judge returned non-numeric score: {raw!r}") from exc
+    except ValueError:
+        score = math.nan
+    if not math.isfinite(score):
+        raise RemoteUnavailable(f"judge returned no finite score: {raw!r}")
     return min(1.0, max(0.0, score))

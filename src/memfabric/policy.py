@@ -19,7 +19,6 @@ strips the contributing user's name without knowing it in advance.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -29,12 +28,7 @@ import numpy as np
 
 from . import wire
 from .access import AccessTimeline
-from .errors import (
-    AmbiguousBinding,
-    InvalidFragment,
-    RemoteUnavailable,
-    ResourceNotPermitted,
-)
+from .errors import AmbiguousBinding, InvalidFragment, ResourceNotPermitted
 from .principals import PrincipalId, PrincipalKind
 from .retrieval import Embedder, RankedFragment
 from .store import MemoryFragment, MemoryStore, Provenance, Tier, new_fragment_id
@@ -268,32 +262,6 @@ class InteractionTrace:
         return {"user": self.user.name, "agent": self.agent.name}
 
 
-def encode_candidates(
-    trace: InteractionTrace, encoder: Transformer | None = None
-) -> list[tuple[str, str]]:
-    """Map a trace to candidate (key, value) fragments.
-
-    The default encoder emits exactly one candidate - key = subquery,
-    value = response - so fragment counts stay predictable in scripted
-    runs. A remote encoder receives the trace as JSON and must return a
-    JSON list of {"key", "value"} objects.
-    """
-    if encoder is None or isinstance(encoder, IdentityTransform):
-        return [(trace.subquery, trace.response)]
-    raw = encoder.apply(
-        json.dumps(
-            {"subquery": trace.subquery, "response": trace.response}, sort_keys=True
-        ),
-        trace.context(),
-    )
-    try:
-        parsed = json.loads(raw)
-        candidates = [(str(c["key"]), str(c["value"])) for c in parsed]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise RemoteUnavailable(f"encoder returned malformed candidates: {exc}") from exc
-    return candidates
-
-
 def encode_and_write(
     trace: InteractionTrace,
     policies: PolicyTable,
@@ -302,23 +270,22 @@ def encode_and_write(
     embedder: Embedder,
     id_factory: Callable[[], str] = new_fragment_id,
     force_private: bool = False,
-    encoder: Transformer | None = None,
 ) -> list[str]:
-    """Persist a trace through the write policies.
+    """Persist a trace as two fragments, one per write policy.
 
-    Each candidate fragment is written twice: once through the private
-    write policy (tier=private) and once through the shared write policy
-    (tier=shared, or private again under ``force_private``, which is how
-    isolated-memory runs disable cross-user transfer). Provenance is taken
-    verbatim from the trace - transformers cannot influence it. All
-    transformations run before any insert, so a transformer failure writes
-    nothing, and every fragment passes the store's insert checks before the
-    first insert, so a rejected fragment (say, an empty response) leaves none
-    of the pair stored or audited. Ids are drawn from ``id_factory`` only
-    after every check has passed, so a rejected write draws none and the ids
-    drawn always equal the fragments stored. Each distinct key is embedded and
-    checked once (one provenance), so under identity policies the private and
-    shared fragments share one embedding call; the inserts skip the check.
+    The trace's one fragment - key = subquery, value = response - is written
+    through the private write policy (tier=private) and through the shared
+    write policy (tier=shared, or private again under ``force_private``,
+    which is how isolated-memory runs disable cross-user transfer).
+    Provenance is taken verbatim from the trace - transformers cannot
+    influence it. Both transformations run, and both fragments pass the
+    store's insert checks, before the first insert, so a transformer failure
+    or a rejected fragment (say, an empty response) leaves neither stored or
+    audited. Ids are drawn from ``id_factory`` only after every check has
+    passed, so a rejected write draws none and the ids drawn always equal the
+    fragments stored. Each distinct key is embedded and checked once, so
+    under identity policies the two fragments share one embedding call; the
+    inserts skip the check.
     """
     permitted = timeline.resources_of(trace.agent, trace.timestamp)
     for r in trace.resources_invoked:
@@ -333,8 +300,6 @@ def encode_and_write(
         resources=frozenset(trace.resources_invoked),
     )
     context = trace.context()
-    candidates = encode_candidates(trace, encoder)
-
     pending: list[tuple[Tier, str, str]] = []
     embeddings: dict[str, np.ndarray] = {}
     for direction, tier in (
@@ -342,15 +307,14 @@ def encode_and_write(
         (Direction.WRITE_SHARED, Tier.SHARED),
     ):
         transformer = policies.resolve(trace.user, trace.agent, trace.timestamp, direction)
-        for key, value in candidates:
-            out_key = transformer.apply(key, context)
-            out_value = transformer.apply(value, context)
-            if not out_key or not out_value:
-                raise InvalidFragment("fragment key and value must be non-empty")
-            if out_key not in embeddings:
-                embeddings[out_key] = embedder.embed(out_key)
-                store.check(embeddings[out_key], provenance)
-            pending.append((Tier.PRIVATE if force_private else tier, out_key, out_value))
+        key = transformer.apply(trace.subquery, context)
+        value = transformer.apply(trace.response, context)
+        if not key or not value:
+            raise InvalidFragment("fragment key and value must be non-empty")
+        if key not in embeddings:
+            embeddings[key] = embedder.embed(key)
+            store.check(embeddings[key], provenance)
+        pending.append((Tier.PRIVATE if force_private else tier, key, value))
     fragments = [
         MemoryFragment(
             id=id_factory(),

@@ -62,8 +62,10 @@ EMBED_CACHE_SIZE = 1 << 10
 
 @lru_cache(maxsize=NGRAM_CACHE_SIZE)
 def _ngram_term(dimension: int, gram: str) -> tuple[int, float]:
-    """The bucket and the sign +-1.0 that ``gram`` adds to a vector of ``dimension``."""
-    h = int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+    """The bucket and the sign +-1.0 that ``gram`` adds to a vector of ``dimension``.
+    A lone surrogate, which JSON text may carry, hashes as its own code point."""
+    digest = blake2b(gram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
+    h = int.from_bytes(digest, "big")
     return (h >> 1) % dimension, 1.0 if h & 1 else -1.0
 
 

@@ -6,8 +6,10 @@ equal bytes. Both directions stream a line at a time.
 
 Every remote backend is one JSON POST whose reply object carries the answer
 in one field. Every way that call can fail - transport, HTTP protocol, an
-undecodable reply, a reply that is not an object or lacks the field - raises
-:class:`RemoteUnavailable`, which the service answers 503.
+undecodable reply (one nested too deeply included), a reply that is not an
+object or lacks the field, a field of the wrong type - raises
+:class:`RemoteUnavailable`, which the service answers 503. A chat ``output``
+must be a string; nothing a backend sends is coerced into one.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ def post_json(endpoint: str, payload: object, field: str, timeout: float):
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             reply = json.loads(response.read())
-    except (OSError, ValueError, http.client.HTTPException) as exc:
+    except (OSError, ValueError, RecursionError, http.client.HTTPException) as exc:
         raise RemoteUnavailable(f"backend at {endpoint}: {exc!r}") from exc
     if not isinstance(reply, dict) or field not in reply:
         raise RemoteUnavailable(f"backend at {endpoint}: reply has no {field!r} field")
@@ -78,5 +80,8 @@ def post_json(endpoint: str, payload: object, field: str, timeout: float):
 
 
 def chat(endpoint: str, system: str, text: str, timeout: float) -> str:
-    """The chat contract: ``{"system", "input"} -> {"output"}``."""
-    return str(post_json(endpoint, {"system": system, "input": text}, "output", timeout))
+    """The chat contract: ``{"system", "input"} -> {"output": text}``."""
+    output = post_json(endpoint, {"system": system, "input": text}, "output", timeout)
+    if not isinstance(output, str):
+        raise RemoteUnavailable(f"backend at {endpoint}: output is not text: {output!r}")
+    return output

@@ -9,7 +9,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 # more examples than tier-1's time allows, for CI's separate runs of the
-# restart model and the encoder tests:
+# restart model, the encoder tests and the remote-reply fuzz test:
 # pytest tests/test_model.py tests/test_wire.py --hypothesis-profile=thorough
 settings.register_profile("thorough", max_examples=1000, deadline=None)
 

@@ -19,6 +19,7 @@ from memfabric import (
     JoiningAggregator,
     KeywordCoordinator,
     LogicalClock,
+    MemoryService,
     MemoryStore,
     PolicyBinding,
     PolicyTable,
@@ -29,6 +30,8 @@ from memfabric import (
     Runtime,
     Scope,
     ScriptedAgentBackend,
+    build_runtime,
+    plan_scenario,
     resource,
 )
 
@@ -116,6 +119,15 @@ def make_runtime(
     return runtime, users
 
 
+def granted_service(cfg, audit_path=None, resume=False) -> MemoryService:
+    """A service on ``build_runtime(cfg)``, its set-up edges granted unless resumed."""
+    svc = MemoryService(build_runtime(cfg, audit_path, resume=resume))
+    if not resume:
+        for edge in plan_scenario(cfg).setup_edges:
+            svc.rt.timeline.grant(edge, svc.rt.clock.tick())
+    return svc
+
+
 def resource_calls(rt: Runtime, episode_id: str) -> int:
     return sum(
         1
@@ -151,7 +163,10 @@ class StubServer:
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self.server.server_port}/"
-        self._thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll, so that shutdown on exit does not wait out the default 0.5 s
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
 
     def __enter__(self) -> "StubServer":
         self._thread.start()

@@ -40,6 +40,22 @@ def overlap_config(
     }
 
 
+REMOTE_ROLES = ("agent", "coordinator", "aggregator", "judge", "resource")
+
+
+def with_remote(doc: dict, role: str, endpoint: str) -> dict:
+    """``doc`` with one of ``REMOTE_ROLES`` served at ``endpoint``: every agent,
+    the coordinator, the aggregator, the judge, or every resource."""
+    if role in ("agent", "resource"):
+        for spec in doc[role + "s"]:
+            spec["endpoint"] = endpoint
+    elif role == "judge":
+        doc["judge"] = {"kind": "prompted_remote", "endpoint": endpoint}
+    else:
+        doc[role] = {"endpoint": endpoint}
+    return doc
+
+
 def dynamic_config(
     per_user_per_category: int = 4,
     targets: list[int] | None = None,

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -441,7 +440,7 @@ def test_rejected_shared_fragment_leaves_no_half_pair():
     assert ids() == "id-001"  # the rejected write drew no id
 
 
-# --- remote transformer and encoder ---
+# --- remote transformer ---
 
 
 def test_prompted_remote_round_trip():
@@ -454,27 +453,3 @@ def test_prompted_remote_unavailable():
     tf = PromptedRemote(system_prompt="s", endpoint="http://127.0.0.1:1/x", timeout=0.2)
     with pytest.raises(RemoteUnavailable):
         tf.apply("hello")
-
-
-def test_remote_encoder_emits_multiple_candidates():
-    def reply(request):
-        trace = json.loads(request["input"])
-        candidates = [
-            {"key": trace["subquery"], "value": trace["response"]},
-            {"key": "extra topic", "value": "extra detail"},
-        ]
-        return {"output": json.dumps(candidates)}
-
-    with StubServer(reply) as stub:
-        directory, timeline, store, embedder, t = write_env()
-        trace = InteractionTrace(user("u1"), agent("a1"), t + 1, "q1", "r1")
-        ids = encode_and_write(
-            trace,
-            default_policies(),
-            store,
-            timeline,
-            embedder,
-            counter_ids(),
-            encoder=PromptedRemote(system_prompt="encode", endpoint=stub.url),
-        )
-        assert len(ids) == 4  # two candidates x two tiers

@@ -32,8 +32,8 @@ from memfabric import (
 )
 from memfabric import service as service_module
 from memfabric.service import ApiError
-from rtutil import CountingFlushes, StubServer, make_runtime
-from scenarios import overlap_config, revocation_phase_config
+from rtutil import CountingFlushes, StubServer, granted_service, make_runtime
+from scenarios import overlap_config, revocation_phase_config, with_remote
 
 
 class Client:
@@ -299,14 +299,6 @@ def test_service_resumes_from_artifacts(tmp_path):
         server.server_close()
     finally:
         runtime.audit.close()
-
-
-def granted_service(cfg: ScenarioConfig, audit_path=None, resume=False) -> MemoryService:
-    svc = MemoryService(build_runtime(cfg, audit_path, resume=resume))
-    if not resume:
-        for edge in plan_scenario(cfg).setup_edges:
-            svc.rt.timeline.grant(edge, svc.rt.clock.tick())
-    return svc
 
 
 def test_resume_after_a_rejected_write_continues_ids_exactly(tmp_path):
@@ -808,6 +800,10 @@ def test_episode_for_an_unknown_user_takes_no_tick():
         ("POST", "/permissions/grant", {}, {"edge": {"user": "u1", "agent": "a1", "resource": "r1"}}),
         ("POST", "/permissions/grant", {}, {"edge": "u1->a1"}),
         ("POST", "/permissions/revoke", {}, {}),
+        # a name that is not a string is refused, not read as its repr
+        ("POST", "/permissions/grant", {}, {"edge": {"user": None, "agent": "a1"}}),
+        ("POST", "/permissions/grant", {}, {"edge": {"user": ["u1"], "agent": "a1"}}),
+        ("POST", "/permissions/revoke", {}, {"edge": {"agent": "a1", "resource": 1}}),
         ("GET", "/permissions/snapshot", {"user": [""]}, {}),
         ("GET", "/permissions/snapshot", {"agent": [""]}, {}),
         ("POST", "/memory/read", {}, {"user": "u1", "agent": "", "query": "q"}),
@@ -843,6 +839,9 @@ def test_episode_for_an_unknown_user_takes_no_tick():
         "grant-three-names",
         "grant-edge-not-object",
         "revoke-no-edge",
+        "grant-user-null",
+        "grant-user-list",
+        "revoke-resource-number",
         "snapshot-empty-user",
         "snapshot-empty-agent",
         "read-empty-agent",
@@ -889,15 +888,65 @@ def test_remote_agent_asking_for_an_ungranted_resource_is_403():
     assert (status, body["error"]) == (403, "forbidden")
 
 
+def _json_output(doc: object) -> dict:
+    return {"output": json.dumps(doc)}
+
+
+# one remote role answers one malformed reply: the episode fails as the
+# backend's fault, and no part of the reply is stored or read as a permission
+@pytest.mark.parametrize(
+    "role, reply, failure",
+    [
+        ("agent", {"output": None}, "remote_unavailable"),
+        ("agent", {"output": 5}, "remote_unavailable"),
+        ("agent", _json_output({"invoke": "domain1_kb"}), "remote_unavailable"),
+        ("agent", _json_output({"invoke": [5]}), "remote_unavailable"),
+        ("agent", _json_output({"invoke": [], "answer": None}), "remote_unavailable"),
+        ("agent", {"output": "[" * 100_000 + "]" * 100_000}, "remote_unavailable"),
+        ("coordinator", _json_output({"agent": "domain1_agent", "subquery": None}), "coordinator_protocol"),
+        ("coordinator", _json_output({"agent": "domain1_agent", "subquery": 7}), "coordinator_protocol"),
+        ("coordinator", _json_output({"agent": "domain1_agent", "subquery": ""}), "coordinator_protocol"),
+        ("coordinator", {"output": "[" * 100_000 + "]" * 100_000}, "coordinator_protocol"),
+        ("judge", {"output": "nan"}, "remote_unavailable"),
+        ("judge", {"output": "inf"}, "remote_unavailable"),
+    ],
+    ids=[
+        "agent-output-null",
+        "agent-output-number",
+        "agent-invoke-string",
+        "agent-invoke-number",
+        "agent-answer-null",
+        "agent-output-too-deep",
+        "coordinator-subquery-null",
+        "coordinator-subquery-number",
+        "coordinator-subquery-empty",
+        "coordinator-output-too-deep",
+        "judge-nan",
+        "judge-inf",
+    ],
+)
+def test_a_malformed_remote_reply_fails_the_episode(role, reply, failure):
+    doc = overlap_config(count=6, n_users=3, n_agents=2)
+    episode = {"user": "user_1", "query": "domain1: topic"}
+    with StubServer(lambda request: reply) as stub:
+        svc = granted_service(ScenarioConfig.from_dict(with_remote(doc, role, stub.url)))
+        status, body = svc.handle("POST", "/episodes", {}, "user_1", episode)
+    rounds = 1 if role == "judge" else 0  # the judge scores a scripted round
+    assert (status, body["failure"], body["rounds"]) == (200, failure, rounds)
+    end = [r for r in svc.rt.audit if r.action.value == "episode_end"]
+    assert [r.detail for r in end] == [{"failure": failure, "rounds": rounds}]
+    stored = {(f.key, f.value) for f in svc.rt.store.fragments()}
+    assert stored == ({("domain1: topic", "According to domain1_kb: domain1_kb reference entry "
+                        "for 'domain1: topic'")} if rounds else set())
+
+
 def test_a_refused_episode_still_ends_in_the_log(tmp_path):
     # the service answers 403, and the log it leaves verifies clean
     doc = overlap_config(count=6, n_users=3, n_agents=2)
     ungranted = {"output": json.dumps({"invoke": ["domain1_kb", "domain2_kb"]})}
     audit = tmp_path / "audit.jsonl"
     with StubServer(lambda request: ungranted) as stub:
-        for spec in doc["agents"]:
-            spec["endpoint"] = stub.url
-        cfg = ScenarioConfig.from_dict(doc)
+        cfg = ScenarioConfig.from_dict(with_remote(doc, "agent", stub.url))
         runtime = build_runtime(cfg, audit_path=audit)
         try:
             svc = MemoryService(runtime)
@@ -922,9 +971,7 @@ def test_an_episode_failing_on_any_error_still_ends_in_the_log_and_resumes(tmp_p
     audit = tmp_path / "audit.jsonl"
     episode = {"user": "user_1", "query": "domain1: topic"}
     with StubServer(lambda request: {"output": ""}) as stub:
-        for spec in doc["agents"]:
-            spec["endpoint"] = stub.url
-        cfg = ScenarioConfig.from_dict(doc)
+        cfg = ScenarioConfig.from_dict(with_remote(doc, "agent", stub.url))
         svc = granted_service(cfg, audit)
         try:
             status, body = svc.handle("POST", "/episodes", {}, "user_1", episode)

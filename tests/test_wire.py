@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from memfabric import (
@@ -21,16 +24,19 @@ from memfabric import (
     RemoteCoordinator,
     RemoteEmbedder,
     RemoteUnavailable,
+    ScenarioConfig,
     Tier,
     agent,
     iter_audit_file,
     resource,
     user,
+    verify_files,
 )
 from memfabric import wire
 from memfabric.store import write_detail
 from genutil import make_universe, random_store, random_timeline
-from rtutil import StubServer, make_runtime, refused_url
+from rtutil import StubServer, granted_service, make_runtime, refused_url
+from scenarios import REMOTE_ROLES, overlap_config, with_remote
 
 
 def _spread_blank_lines(text: str) -> str:
@@ -173,6 +179,10 @@ def test_decode_parses_one_line_at_a_time():
 
 # --- one remote-call client: every failure is RemoteUnavailable ---
 
+def _http_reply(body: bytes) -> bytes:
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
 CLIENTS = {
     "transformer": lambda url: PromptedRemote(system_prompt="s", endpoint=url, timeout=5).apply("x"),
     "coordinator": lambda url: RemoteCoordinator(url, "route", timeout=5).decide("q", [], []),
@@ -183,6 +193,7 @@ BAD_REPLIES = {
     "non_object_body": lambda request: [1, 2],
     "missing_field": lambda request: {"unrelated": "x"},
     "garbage_status_line": lambda request: b"garbage\r\n\r\n",
+    "nested_too_deep": lambda request: _http_reply(b"[" * 100_000 + b"]" * 100_000),
 }
 
 
@@ -210,3 +221,129 @@ def test_service_answers_503_for_a_malformed_remote_reply():
         episode = {"user": "u1", "query": "d1 q"}
         status, body = service.handle("POST", "/episodes", {}, "u1", episode)
     assert (status, body["failure"]) == (200, "remote_unavailable")
+
+
+# --- remote replies fuzzed: one role at a time answers anything ---
+
+FUZZ_QUERY = "domain1: topic"  # the keyword coordinator routes it to domain1_agent
+# the names and fields the roles read, so replies often come close to well formed
+ROLE_TEXT = st.sampled_from(["domain1_agent", "domain2_agent", "domain1_kb", "domain2_kb", ""]) | TEXT
+ROLE_KEYS = st.sampled_from(["invoke", "answer", "agent", "subquery", "stop"]) | st.text(max_size=4)
+REPLY_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ROLE_TEXT,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(ROLE_KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _not_json(body: bytes) -> bool:
+    try:
+        json.loads(body)
+    except ValueError:
+        return True
+    return False
+
+
+REPLIES = (
+    REPLY_DOCUMENTS  # any reply body
+    | REPLY_DOCUMENTS.map(lambda doc: {"output": doc})  # any output
+    | REPLY_DOCUMENTS.map(lambda doc: {"output": json.dumps(doc)})  # output the role parses as JSON
+    | st.binary(max_size=16).filter(_not_json).map(_http_reply)
+)
+
+
+def _texts(doc: object) -> set[str]:
+    """Every string in ``doc``, and in the JSON that a string of it holds."""
+    if isinstance(doc, str):
+        try:
+            return {doc} | _texts(json.loads(doc))
+        except ValueError:
+            return {doc}
+    if isinstance(doc, dict):
+        return set().union(*map(_texts, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_texts, doc))
+    return set()
+
+
+# the texts the scripted agents and resources build around another text
+SCRIPTED = (r"According to domain\d_kb: (.*)", r"domain\d_kb reference entry for '(.*)'")
+
+
+def _allowed(text: str, known: set[str]) -> bool:
+    """Whether ``text`` is one of ``known``, or what the scripted parts build from them."""
+    if text in known:
+        return True
+    for pattern in SCRIPTED:
+        match = re.fullmatch(pattern, text, re.S)
+        if match and _allowed(match.group(1), known):
+            return True
+    parts = text.split("; ")  # a remote agent's answer joins its lookups
+    return len(parts) > 1 and all(_allowed(part, known) for part in parts)
+
+
+def _asks_ungranted(reply: object) -> bool:
+    """Whether ``reply`` is a well-formed agent reply invoking a resource
+    other than domain1_kb, the one resource domain1_agent is granted."""
+    try:
+        data = json.loads(reply["output"])
+    except (TypeError, KeyError, ValueError):
+        return False
+    if not isinstance(data, dict) or not isinstance(data.get("answer", ""), str):
+        return False
+    names = data.get("invoke", [])
+    return (isinstance(names, list) and all(isinstance(n, str) and n for n in names)
+            and any(n != "domain1_kb" for n in names))
+
+
+@pytest.fixture(scope="module")
+def fuzz_backend():
+    """One stub for every remote role, answering ``reply["now"]``, and the
+    scenario config of each role served by it."""
+    reply = {}
+    with StubServer(lambda request: reply["now"]) as stub:
+        configs = {}
+        for role in REMOTE_ROLES:
+            doc = with_remote(overlap_config(count=6, n_users=3, n_agents=2), role, stub.url)
+            doc["policies"] = {"write_shared": {"kind": "identity"}}  # stored text as built
+            configs[role] = ScenarioConfig.from_dict(doc)
+        yield reply, configs
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(role=st.sampled_from(REMOTE_ROLES), reply=REPLIES)
+@example(role="agent", reply={"output": None})
+@example(role="agent", reply={"output": json.dumps({"invoke": "domain1_kb"})})
+@example(role="agent", reply={"output": json.dumps({"invoke": ["domain1_kb"], "answer": ""})})
+@example(role="coordinator", reply={"output": json.dumps({"agent": "domain1_agent", "subquery": 7})})
+@example(role="coordinator", reply={"output": json.dumps({"agent": "domain1_agent", "subquery": "s"})})
+@example(role="coordinator", reply={"output": json.dumps({"agent": "domain1_agent", "subquery": "\ud800"})})
+@example(role="coordinator", reply={"output": json.dumps({"agent": "domain1_agent", "subquery": ""})})
+@example(role="judge", reply={"output": "nan"})
+@example(role="resource", reply={"output": ["r"]})
+def test_any_remote_reply_fails_the_episode_or_is_stored_as_sent(fuzz_backend, role, reply):
+    replies, configs = fuzz_backend
+    replies["now"] = reply
+    with tempfile.TemporaryDirectory() as tmp:
+        audit = Path(tmp) / "audit.jsonl"
+        svc = granted_service(configs[role], audit)
+        try:
+            status, body = svc.handle(
+                "POST", "/episodes", {}, "user_1", {"user": "user_1", "query": FUZZ_QUERY})
+            stored = [(f.key, f.value) for f in svc.rt.store.fragments()]
+        finally:
+            svc.rt.audit.close()
+        event(f"{role}: {status} {body.get('failure') or body.get('error')}")
+        if status == 403:
+            assert role == "agent" and _asks_ungranted(reply)
+        else:
+            assert status in (200, 503) or (status, body["error"]) == (400, "InvalidFragment")
+        known = {FUZZ_QUERY} | _texts(reply)
+        for key, value in stored:
+            assert isinstance(key, str) and isinstance(value, str)
+            assert _allowed(key, known) and _allowed(value, known)
+        records = list(iter_audit_file(audit))
+        started = [r.subjects for r in records if r.action is AuditAction.EPISODE_START]
+        ended = [r.subjects for r in records if r.action is AuditAction.EPISODE_END]
+        assert started == ended
+        assert verify_files(audit) == []
