@@ -32,7 +32,6 @@ from .audit import (
     AuditRecord,
     BinMetrics,
     MetricsReport,
-    access_matrix,
     compute_metrics,
     iter_audit_file,
     torn_tail,

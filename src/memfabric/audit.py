@@ -1,10 +1,12 @@
-"""Append-only audit log and the utilization metrics derived from it.
+"""Append-only audit log and the reports derived from it.
 
 Every permission change, memory operation, and invocation lands here as one
 immutable record. The log is the system's ground truth for "what happened":
-metrics, access matrices, and the offline verifier all consume it. Records
-are line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and
-kept nowhere else: readers stream them back from the file. A line is one
+the offline verifier and a run's reports consume it. :func:`compute_metrics`
+is the one reader of reports: a single pass yields the per-bin metrics, each
+bin's access matrices and each query's resource calls. Records are
+line-delimited JSON, flushed once per :meth:`AuditLog.operation`, and kept
+nowhere else: readers stream them back from the file. A line is one
 f-string, byte for byte ``wire.encode`` of its record. A detail given as a
 ``str`` is its JSON text and is written as given (``MemoryStore.insert`` builds
 its ``fragment_write`` details so); any other goes through ``wire.dumps``.
@@ -207,131 +209,7 @@ def torn_tail(path: str | Path) -> bytes:
     return b"" if tail.isspace() else tail
 
 
-# --- metrics -----------------------------------------------------------------
-
-
-@dataclass
-class BinMetrics:
-    """Aggregates for one report bin. Means are totals over ``queries``."""
-
-    label: str
-    queries: int
-    agent_utilization: float
-    resource_utilization: float
-    memory_hits_user: float
-    memory_hits_cross: float
-    accuracy: float | None = None
-
-
-@dataclass
-class MetricsReport:
-    bins: list[BinMetrics]
-
-    def to_csv(self) -> str:
-        lines = ["bin,metric,value"]
-        for b in self.bins:
-            rows = [
-                ("queries", b.queries),
-                ("agent_utilization", b.agent_utilization),
-                ("resource_utilization", b.resource_utilization),
-                ("memory_hits_user", b.memory_hits_user),
-                ("memory_hits_cross", b.memory_hits_cross),
-            ]
-            if b.accuracy is not None:
-                rows.append(("accuracy", b.accuracy))
-            for metric, value in rows:
-                lines.append(f"{b.label},{metric},{value!r}")
-        return "\n".join(lines) + "\n"
-
-    def to_summary(self) -> dict:
-        return asdict(self)
-
-    def bin(self, label: str) -> BinMetrics:
-        for b in self.bins:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
-
-@dataclass
-class _EpisodeTally:
-    bin_label: str
-    agents: set[str] = field(default_factory=set)
-    resource_calls: int = 0
-    hits_user: int = 0
-    hits_cross: int = 0
-    score: float | None = None
-
-
-def _tally_episodes(records: Iterable[AuditRecord]) -> list[_EpisodeTally]:
-    tallies: dict[str, _EpisodeTally] = {}
-    order: list[str] = []
-    for rec in records:
-        if rec.action is AuditAction.EPISODE_START:
-            eid = rec.subjects[0]
-            tallies[eid] = _EpisodeTally(bin_label=str(rec.detail.get("bin", "all")))
-            order.append(eid)
-            continue
-        if rec.action is AuditAction.EPISODE_END:
-            eid = rec.subjects[0] if rec.subjects else None
-            score = rec.detail.get("score")
-            if eid in tallies and score is not None:
-                tallies[eid].score = float(score)
-            continue
-        eid = rec.detail.get("episode")
-        if eid is None or eid not in tallies:
-            continue
-        tally = tallies[eid]
-        if rec.action is AuditAction.AGENT_INVOKE:
-            tally.agents.update(rec.subjects)
-        elif rec.action is AuditAction.RESOURCE_INVOKE:
-            tally.resource_calls += 1
-        elif rec.action is AuditAction.FRAGMENT_READ:
-            tally.hits_user += len(rec.detail.get("user_tier", ()))
-            tally.hits_cross += len(rec.detail.get("cross_tier", ()))
-    return [tallies[eid] for eid in order]
-
-
-def compute_metrics(
-    records: Iterable[AuditRecord], binning: str | int = "bin"
-) -> MetricsReport:
-    """Aggregate per-episode usage into per-bin means.
-
-    ``binning="bin"`` groups episodes by the bin label recorded at episode
-    start (the harness stamps phase labels there); an integer groups by
-    fixed-size blocks of episodes in log order. Distinct-agent counting is
-    per-episode set cardinality; resource counting is the raw call count.
-    """
-    episodes = _tally_episodes(records)
-    if not episodes:
-        raise EmptyWindow("log slice contains no episodes")
-
-    size = 0 if binning == "bin" else int(binning)
-    if binning != "bin" and size < 1:
-        raise ValueError("bin size must be >= 1")
-    grouped: dict[str, list[_EpisodeTally]] = {}  # first-seen label order
-    for i, ep in enumerate(episodes):
-        grouped.setdefault(f"bin{i // size}" if size else ep.bin_label, []).append(ep)
-
-    bins = []
-    for label, group in grouped.items():
-        n = len(group)
-        scores = [ep.score for ep in group if ep.score is not None]
-        bins.append(
-            BinMetrics(
-                label=label,
-                queries=n,
-                agent_utilization=sum(len(ep.agents) for ep in group) / n,
-                resource_utilization=sum(ep.resource_calls for ep in group) / n,
-                memory_hits_user=sum(ep.hits_user for ep in group) / n,
-                memory_hits_cross=sum(ep.hits_cross for ep in group) / n,
-                accuracy=(sum(scores) / len(scores)) if scores else None,
-            )
-        )
-    return MetricsReport(bins=bins)
-
-
-# --- access matrices ---------------------------------------------------------
+# --- reports ------------------------------------------------------------------
 
 
 @dataclass
@@ -359,12 +237,121 @@ class AccessMatrices:
                     row[r] = row.get(r, 0) + 1
 
 
-def access_matrix(
-    records: Iterable[AuditRecord], window: tuple[int, int] | None = None
-) -> AccessMatrices:
-    """Count matrices over an inclusive tick window (whole log if ``None``)."""
-    matrices = AccessMatrices()
+@dataclass
+class BinMetrics:
+    """Aggregates for one report bin. Means are totals over ``queries``."""
+
+    label: str
+    queries: int
+    agent_utilization: float
+    resource_utilization: float
+    memory_hits_user: float
+    memory_hits_cross: float
+    accuracy: float | None = None
+
+
+@dataclass
+class MetricsReport:
+    """Per-bin means, plus what the CSV and the summary leave out: each bin's
+    access matrices by label, and each query's resource-call total."""
+
+    bins: list[BinMetrics]
+    usage: dict[str, AccessMatrices] = field(default_factory=dict)
+    calls_by_query: dict[str, int] = field(default_factory=dict)
+
+    def to_csv(self) -> str:
+        lines = ["bin,metric,value"]
+        for b in self.bins:
+            rows = [
+                ("queries", b.queries),
+                ("agent_utilization", b.agent_utilization),
+                ("resource_utilization", b.resource_utilization),
+                ("memory_hits_user", b.memory_hits_user),
+                ("memory_hits_cross", b.memory_hits_cross),
+            ]
+            if b.accuracy is not None:
+                rows.append(("accuracy", b.accuracy))
+            for metric, value in rows:
+                lines.append(f"{b.label},{metric},{value!r}")
+        return "\n".join(lines) + "\n"
+
+    def to_summary(self) -> dict:
+        return {"bins": [asdict(b) for b in self.bins]}
+
+    def bin(self, label: str) -> BinMetrics:
+        for b in self.bins:
+            if b.label == label:
+                return b
+        raise KeyError(label)
+
+
+@dataclass(slots=True)
+class _EpisodeTally:
+    bin_label: str
+    query: str
+    usage: AccessMatrices  # the bin's, shared by its episodes
+    agents: set[str] = field(default_factory=set)
+    resource_calls: int = 0
+    hits_user: int = 0
+    hits_cross: int = 0
+    score: float | None = None
+
+
+def compute_metrics(records: Iterable[AuditRecord]) -> MetricsReport:
+    """A run's reports from one pass over its records.
+
+    Each episode falls in the bin label recorded at its start (the harness
+    stamps phase labels there); bins keep first-seen order. A record counts
+    toward the episode its detail names, if that episode started earlier in
+    the log. Distinct-agent counting is per-episode set cardinality; resource
+    counting is the raw call count.
+    """
+    tallies: dict[str, _EpisodeTally] = {}
+    usage: dict[str, AccessMatrices] = {}
     for rec in records:
-        if window is None or window[0] <= rec.at <= window[1]:
-            matrices.count(rec)
-    return matrices
+        if rec.action is AuditAction.EPISODE_START:
+            label = str(rec.detail.get("bin", "all"))
+            matrices = usage.setdefault(label, AccessMatrices())
+            tallies[rec.subjects[0]] = _EpisodeTally(label, str(rec.detail.get("query", "")), matrices)
+            continue
+        if rec.action is AuditAction.EPISODE_END:
+            tally = tallies.get(rec.subjects[0]) if rec.subjects else None
+            score = rec.detail.get("score")
+            if tally is not None and score is not None:
+                tally.score = float(score)
+            continue
+        tally = tallies.get(rec.detail.get("episode"))
+        if tally is None:
+            continue
+        if rec.action is AuditAction.AGENT_INVOKE:
+            tally.agents.update(rec.subjects)
+        elif rec.action is AuditAction.RESOURCE_INVOKE:
+            tally.resource_calls += 1
+        elif rec.action is AuditAction.FRAGMENT_READ:
+            tally.hits_user += len(rec.detail.get("user_tier", ()))
+            tally.hits_cross += len(rec.detail.get("cross_tier", ()))
+        tally.usage.count(rec)
+    if not tallies:
+        raise EmptyWindow("log slice contains no episodes")
+
+    grouped: dict[str, list[_EpisodeTally]] = {}
+    calls_by_query: dict[str, int] = {}
+    for ep in tallies.values():
+        grouped.setdefault(ep.bin_label, []).append(ep)
+        calls_by_query[ep.query] = calls_by_query.get(ep.query, 0) + ep.resource_calls
+    bins = []
+    for label, group in grouped.items():
+        n = len(group)
+        scores = [ep.score for ep in group if ep.score is not None]
+        bins.append(
+            BinMetrics(
+                label=label,
+                queries=n,
+                agent_utilization=sum(len(ep.agents) for ep in group) / n,
+                resource_utilization=sum(ep.resource_calls for ep in group) / n,
+                memory_hits_user=sum(ep.hits_user for ep in group) / n,
+                memory_hits_cross=sum(ep.hits_cross for ep in group) / n,
+                accuracy=(sum(scores) / len(scores)) if scores else None,
+            )
+        )
+    return MetricsReport(bins, usage, calls_by_query)

@@ -13,7 +13,10 @@ writes a self-describing artifact directory: audit log, permission event
 log, store snapshot, metrics CSV and JSON, per-phase access matrices, a
 final-answer transcript, and an echo of the resolved config holding every
 effective value, defaults included. Re-running from the echoed config
-reproduces every artifact byte for byte.
+reproduces every artifact byte for byte. The reports come from one pass of
+the audit log, :func:`~memfabric.audit.compute_metrics`: phase labels are
+unique, and a phase's episodes are exactly the metrics bin of its label.
+The shared-vs-isolated comparison reads each arm's metrics, not its log.
 
 Workload shapes (a workload names exactly one):
 
@@ -26,9 +29,10 @@ Workload shapes (a workload names exactly one):
   non-director user works its role's subtask, then the director works every
   role's subtask and consolidates.
 
-Under a schedule timeline the whole workload replays once per phase; under a
-static timeline it runs once. Isolated mode forces every write to the
-private tier, which is the control arm for sharing-efficiency comparisons.
+Under a schedule or explicit phases the whole workload replays once per
+phase; under a static timeline it runs once. Isolated mode forces every
+write to the private tier, which is the control arm for sharing-efficiency
+comparisons.
 """
 
 from __future__ import annotations
@@ -40,21 +44,13 @@ import random
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
 from . import wire
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction, edge_from_doc
-from .audit import (
-    AccessMatrices,
-    AuditAction,
-    AuditLog,
-    AuditRecord,
-    MetricsReport,
-    compute_metrics,
-    iter_audit_file,
-)
+from .audit import AuditLog, MetricsReport, compute_metrics
 from .clock import LogicalClock
 from .errors import ConfigError, InsufficientQueries
 from .orchestration import (
@@ -323,7 +319,6 @@ class ScenarioConfig:
     aggregator: RemoteConfig = RemoteConfig()
     judge: TransformerConfig | None = field(default=None, metadata={"section": TransformerConfig})
     documents: str | None = None
-    bin_size: int = 0
 
     def __post_init__(self) -> None:
         if self.memory_mode not in ("shared", "isolated"):
@@ -520,12 +515,12 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
 class ScenarioPhase:
     label: str
     permission_edits: tuple[tuple[PermissionAction, Edge], ...]
-    episodes: tuple[WorkloadItem, ...]
 
 
 @dataclass(frozen=True)
 class ScenarioPlan:
-    """Everything a run (or an API driver) executes, in order."""
+    """Everything a run (or an API driver) executes, in order: the setup
+    edges, then each phase's permission edits followed by every workload item."""
 
     setup_edges: tuple[Edge, ...]
     phases: tuple[ScenarioPhase, ...]
@@ -556,7 +551,8 @@ def _static_user_agent_edges(cfg: ScenarioConfig) -> list[Edge]:
 
 def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
     """Order a run's permission edits and episodes; a workload or timeline
-    document of the wrong shape raises ``ConfigError``."""
+    document of the wrong shape, or two phases of one label, raises
+    ``ConfigError``: a phase's label names its report bin."""
     doc = cfg.timeline
     try:
         workload = build_workload(cfg)
@@ -577,7 +573,6 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
                 ScenarioPhase(
                     label=pe.label,
                     permission_edits=tuple((pe.action, e) for e in pe.edges),
-                    episodes=workload.items,
                 )
                 for pe in edits
             )
@@ -589,15 +584,18 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
                         (PermissionAction(ev["action"]), edge_from_doc(ev["edge"]))
                         for ev in ph.events
                     ),
-                    episodes=workload.items,
                 )
                 for i, ph in enumerate(doc.phases)
             )
         else:
-            phases = (ScenarioPhase(label="all", permission_edits=(), episodes=workload.items),)
+            phases = (ScenarioPhase(label="all", permission_edits=()),)
         setup.extend(_static_user_agent_edges(cfg))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed workload or timeline: {exc!r}") from exc
+    labels = [phase.label for phase in phases]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ConfigError(f"duplicate phase labels: {repeated}")
     return ScenarioPlan(setup_edges=tuple(setup), phases=phases, workload=workload)
 
 
@@ -752,8 +750,8 @@ def run_scenario(
 ) -> RunArtifacts:
     """Execute a scenario and write its artifact directory.
 
-    Permission edits of a phase come first, then the phase's episodes in
-    workload order, each at a fresh tick, which makes reruns byte-identical.
+    Permission edits of a phase come first, then one episode per workload
+    item in order, each at a fresh tick, which makes reruns byte-identical.
     Failed episodes are recorded, not fatal.
     """
     cfg = cfg.resolved(mode=mode, seed=seed)
@@ -772,7 +770,7 @@ def run_scenario(
             for action, edge in phase.permission_edits:
                 rt.timeline.apply(action, edge, rt.clock.tick())
             window_start = rt.clock.now + 1
-            for item in phase.episodes:
+            for item in plan.workload.items:
                 t = rt.clock.tick()
                 episode = run_episode(
                     rt, user(item.user), item.query, t, bin_label=phase.label
@@ -785,21 +783,8 @@ def run_scenario(
     store_path = out / "store.jsonl"
     rt.store.save(store_path)
 
-    binning: str | int = "bin"
-    if cfg.timeline.schedule is None and cfg.bin_size > 0:
-        binning = cfg.bin_size
-    # one streaming decode: the metrics read every record, and each phase's
-    # matrices count it on the way if it lies in the phase's window
-    usages = {label: AccessMatrices() for label in phase_windows}
-
-    def counting_invocations(records: Iterable[AuditRecord]) -> Iterator[AuditRecord]:
-        for rec in records:
-            for label, (first, last) in phase_windows.items():
-                if first <= rec.at <= last:
-                    usages[label].count(rec)
-            yield rec
-
-    metrics = compute_metrics(counting_invocations(rt.audit), binning)
+    # the one decode of the log; a phase's episodes are its label's bin
+    metrics = compute_metrics(rt.audit)
     metrics_csv_path = out / "metrics.csv"
     metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
     metrics_json_path = out / "metrics.json"
@@ -808,7 +793,6 @@ def run_scenario(
     matrices_doc = []
     for phase in plan.phases:
         window = phase_windows[phase.label]
-        usage = usages[phase.label]
         granted_ua = sorted(
             (e[0].name, e[1].name)
             for e in rt.timeline.edges_at(window[1], EdgeKind.USER_AGENT)
@@ -821,7 +805,7 @@ def run_scenario(
             {
                 "phase": phase.label,
                 "window": list(window),
-                "usage": usage.to_dict(),
+                "usage": metrics.usage[phase.label].to_dict(),
                 "granted_user_agent": granted_ua,
                 "granted_agent_resource": granted_ar,
             }
@@ -874,28 +858,13 @@ class ComparisonReport:
         }
 
 
-def _resource_calls_by_query(artifacts: RunArtifacts) -> dict[str, int]:
-    episode_query: dict[str, str] = {}
-    calls: dict[str, int] = {}
-    for rec in iter_audit_file(artifacts.audit_path):
-        if rec.action is AuditAction.EPISODE_START:
-            episode_query[rec.subjects[0]] = str(rec.detail.get("query", ""))
-            calls.setdefault(str(rec.detail.get("query", "")), 0)
-        elif rec.action is AuditAction.RESOURCE_INVOKE:
-            eid = rec.detail.get("episode")
-            if eid in episode_query:
-                calls[episode_query[eid]] += 1
-    return calls
-
-
 def compare_modes(cfg: ScenarioConfig, out_dir: str | Path) -> ComparisonReport:
     """Run the same scenario under shared and isolated memory with identical
     seeds and report per-bin and per-query resource-call totals plus the
-    relative reduction sharing buys."""
+    relative reduction sharing buys, all from each arm's metrics."""
     out = Path(out_dir)
     shared = run_scenario(cfg, out / "shared", mode="shared")
     isolated = run_scenario(cfg, out / "isolated", mode="isolated")
-    plan = plan_scenario(cfg.resolved(mode="shared"))
 
     per_bin = []
     for shared_bin, isolated_bin in zip(shared.metrics.bins, isolated.metrics.bins):
@@ -910,8 +879,8 @@ def compare_modes(cfg: ScenarioConfig, out_dir: str | Path) -> ComparisonReport:
             }
         )
 
-    shared_by_query = _resource_calls_by_query(shared)
-    isolated_by_query = _resource_calls_by_query(isolated)
+    shared_by_query = shared.metrics.calls_by_query
+    isolated_by_query = isolated.metrics.calls_by_query
     per_query = {
         q: {
             "shared_calls": shared_by_query.get(q, 0),
@@ -926,7 +895,7 @@ def compare_modes(cfg: ScenarioConfig, out_dir: str | Path) -> ComparisonReport:
         isolated=isolated,
         per_bin=per_bin,
         per_query=per_query,
-        global_queries=plan.workload.global_queries,
+        global_queries=build_workload(cfg).global_queries,
         total_shared_calls=total_shared,
         total_isolated_calls=total_isolated,
         total_reduction=(total_isolated - total_shared) / total_isolated

@@ -318,7 +318,7 @@ class _Handler(socketserver.StreamRequestHandler):
             body = json.loads(raw.decode("utf-8")) if method == "POST" and raw.strip() else {}
             if not isinstance(body, dict):
                 raise ValueError("body must be an object")
-        except ValueError:
+        except (ValueError, RecursionError):  # RecursionError: nested too deep for json.loads
             return self._reply(400, {"error": "bad_request", "message": "malformed JSON body"}, close)
         # as in http.server, a target starting "//" names a path, not a host
         parsed = urlparse("/" + target.lstrip("/") if target.startswith("//") else target)

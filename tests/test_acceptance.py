@@ -366,7 +366,7 @@ def test_criterion_9_library_service_differential(dynamic_run):
         for phase in plan.phases:
             for action, edge in phase.permission_edits:
                 post(f"/permissions/{action.value}", {"edge": edge_doc(edge)}, "admin")
-            for item in phase.episodes:
+            for item in plan.workload.items:
                 post(
                     "/episodes",
                     {"user": item.user, "query": item.query, "bin": phase.label},

@@ -13,7 +13,6 @@ from memfabric import (
     AuditRecord,
     EmptyWindow,
     NonMonotonicTimestamp,
-    access_matrix,
     compute_metrics,
     iter_audit_file,
     torn_tail,
@@ -217,8 +216,10 @@ def test_distinct_agent_counting():
 def test_resource_call_counting():
     log = AuditLog()
     episode(log, "ep-0", 1, "u1", [("a1", 3, [])])
+    episode(log, "ep-1", 2, "u2", [("a1", 0, [])])
     report = compute_metrics(log.records)
-    assert report.bins[0].resource_utilization == 3.0
+    assert report.bins[0].resource_utilization == 1.5
+    assert report.calls_by_query == {"ep-0": 3, "ep-1": 0}
 
 
 def test_memory_hit_means_split_by_tier():
@@ -232,17 +233,14 @@ def test_memory_hit_means_split_by_tier():
     assert b.memory_hits_cross == 1.0
 
 
-def test_phase_binning_and_fixed_size_binning():
+def test_phase_binning():
     log = AuditLog()
     episode(log, "ep-0", 1, "u1", [("a1", 1, [])], bin_label="t0")
     episode(log, "ep-1", 2, "u1", [("a1", 1, [])], bin_label="t1")
     episode(log, "ep-2", 3, "u1", [], bin_label="t1")
-    by_phase = compute_metrics(log.records, "bin")
+    by_phase = compute_metrics(log.records)
     assert [b.label for b in by_phase.bins] == ["t0", "t1"]
     assert by_phase.bin("t1").queries == 2
-    by_size = compute_metrics(log.records, 2)
-    assert [b.label for b in by_size.bins] == ["bin0", "bin1"]
-    assert by_size.bin("bin0").queries == 2
 
 
 def test_accuracy_absent_without_judge_present_with_scores():
@@ -272,26 +270,22 @@ def test_metrics_stable_under_log_round_trip(tmp_path):
     assert direct.to_summary() == reloaded.to_summary()
 
 
-def test_access_matrix_empty_log():
-    matrices = access_matrix(())
-    assert matrices.user_agent == {} and matrices.user_resource == {}
-
-
 def test_access_matrix_single_episode_single_cells():
     log = AuditLog()
     episode(log, "ep-0", 1, "u1", [("a1", 1, [])])
-    matrices = access_matrix(log.records)
+    matrices = compute_metrics(log.records).usage["all"]
     assert matrices.user_agent == {"u1": {"a1": 1}}
     assert matrices.user_resource == {"u1": {"r1": 1}}
 
 
 def test_access_matrix_window_filtering():
     log = AuditLog()
-    episode(log, "ep-0", 1, "u1", [("a1", 1, [])])
-    episode(log, "ep-1", 5, "u2", [("a2", 1, [])])
-    early = access_matrix(log.records, (0, 2))
-    assert "u2" not in early.user_agent
-    assert early.user_agent["u1"]["a1"] == 1
+    episode(log, "ep-0", 1, "u1", [("a1", 1, [])], bin_label="t0")
+    episode(log, "ep-1", 5, "u2", [("a2", 1, [])], bin_label="t1")
+    usage = compute_metrics(log.records).usage
+    assert "u2" not in usage["t0"].user_agent
+    assert usage["t0"].user_agent["u1"]["a1"] == 1
+    assert usage["t1"].user_agent == {"u2": {"a2": 1}}
 
 
 def test_csv_shape_one_row_per_bin_metric():

@@ -23,7 +23,7 @@ PUBLIC_NAMES = """
     Resource ResourceNotPermitted RetrievalConfig RunArtifacts Runtime ScenarioConfig
     SchedulePhase Scope ScopeLevel ScriptedAgentBackend SequenceCoordinator Tier
     UnknownFragment UnknownPrincipal UnknownPrincipalInProvenance UnreachableTarget
-    Violation Workload WorkloadItem access_matrix agent apply_read audited_retrieve
+    Violation Workload WorkloadItem agent apply_read audited_retrieve
     build_runtime classify_edge compare_modes compute_metrics cosine encode_and_write
     generate_schedule generate_workload iter_audit_file load_config make_server
     new_fragment_id plan_scenario plan_schedule resource retrieve run_episode run_scenario

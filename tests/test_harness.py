@@ -709,6 +709,21 @@ def test_a_malformed_workload_or_schedule_fails_at_plan(section, value):
         plan_scenario(ScenarioConfig.from_dict(doc))
 
 
+@pytest.mark.parametrize("source", ["phases", "schedule"])
+def test_two_phases_of_one_label_fail_at_plan(source):
+    # a phase's label names its metrics bin and its access matrices
+    if source == "phases":
+        doc = revocation_phase_config()
+        for phase in doc["timeline"]["phases"]:
+            phase["label"] = "same"
+    else:
+        doc = dynamic_config()
+        phases = [{"label": "same", "action": "grant", "target": n} for n in (2, 4)]
+        doc["timeline"]["schedule"] = {"phases": phases}
+    with pytest.raises(ConfigError, match="duplicate phase labels.*same"):
+        plan_scenario(ScenarioConfig.from_dict(doc))
+
+
 def test_schedule_numbers_given_as_strings_still_load():
     as_numbers = ScenarioConfig.from_dict(dynamic_config(targets=[2, 4, 2], p=0.3))
     doc = dynamic_config()

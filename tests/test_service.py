@@ -553,6 +553,22 @@ def test_unframeable_body_is_refused_and_closes(service, framing):
     assert runtime.timeline.events == events_before
 
 
+def test_a_body_nested_too_deep_is_400(service):
+    client, runtime, _, _ = service
+    audit_before = len(runtime.audit)
+    request = urllib.request.Request(
+        client.base + "/memory/read",
+        data=b"[" * 100_000 + b"]" * 100_000,
+        headers={"X-Identity": "user_1"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as raised:
+        urllib.request.urlopen(request, timeout=5)
+    with raised.value as error:
+        reply = json.loads(error.read())
+    assert (error.code, reply) == (400, {"error": "bad_request", "message": "malformed JSON body"})
+    assert len(runtime.audit) == audit_before
+
+
 def test_malformed_content_length_is_400(service):
     client, *_ = service
     port = int(client.base.rsplit(":", 1)[1])
