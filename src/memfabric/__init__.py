@@ -4,7 +4,8 @@ The package is organized around a small number of cooperating pieces:
 
 - :mod:`memfabric.access` - time-indexed user->agent / agent->resource
   permission graphs with event-sourced snapshots;
-- :mod:`memfabric.schedule` - seeded stochastic grant/revoke schedules;
+- :mod:`memfabric.schedule` - seeded stochastic grant/revoke schedules,
+  planned as labelled phases of permission edits (``ScenarioPhase``);
 - :mod:`memfabric.store` - the provenance-tagged two-tier fragment store
   and its admissibility rule;
 - :mod:`memfabric.retrieval` - embedding and tiered top-k retrieval;
@@ -125,7 +126,7 @@ from .retrieval import (
 from .schedule import (
     GraphSchedule,
     PhaseBoundary,
-    PhaseEdits,
+    ScenarioPhase,
     SchedulePhase,
     generate_schedule,
     plan_schedule,

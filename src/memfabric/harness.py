@@ -5,8 +5,10 @@ A scenario config (JSON or YAML) declares the principal universe, the
 timeline source (static edges, explicit phases or a grant/revoke schedule),
 the workload, the policy bindings, and the retrieval settings. Each section
 is a frozen dataclass that holds its own defaults, built by one strict
-loader: an unknown key, a section that is not a mapping, or a value the
-section rejects raises ``ConfigError`` at load, naming the section.
+loader: an unknown key, a section that is not a mapping, text where a list
+belongs, or a value the section rejects raises ``ConfigError`` at load,
+naming the section. A workload or timeline value of the wrong shape raises
+it at plan, naming the field.
 
 Running a scenario executes every episode in a deterministic order and
 writes a self-describing artifact directory: audit log, permission event
@@ -23,16 +25,19 @@ Workload shapes (a workload names exactly one):
 - ``queries`` + ``overlap``: a seeded fraction of the pool becomes "global"
   queries issued by every user; the rest are partitioned disjointly.
 - ``per_user``: explicit ordered assignment.
-- ``synthetic``: generated pools - ``count`` (category round-robin, combined
-  with ``overlap``) or ``per_user_per_category`` (disjoint per-user queries).
+- ``synthetic``: a generated ``count`` pool (category round-robin) that then
+  takes the ``queries`` path, or ``per_user_per_category`` lists (disjoint
+  per-user queries) that then take the ``per_user`` path.
 - ``decompose``: project queries split into role-keyed subtasks; each
   non-director user works its role's subtask, then the director works every
   role's subtask and consolidates.
 
-Under a schedule or explicit phases the whole workload replays once per
-phase; under a static timeline it runs once. Isolated mode forces every
-write to the private tier, which is the control arm for sharing-efficiency
-comparisons.
+Explicit phases and a schedule's planned phases are one type,
+:class:`~memfabric.schedule.ScenarioPhase`: a label and its ordered
+``(action, edge)`` permission edits. The whole workload replays once per
+phase; under a static timeline it runs once, in the one phase ``all``.
+Isolated mode forces every write to the private tier, which is the control
+arm for sharing-efficiency comparisons.
 """
 
 from __future__ import annotations
@@ -80,7 +85,8 @@ from .policy import (
 )
 from .principals import PrincipalDirectory, PrincipalId, agent, resource, user
 from .retrieval import DeterministicEmbedder, Embedder, RemoteEmbedder, RetrievalConfig
-from .schedule import DEFAULT_ACCEPT_PROBABILITY, GraphSchedule, plan_schedule, schedule_from_targets
+from .schedule import DEFAULT_ACCEPT_PROBABILITY, GraphSchedule, ScenarioPhase, SchedulePhase
+from .schedule import plan_schedule, schedule_from_targets
 from .store import LogState, MemoryStore, seeded_id_factory
 
 DEFAULT_SHARED_WRITE_RULES = (("{user}", "[user]"),)
@@ -93,6 +99,21 @@ _STOCK_PROMPTS = {
 # --- configuration -------------------------------------------------------------
 
 
+def _listed(value: object, name: str) -> list | tuple:
+    """``value``, which must be a list: text is not split into characters."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _pairs(value: object, name: str) -> list[tuple[str, str]]:
+    """``value`` as a list of ``[a, b]`` pairs of names."""
+    pairs = [_listed(pair, f"{name} entry") for pair in _listed(value, name)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{name} takes [a, b] pairs, got {value!r}")
+    return [(str(a), str(b)) for a, b in pairs]
+
+
 def _section(cls: type, doc: object, name: str):
     """Build the config dataclass ``cls`` from the mapping ``doc``; an unknown
     key or a value the dataclass rejects raises ``ConfigError`` naming ``name``.
@@ -101,8 +122,8 @@ def _section(cls: type, doc: object, name: str):
     as its ``section`` (or its ``sections``, for a list of them), is built the
     same way. A null field is absent where the default is None; an empty
     judge is absent too, and any other null or empty transformer is the
-    identity. Other tuple fields become tuples, numbers the type of their
-    default.
+    identity. Other tuple fields take a list (text is refused, not split into
+    characters) and become tuples, numbers the type of their default.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{name} must be a mapping, got {doc!r}")
@@ -121,7 +142,7 @@ def _section(cls: type, doc: object, name: str):
                 pass
             elif nested is None:
                 if isinstance(default, tuple):
-                    value = tuple(value)
+                    value = tuple(_listed(value, key))
                 elif type(default) in (int, float):
                     value = type(default)(value)
             elif "sections" in meta:
@@ -248,10 +269,11 @@ class TransformerConfig:
             raise ValueError(f"unknown transformer kind {self.kind!r}")
         if self.kind == "prompted_remote" and not self.endpoint:
             raise ValueError("prompted_remote transformer needs an endpoint")
+        _pairs(self.rules, "rules")
 
     def build(self, default_prompt: str = "") -> Transformer:
         if self.kind == "redactor":
-            return Redactor(rules=tuple((str(p), str(r)) for p, r in self.rules))
+            return Redactor(rules=tuple(_pairs(self.rules, "rules")))
         if self.kind == "prompted_remote":
             return PromptedRemote(self.system_prompt or default_prompt, self.endpoint)
         return IdentityTransform()
@@ -340,14 +362,6 @@ class ScenarioConfig:
         for a in self.agents:
             if a.resource is not None and a.resource not in known_resources:
                 raise ConfigError(f"agent {a.id} names unknown resource {a.resource}")
-
-    def resolved(self, mode: str | None = None, seed: int | None = None) -> "ScenarioConfig":
-        changes: dict = {}
-        if mode is not None:
-            changes["memory_mode"] = mode
-        if seed is not None:
-            changes["seed"] = seed
-        return dataclasses.replace(self, **changes) if changes else self
 
     def to_dict(self) -> dict:
         """Every effective value, defaults included; ``from_dict`` reads it back."""
@@ -456,24 +470,40 @@ def generate_workload(
 
 def build_workload(cfg: ScenarioConfig) -> Workload:
     doc = cfg.workload
-    categories = sorted(a.category for a in cfg.agents)
+    queries, per_user = doc.queries, doc.per_user
+    if doc.synthetic is not None:
+        spec = doc.synthetic
+        categories = sorted(a.category for a in cfg.agents)
+        if "per_user_per_category" in spec:
+            k = int(spec["per_user_per_category"])
+            per_user = {
+                u: [f"{cat}: question {u}-{j:02d}" for cat in categories for j in range(k)]
+                for u in cfg.users
+            }
+        else:
+            count = int(spec["count"])
+            queries = [f"{categories[i % len(categories)]}: question {i:03d}" for i in range(count)]
 
-    if doc.per_user is not None:
-        per_user = {
-            u: [WorkloadItem(u, str(q)) for q in qs]
-            for u, qs in doc.per_user.items()
-        }
+    if per_user is not None:
         unknown = set(per_user) - set(cfg.users)
         if unknown:
             raise ConfigError(f"per_user workload names unknown users: {sorted(unknown)}")
-        return Workload(items=tuple(_interleave(per_user, cfg.users)))
+        queues = {
+            u: [WorkloadItem(u, str(q)) for q in _listed(qs, f"workload.per_user.{u}")]
+            for u, qs in per_user.items()
+        }
+        return Workload(items=tuple(_interleave(queues, cfg.users)))
+
+    if queries is not None:
+        pool = [str(q) for q in _listed(queries, "workload.queries")]
+        return generate_workload(pool, cfg.users, doc.overlap, cfg.seed)
 
     if doc.decompose is not None:
         spec = doc.decompose
         roles: Mapping[str, str] = spec["roles"]
         director = spec.get("director")
         items: list[WorkloadItem] = []
-        for query in spec["queries"]:
+        for query in _listed(spec["queries"], "workload.decompose.queries"):
             for u in cfg.users:
                 if u == director or u not in roles:
                     continue
@@ -483,38 +513,10 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
                     items.append(WorkloadItem(director, f"{role}: {query}", "decomposed"))
         return Workload(items=tuple(items))
 
-    if doc.synthetic is not None:
-        spec = doc.synthetic
-        if "per_user_per_category" in spec:
-            k = int(spec["per_user_per_category"])
-            per_user = {
-                u: [
-                    WorkloadItem(u, f"{cat}: question {u}-{j:02d}")
-                    for cat in categories
-                    for j in range(k)
-                ]
-                for u in cfg.users
-            }
-            return Workload(items=tuple(_interleave(per_user, cfg.users)))
-        count = int(spec["count"])
-        pool = [
-            f"{categories[i % len(categories)]}: question {i:03d}" for i in range(count)
-        ]
-        return generate_workload(pool, cfg.users, doc.overlap, cfg.seed)
-
-    if doc.queries is not None:
-        return generate_workload([str(q) for q in doc.queries], cfg.users, doc.overlap, cfg.seed)
-
     raise ConfigError(f"workload needs one of: {', '.join(_WORKLOAD_SHAPES)}")
 
 
 # --- scenario plan ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioPhase:
-    label: str
-    permission_edits: tuple[tuple[PermissionAction, Edge], ...]
 
 
 @dataclass(frozen=True)
@@ -527,26 +529,19 @@ class ScenarioPlan:
     workload: Workload
 
 
-def _agent_resource_edges(cfg: ScenarioConfig) -> list[Edge]:
-    spec = cfg.timeline.agent_resources
-    if spec == "one_to_one":
-        edges = [
-            (agent(a.id), resource(a.resource))
-            for a in cfg.agents
-            if a.resource is not None
-        ]
+def _timeline_edges(cfg: ScenarioConfig, name: str) -> list[Edge]:
+    """The edges of ``timeline.agent_resources`` or ``timeline.user_agents``:
+    its keyword (``one_to_one`` or ``all``) or its named pairs, sorted."""
+    spec = getattr(cfg.timeline, name)
+    if name == "agent_resources":
+        keyword, kinds = "one_to_one", (agent, resource)
+        every = [(a.id, a.resource) for a in cfg.agents if a.resource is not None]
     else:
-        edges = [(agent(str(a)), resource(str(r))) for a, r in spec]
-    return sorted(edges)
-
-
-def _static_user_agent_edges(cfg: ScenarioConfig) -> list[Edge]:
-    spec = cfg.timeline.user_agents
-    if spec is None:
-        return []
-    if spec == "all":
-        return sorted((user(u), agent(a.id)) for u in cfg.users for a in cfg.agents)
-    return sorted((user(str(u)), agent(str(a))) for u, a in spec)
+        keyword, kinds = "all", (user, agent)
+        every = [(u, a.id) for u in cfg.users for a in cfg.agents]
+        spec = [] if spec is None else spec  # only user_agents may be absent
+    pairs = every if spec == keyword else _pairs(spec, f"timeline.{name}")
+    return sorted((kinds[0](a), kinds[1](b)) for a, b in pairs)
 
 
 def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
@@ -556,40 +551,31 @@ def plan_scenario(cfg: ScenarioConfig) -> ScenarioPlan:
     doc = cfg.timeline
     try:
         workload = build_workload(cfg)
-        setup: list[Edge] = _agent_resource_edges(cfg)
+        setup = _timeline_edges(cfg, "agent_resources") + _timeline_edges(cfg, "user_agents")
         if doc.schedule is not None:
             sched = doc.schedule
             seed = cfg.seed if sched.seed is None else int(sched.seed)
             if sched.targets is not None:
-                schedule = schedule_from_targets([int(x) for x in sched.targets], seed, sched.p)
+                targets = [int(x) for x in _listed(sched.targets, "timeline.schedule.targets")]
+                schedule = schedule_from_targets(targets, seed, sched.p)
             else:
-                schedule = GraphSchedule.from_dict({"phases": sched.phases, "seed": seed, "p": sched.p})
-            edits = plan_schedule(
-                schedule,
-                [user(u) for u in cfg.users],
-                [agent(a.id) for a in cfg.agents],
-            )
-            phases = tuple(
-                ScenarioPhase(
-                    label=pe.label,
-                    permission_edits=tuple((pe.action, e) for e in pe.edges),
+                steps = tuple(
+                    SchedulePhase(str(ph["label"]), PermissionAction(ph["action"]), int(ph["target"]))
+                    for ph in sched.phases
                 )
-                for pe in edits
-            )
+                schedule = GraphSchedule(steps, seed, sched.p)
+            users, agents = [user(u) for u in cfg.users], [agent(a.id) for a in cfg.agents]
+            phases = tuple(plan_schedule(schedule, users, agents))
         elif doc.phases is not None:
             phases = tuple(
                 ScenarioPhase(
-                    label=f"t{i}" if ph.label is None else str(ph.label),
-                    permission_edits=tuple(
-                        (PermissionAction(ev["action"]), edge_from_doc(ev["edge"]))
-                        for ev in ph.events
-                    ),
+                    f"t{i}" if ph.label is None else str(ph.label),
+                    tuple((PermissionAction(ev["action"]), edge_from_doc(ev["edge"])) for ev in ph.events),
                 )
                 for i, ph in enumerate(doc.phases)
             )
         else:
-            phases = (ScenarioPhase(label="all", permission_edits=()),)
-        setup.extend(_static_user_agent_edges(cfg))
+            phases = (ScenarioPhase("all", ()),)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed workload or timeline: {exc!r}") from exc
     labels = [phase.label for phase in phases]
@@ -712,17 +698,21 @@ def build_runtime(
 
 @dataclass
 class RunArtifacts:
+    """A run's artifact directory, where each file's name is given once, and
+    what the run measured: its metrics and each phase's window of ticks."""
+
     out_dir: Path
-    audit_path: Path
-    timeline_path: Path
-    store_path: Path
-    metrics_csv_path: Path
-    metrics_json_path: Path
-    matrices_path: Path
-    transcript_path: Path
-    config_echo_path: Path
-    metrics: MetricsReport
-    phase_windows: dict[str, tuple[int, int]]
+    metrics: MetricsReport = field(init=False)
+    phase_windows: dict[str, tuple[int, int]] = field(default_factory=dict)
+
+    audit_path = property(lambda self: self.out_dir / "audit.jsonl")
+    timeline_path = property(lambda self: self.out_dir / "timeline.jsonl")
+    store_path = property(lambda self: self.out_dir / "store.jsonl")
+    metrics_csv_path = property(lambda self: self.out_dir / "metrics.csv")
+    metrics_json_path = property(lambda self: self.out_dir / "metrics.json")
+    matrices_path = property(lambda self: self.out_dir / "access_matrices.json")
+    transcript_path = property(lambda self: self.out_dir / "transcript.jsonl")
+    config_echo_path = property(lambda self: self.out_dir / "config.echo.json")
 
 
 def _write_json(path: Path, doc: object) -> None:
@@ -754,16 +744,15 @@ def run_scenario(
     item in order, each at a fresh tick, which makes reruns byte-identical.
     Failed episodes are recorded, not fatal.
     """
-    cfg = cfg.resolved(mode=mode, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    overrides = {"memory_mode": mode, "seed": seed}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    art = RunArtifacts(Path(out_dir))
+    art.out_dir.mkdir(parents=True, exist_ok=True)
     plan = plan_scenario(cfg)
-    rt = build_runtime(cfg, audit_path=out / "audit.jsonl")
+    rt = build_runtime(cfg, audit_path=art.audit_path)
 
-    transcript_path = out / "transcript.jsonl"
-    phase_windows: dict[str, tuple[int, int]] = {}
     # the audit log is closed however the episodes end
-    with closing(rt.audit), transcript_path.open("w", encoding="utf-8") as transcript:
+    with closing(rt.audit), art.transcript_path.open("w", encoding="utf-8") as transcript:
         for edge in plan.setup_edges:
             rt.timeline.grant(edge, rt.clock.tick())
         for phase in plan.phases:
@@ -776,59 +765,28 @@ def run_scenario(
                     rt, user(item.user), item.query, t, bin_label=phase.label
                 )
                 transcript.write(wire.encode(_transcript_doc(item, phase.label, t, episode)))
-            phase_windows[phase.label] = (window_start, rt.clock.now)
+            art.phase_windows[phase.label] = (window_start, rt.clock.now)
 
-    timeline_path = out / "timeline.jsonl"
-    rt.timeline.save(timeline_path)
-    store_path = out / "store.jsonl"
-    rt.store.save(store_path)
+    rt.timeline.save(art.timeline_path)
+    rt.store.save(art.store_path)
 
     # the one decode of the log; a phase's episodes are its label's bin
-    metrics = compute_metrics(rt.audit)
-    metrics_csv_path = out / "metrics.csv"
-    metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
-    metrics_json_path = out / "metrics.json"
-    _write_json(metrics_json_path, metrics.to_summary())
+    art.metrics = metrics = compute_metrics(rt.audit)
+    art.metrics_csv_path.write_text(metrics.to_csv(), encoding="utf-8")
+    _write_json(art.metrics_json_path, metrics.to_summary())
 
     matrices_doc = []
     for phase in plan.phases:
-        window = phase_windows[phase.label]
-        granted_ua = sorted(
-            (e[0].name, e[1].name)
-            for e in rt.timeline.edges_at(window[1], EdgeKind.USER_AGENT)
-        )
-        granted_ar = sorted(
-            (e[0].name, e[1].name)
-            for e in rt.timeline.edges_at(window[1], EdgeKind.AGENT_RESOURCE)
-        )
-        matrices_doc.append(
-            {
-                "phase": phase.label,
-                "window": list(window),
-                "usage": metrics.usage[phase.label].to_dict(),
-                "granted_user_agent": granted_ua,
-                "granted_agent_resource": granted_ar,
-            }
-        )
-    matrices_path = out / "access_matrices.json"
-    _write_json(matrices_path, matrices_doc)
-
-    config_echo_path = out / "config.echo.json"
-    _write_json(config_echo_path, cfg.to_dict())
-
-    return RunArtifacts(
-        out_dir=out,
-        audit_path=out / "audit.jsonl",
-        timeline_path=timeline_path,
-        store_path=store_path,
-        metrics_csv_path=metrics_csv_path,
-        metrics_json_path=metrics_json_path,
-        matrices_path=matrices_path,
-        transcript_path=transcript_path,
-        config_echo_path=config_echo_path,
-        metrics=metrics,
-        phase_windows=phase_windows,
-    )
+        window = art.phase_windows[phase.label]
+        entry = {"phase": phase.label, "window": list(window)}
+        entry["usage"] = metrics.usage[phase.label].to_dict()
+        for kind in EdgeKind:
+            edges = rt.timeline.edges_at(window[1], kind)
+            entry[f"granted_{kind.value}"] = sorted((a.name, b.name) for a, b in edges)
+        matrices_doc.append(entry)
+    _write_json(art.matrices_path, matrices_doc)
+    _write_json(art.config_echo_path, cfg.to_dict())
+    return art
 
 
 # --- shared vs isolated comparison -------------------------------------------------

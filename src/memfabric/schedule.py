@@ -7,13 +7,17 @@ list, accepting each candidate as a Bernoulli trial with probability ``p``,
 and re-walks (reshuffled) until the phase quota is met. The procedure is
 deterministic given the seed, and the edge count at every phase boundary
 equals the configured target exactly.
+
+A planned phase is a :class:`ScenarioPhase`, the one phase type of the
+package: a label and its ordered ``(action, edge)`` permission edits. A
+scenario's explicit phases are the same type (:mod:`memfabric.harness`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .access import AccessTimeline, Edge, EdgeKind, PermissionAction
 from .errors import UnreachableTarget
@@ -41,31 +45,6 @@ class GraphSchedule:
         if not self.phases:
             raise ValueError("schedule needs at least one phase")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "p": self.p,
-            "phases": [
-                {"label": ph.label, "action": ph.action.value, "target": ph.target}
-                for ph in self.phases
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "GraphSchedule":
-        return cls(
-            phases=tuple(
-                SchedulePhase(
-                    label=str(ph["label"]),
-                    action=PermissionAction(ph["action"]),
-                    target=int(ph["target"]),
-                )
-                for ph in data["phases"]
-            ),
-            seed=int(data["seed"]),
-            p=float(data.get("p", DEFAULT_ACCEPT_PROBABILITY)),
-        )
-
 
 def schedule_from_targets(
     targets: Sequence[int], seed: int, p: float = DEFAULT_ACCEPT_PROBABILITY
@@ -86,12 +65,11 @@ def schedule_from_targets(
 
 
 @dataclass(frozen=True)
-class PhaseEdits:
-    """The ordered edge changes one phase applies."""
+class ScenarioPhase:
+    """A labelled phase's ordered permission edits, each an action and an edge."""
 
     label: str
-    action: PermissionAction
-    edges: tuple[Edge, ...]
+    permission_edits: tuple[tuple[PermissionAction, Edge], ...]
 
 
 @dataclass(frozen=True)
@@ -123,8 +101,9 @@ def plan_schedule(
     schedule: GraphSchedule,
     users: Sequence[PrincipalId],
     agents: Sequence[PrincipalId],
-) -> list[PhaseEdits]:
-    """Resolve a schedule into concrete per-phase edge changes.
+) -> list[ScenarioPhase]:
+    """Resolve a schedule into one :class:`ScenarioPhase` per phase, holding
+    the phase's action on each edge it draws.
 
     Validates reachability up front: a grant phase must raise the count, a
     revoke phase must lower it, and targets must stay within [0, |U|x|A|].
@@ -141,7 +120,7 @@ def plan_schedule(
     rng = random.Random(schedule.seed)
     present: set[Edge] = set()
     count = 0
-    edits: list[PhaseEdits] = []
+    phases: list[ScenarioPhase] = []
     for phase in schedule.phases:
         if phase.action is PermissionAction.GRANT:
             if phase.target <= count or phase.target > capacity:
@@ -162,8 +141,8 @@ def plan_schedule(
             picked = _bernoulli_draw(rng, pool, count - phase.target, schedule.p)
             present.difference_update(picked)
         count = phase.target
-        edits.append(PhaseEdits(label=phase.label, action=phase.action, edges=tuple(picked)))
-    return edits
+        phases.append(ScenarioPhase(phase.label, tuple((phase.action, e) for e in picked)))
+    return phases
 
 
 def generate_schedule(
@@ -183,13 +162,13 @@ def generate_schedule(
     timeline = AccessTimeline(directory)
     boundaries: list[PhaseBoundary] = []
     t = 0
-    for edits in plan_schedule(schedule, users, agents):
-        for edge in edits.edges:
+    for phase in plan_schedule(schedule, users, agents):
+        for action, edge in phase.permission_edits:
             t += 1
-            timeline.apply(edits.action, edge, t)
+            timeline.apply(action, edge, t)
         boundaries.append(
             PhaseBoundary(
-                label=edits.label,
+                label=phase.label,
                 tick=t,
                 edge_count=timeline.edge_count(t, EdgeKind.USER_AGENT),
             )

@@ -17,11 +17,11 @@ PUBLIC_NAMES = """
     InsufficientQueries InteractionTrace InvalidFragment JoiningAggregator
     KeywordCoordinator LogicalClock MemFabricError MemoryFragment MemoryService MemoryStore
     MetricsReport NO_AGENTS_ANSWER NonMonotonicTimestamp OutdatedAuditLog PermissionAction
-    PermissionEvent PhaseBoundary PhaseEdits PolicyBinding PolicyTable PrincipalDirectory
+    PermissionEvent PhaseBoundary PolicyBinding PolicyTable PrincipalDirectory
     PrincipalId PrincipalKind PromptedRemote Provenance QueryEpisode RankedFragment Redactor
     RemoteAgentBackend RemoteAggregator RemoteCoordinator RemoteEmbedder RemoteUnavailable
     Resource ResourceNotPermitted RetrievalConfig RunArtifacts Runtime ScenarioConfig
-    SchedulePhase Scope ScopeLevel ScriptedAgentBackend SequenceCoordinator Tier
+    ScenarioPhase SchedulePhase Scope ScopeLevel ScriptedAgentBackend SequenceCoordinator Tier
     UnknownFragment UnknownPrincipal UnknownPrincipalInProvenance UnreachableTarget
     Violation Workload WorkloadItem agent apply_read audited_retrieve
     build_runtime classify_edge compare_modes compute_metrics cosine encode_and_write

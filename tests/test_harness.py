@@ -682,6 +682,13 @@ LOAD_ERRORS = {
         r"scoped\[0\]\.scope",
     ),
     "embedder-dimension-1": ("embedder", {"dimension": 1}, "embedder.*dimension"),
+    # text where a list belongs was split into its characters
+    "users-text": ("users", "abc", "users must be a list"),
+    "policies-rules-text": (
+        "policies",
+        {"write_shared": {"kind": "redactor", "rules": ["ab"]}},
+        "write_shared.*rules",
+    ),
 }
 
 
@@ -695,17 +702,46 @@ def test_a_misspelt_or_invalid_section_fails_at_load(case):
 
 
 @pytest.mark.parametrize(
-    "section, value",
+    "section, value, match",
     [
-        ("workload", {"synthetic": {"cont": 5}}),
-        ("timeline", {"schedule": {"phases": [{"label": "g", "action": "grnt", "target": 3}]}}),
+        ("workload", {"synthetic": {"cont": 5}}, "count"),
+        (
+            "timeline",
+            {"schedule": {"phases": [{"label": "g", "action": "grnt", "target": 3}]}},
+            "grnt",
+        ),
+        # text where a list belongs was split into its characters
+        ("workload", {"queries": "what is x"}, r"workload\.queries"),
+        ("workload", {"per_user": {"user_1": "what is x"}}, r"workload\.per_user\.user_1"),
+        (
+            "workload",
+            {"decompose": {"queries": "plan", "roles": {"user_1": "r"}}},
+            r"workload\.decompose\.queries",
+        ),
+        ("timeline", {"schedule": {"targets": "510"}}, r"timeline\.schedule\.targets"),
+        ("timeline", {"user_agents": ["ab"]}, r"timeline\.user_agents"),
+        # a keyword other than the field's own is not a list of pairs
+        ("timeline", {"agent_resources": "bogus"}, r"timeline\.agent_resources"),
+        ("timeline", {"user_agents": "everyone"}, r"timeline\.user_agents"),
+        ("timeline", {"agent_resources": None}, r"timeline\.agent_resources"),
     ],
-    ids=["synthetic-cont", "schedule-phase-action"],
+    ids=[
+        "synthetic-cont",
+        "schedule-phase-action",
+        "queries-text",
+        "per_user-text",
+        "decompose-queries-text",
+        "schedule-targets-text",
+        "user_agents-pair-text",
+        "agent_resources-unknown-keyword",
+        "user_agents-unknown-keyword",
+        "agent_resources-null",
+    ],
 )
-def test_a_malformed_workload_or_schedule_fails_at_plan(section, value):
+def test_a_malformed_workload_or_schedule_fails_at_plan(section, value, match):
     doc = overlap_config()
     doc[section] = value
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=match):
         plan_scenario(ScenarioConfig.from_dict(doc))
 
 
@@ -790,6 +826,21 @@ def test_rerun_from_the_echoed_config_is_byte_identical(tmp_path, config):
     ):
         first_bytes = (tmp_path / "first" / name).read_bytes()
         assert first_bytes == (tmp_path / "again" / name).read_bytes(), name
+
+
+def test_a_seed_override_writes_what_a_config_of_that_seed_writes(tmp_path):
+    doc = dynamic_config(per_user_per_category=1)
+    run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "default")
+    run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "override", seed=8)
+    doc["seed"] = 8
+    run_scenario(ScenarioConfig.from_dict(doc), tmp_path / "config")
+    names = sorted(path.name for path in (tmp_path / "config").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "override").iterdir())
+    for name in names:
+        override = (tmp_path / "override" / name).read_bytes()
+        assert override == (tmp_path / "config" / name).read_bytes(), name
+    default = (tmp_path / "default" / "timeline.jsonl").read_bytes()
+    assert default != (tmp_path / "config" / "timeline.jsonl").read_bytes()
 
 
 def test_readme_config_example_loads():

@@ -109,11 +109,6 @@ def test_probability_out_of_range_rejected():
         GraphSchedule(phases=(SchedulePhase("t0", PermissionAction.GRANT, 1),), seed=0, p=1.1)
 
 
-def test_schedule_dict_round_trip():
-    schedule = schedule_from_targets(LADDER, seed=9, p=0.2)
-    assert GraphSchedule.from_dict(schedule.to_dict()) == schedule
-
-
 def test_gen_schedule_p_defaults_to_the_schedule_default():
     from memfabric.cli import build_parser
     from memfabric.schedule import DEFAULT_ACCEPT_PROBABILITY
