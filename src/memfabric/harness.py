@@ -474,6 +474,8 @@ def build_workload(cfg: ScenarioConfig) -> Workload:
     if doc.synthetic is not None:
         spec = doc.synthetic
         categories = sorted(a.category for a in cfg.agents)
+        if not categories:
+            raise ConfigError("workload.synthetic asks its questions by agent category: no agents")
         if "per_user_per_category" in spec:
             k = int(spec["per_user_per_category"])
             per_user = {

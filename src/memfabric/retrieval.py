@@ -7,14 +7,18 @@ results at or above the similarity threshold. Only admissible fragments are
 ever considered, and fragments newer than the query tick are not visible.
 
 A read asks the store for its admissible set once; that set carries the row
-snapshot, its columns and the admitted mask, so ranking walks nothing. The
-visible admitted rows of both tiers are scored in one exact pass,
-``np.vecdot(embeddings[rows], query)``: it runs the same per-row dot kernel
-as ``float(np.dot(query, embedding))``, so the scores equal a row-by-row
-scan bit for bit (a matrix product may differ in the last bits). The
-threshold and the k-th best are applied to those scores, ties at the k-th
-kept, and only those candidates are sorted. Ids and similarities are
-therefore exactly those of a full scan, ties included.
+snapshot, its columns, the admitted mask and the store's table of distinct
+key vectors, which the ``vector`` column indexes, so ranking walks nothing.
+The visible admitted rows of both tiers are scored in one exact pass. When
+the table has no more rows than those candidates, each distinct vector is
+scored once, ``np.vecdot(vectors, query)[vector[rows]]``; otherwise only the
+candidates' vectors are gathered, ``np.vecdot(vectors[vector[rows]], query)``.
+Either runs the same per-row dot kernel as ``float(np.dot(query,
+embedding))`` on the same bytes, so the scores equal a row-by-row scan bit
+for bit (a matrix product may differ in the last bits). The threshold and
+the k-th best are applied to those scores, ties at the k-th kept, and only
+those candidates are sorted. Ids and similarities are therefore exactly those
+of a full scan, ties included.
 
 The deterministic embedder hashes character n-grams into a fixed-dimension
 unit vector. Similarity is then a pure function of surface text: identical
@@ -214,7 +218,11 @@ def retrieve(
     admitted = store.admissible(timeline, u, a, t)
     cols = admitted.columns
     rows = np.flatnonzero(admitted.mask & (cols.created_at <= t))
-    sims = np.vecdot(cols.embeddings.take(rows, axis=0), query)
+    vectors, vix = admitted.vectors, cols.vector[rows]
+    if len(vectors) <= len(rows):  # scoring every distinct vector is the smaller pass
+        sims = np.vecdot(vectors, query)[vix]
+    else:
+        sims = np.vecdot(vectors.take(vix, axis=0), query)
     keep = sims >= config.threshold
     rows, sims = rows[keep], sims[keep]
     shared = cols.shared[rows]

@@ -32,14 +32,20 @@ all found and looks it up no more. That is sound because a directory only
 ever adds names; as sets are interned, the memo lookup ends at an identity
 check. The creator and the embedding are checked on every insert.
 
-Beside the ``id -> MemoryFragment`` records the store keeps columns: an
-N x d embedding matrix and ``created_at``, tier and creator arrays. Inserts
-only append a record; the next read fills the new rows' columns under the
-store lock. Rows are append-only and never change once filled, so a snapshot
-is just a row count: :meth:`MemoryStore.fragments` returns a read-only view
-of the first n rows, and a read evaluates the three clauses as one boolean
-mask over those rows, returned as an :class:`AdmissibleSet` that retrieval
-ranks over without walking the store.
+Beside the ``id -> MemoryFragment`` records the store keeps columns:
+``created_at``, tier, creator and ``vector`` arrays. Keys repeat (both tiers
+of a write, and many users asking one subquery), so each distinct embedding
+is stored once, as a row of a V x d vector table, and a row's ``vector`` is
+its table row: dictionary encoding (Abadi, Madden & Ferreira, SIGMOD 2006).
+The table is keyed by each embedding's own ``bytes``, with no copy: a
+fragment adopts only a vector that spans its whole ``bytes``. Inserts only
+append a record; the next read fills the new rows' columns, and the table
+rows of new vectors, under the store lock. Rows are append-only and never
+change once filled, so a snapshot is just a row count:
+:meth:`MemoryStore.fragments` returns a read-only view of the first n rows,
+and a read evaluates the three clauses as one boolean mask over those rows,
+returned as an :class:`AdmissibleSet` that retrieval ranks over without
+walking the store.
 
 The two subset clauses are one bitset test. Agents and resources share one
 interned index, and each row's agents and resources are one bitset over it,
@@ -164,8 +170,9 @@ class Provenance:
 @dataclass(frozen=True, eq=False, slots=True)
 class MemoryFragment:
     """A key/value record, its key's embedding and its provenance. A 1-d
-    :func:`frozen_vector` embedding is adopted as given; any other value is
-    copied into one."""
+    :func:`frozen_vector` embedding, an array spanning exactly its own
+    ``bytes``, is adopted as given, so that ``bytes`` is its content; any
+    other value is copied into one."""
 
     id: str
     tier: Tier
@@ -181,7 +188,8 @@ class MemoryFragment:
             raise InvalidFragment(f"fragment {self.id}: key and value must be non-empty")
         emb = self.embedding
         frozen = type(emb) is np.ndarray and type(emb.base) is bytes and emb.ndim == 1
-        if not (frozen and emb.dtype == np.float64):
+        spans = frozen and emb.flags.c_contiguous and emb.nbytes == len(emb.base)
+        if not (spans and emb.dtype == np.float64):
             object.__setattr__(self, "embedding", frozen_vector(emb))
 
     def to_dict(self) -> dict:
@@ -285,7 +293,7 @@ class _Columns(NamedTuple):
     keeps a consistent view while later rows are filled or the arrays regrow.
     """
 
-    embeddings: np.ndarray  # (rows, d) float64
+    vector: np.ndarray  # int64 row of the store's vector table
     created_at: np.ndarray  # int64
     shared: np.ndarray  # bool: tier is SHARED
     creator: np.ndarray  # int64 index into the store's creator interning
@@ -295,10 +303,10 @@ class _Columns(NamedTuple):
         return _Columns(*(column[:n] for column in self))
 
 
-def _intern(index: dict[PrincipalId, int], pid: PrincipalId) -> int:
-    i = index.get(pid)
+def _intern(index: dict, key) -> int:
+    i = index.get(key)
     if i is None:
-        i = index[pid] = len(index)
+        i = index[key] = len(index)
     return i
 
 
@@ -356,16 +364,18 @@ class AdmissibleSet(Set):
 
     Computed over one snapshot of the store: ``rows`` is the read-only view
     returned by :meth:`MemoryStore.fragments`, ``columns`` the column views
-    of exactly those rows and ``mask`` the admitted ones, so a caller can
+    of exactly those rows, ``mask`` the admitted ones and ``vectors`` the
+    store's vector table, which ``columns.vector`` indexes, so a caller can
     rank over the same snapshot without walking it again. The agent and
     resource clauses of ``mask`` are one pass over the store's row bitsets.
     Compares equal to a plain ``set`` of the same ids.
     """
 
-    def __init__(self, rows: _Prefix, columns: _Columns, mask: np.ndarray):
+    def __init__(self, rows: _Prefix, columns: _Columns, mask: np.ndarray, vectors: np.ndarray):
         self.rows = rows
         self.columns = columns
         self.mask = mask
+        self.vectors = vectors
         self._ids: frozenset[str] | None = None
 
     @classmethod
@@ -416,8 +426,11 @@ class MemoryStore:
         self._principal_ix: dict[PrincipalId, int] = {}  # agents and resources
         self._bitsets: dict[frozenset[PrincipalId], int] = {}  # bits of each distinct set
         self._words: list[np.ndarray] = []  # word w of each row's bitset, uint64
+        self._vector_ix: dict[bytes, int] = {}  # content of each distinct embedding
+        self._vectors = np.zeros((0, dimension))  # row i: the vector _vector_ix maps to i
+        self._vector_rows = 0  # rows of _vectors written
         self._columns = _Columns(
-            np.zeros((0, dimension)),
+            np.zeros(0, np.int64),
             np.zeros(0, np.int64),
             np.zeros(0, bool),
             np.zeros(0, np.int64),
@@ -509,8 +522,17 @@ class MemoryStore:
         if rows != len(cols.created_at):
             cols = self._columns = _Columns(*(_regrown(column, rows) for column in cols))
             self._words = [_regrown(word, rows) for word in self._words]
-        # rows of a C-contiguous matrix: the reshape is a view, written in place
-        np.concatenate([f.embedding for f in new], out=cols.embeddings[start:end].reshape(-1))
+        index, known = self._vector_ix, self._vector_rows
+        vector = [_intern(index, f.embedding.base) for f in new]  # the base is its content
+        cols.vector[start:end] = vector
+        fresh = {i: f.embedding for f, i in zip(new, vector) if i >= known}  # in order of i
+        if fresh:
+            size = _capacity(len(self._vectors), len(index))
+            if size != len(self._vectors):
+                self._vectors = _regrown(self._vectors, size)
+            # rows of a C-contiguous matrix: the reshape is a view, written in place
+            np.concatenate(list(fresh.values()), out=self._vectors[known : len(index)].reshape(-1))
+            self._vector_rows = len(index)  # a fill that failed before here writes them again
         cols.created_at[start:end] = [f.provenance.created_at for f in new]
         cols.shared[start:end] = [f.tier is Tier.SHARED for f in new]
         cols.creator[start:end] = [_intern(self._creator_ix, f.provenance.creator) for f in new]
@@ -556,12 +578,13 @@ class MemoryStore:
                 self._fill()
             cols = self._columns.head(n)
             words = [word[:n] for word in self._words]
+            vectors = self._vectors[: self._vector_rows]
             allowed = self._bits(user_agents) | self._bits(agent_resources)
             creator = self._creator_ix.get(u, -1)
         mask = cols.shared | (cols.creator == creator)
         for w, word in enumerate(words):
             mask &= (word & np.uint64(~(allowed >> (64 * w)) & _WORD)) == 0
-        return AdmissibleSet(rows, cols, mask)
+        return AdmissibleSet(rows, cols, mask, vectors)
 
     def explain(
         self,

@@ -1,10 +1,12 @@
-"""Seeded random generators for universes, timelines, and fragment stores."""
+"""Seeded random generators for universes, timelines, and fragment stores,
+and the example count of property tests."""
 
 from __future__ import annotations
 
 import random
 
 import numpy as np
+from hypothesis import settings
 
 from memfabric import (
     AccessTimeline,
@@ -95,3 +97,9 @@ def random_store(
             random_fragment(rng, users, agents, resources, dim, f"f{i:04d}")
         )
     return store
+
+
+def examples(n: int) -> int:
+    """``n``, or more under a profile that asks for more (CI runs some property
+    tests again with --hypothesis-profile=thorough)."""
+    return max(n, settings.default.max_examples)

@@ -724,6 +724,8 @@ def test_a_misspelt_or_invalid_section_fails_at_load(case):
         ("timeline", {"agent_resources": "bogus"}, r"timeline\.agent_resources"),
         ("timeline", {"user_agents": "everyone"}, r"timeline\.user_agents"),
         ("timeline", {"agent_resources": None}, r"timeline\.agent_resources"),
+        # the synthetic workload's queries are drawn from the agents' categories
+        ("agents", [], r"workload\.synthetic.*agent"),
     ],
     ids=[
         "synthetic-cont",
@@ -736,12 +738,21 @@ def test_a_misspelt_or_invalid_section_fails_at_load(case):
         "agent_resources-unknown-keyword",
         "user_agents-unknown-keyword",
         "agent_resources-null",
+        "synthetic-count-no-agents",
     ],
 )
 def test_a_malformed_workload_or_schedule_fails_at_plan(section, value, match):
     doc = overlap_config()
     doc[section] = value
     with pytest.raises(ConfigError, match=match):
+        plan_scenario(ScenarioConfig.from_dict(doc))
+
+
+def test_a_per_user_per_category_workload_with_no_agents_fails_at_plan():
+    doc = overlap_config()
+    doc["agents"] = []
+    doc["workload"] = {"synthetic": {"per_user_per_category": 2}}
+    with pytest.raises(ConfigError, match=r"workload\.synthetic.*agent"):
         plan_scenario(ScenarioConfig.from_dict(doc))
 
 

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from memfabric import (
@@ -29,7 +29,7 @@ from memfabric import (
     user,
 )
 from memfabric.errors import NonFiniteVector
-from genutil import make_universe, random_store, random_timeline, random_unit_vector
+from genutil import examples, make_universe, random_store, random_timeline, random_unit_vector
 from oracles import (
     naive_dot,
     oracle_admissible,
@@ -189,6 +189,13 @@ def test_matches_brute_force_oracle_on_random_stores():
         )
         assert [h.fragment_id for h in user_tier] == oracle_user
         assert [h.fragment_id for h in cross_tier] == oracle_cross
+        # every key is distinct, so most reads gather their candidates' vectors
+        assert (
+            [(h.fragment_id, h.similarity) for h in user_tier],
+            [(h.fragment_id, h.similarity) for h in cross_tier],
+        ) == oracle_retrieve_scan(
+            list(store.fragments()), shadow, u, a, t, q, cfg.k_user, cfg.k_cross, cfg.threshold
+        )
 
 
 def test_only_admissible_fragments_ever_surface():
@@ -409,14 +416,15 @@ _LATE_AGENT = [  # a4 is granted to u1, so interned by a read, before any row na
 ]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(ops=_OPS)
 @example(ops=_A_B_A)
 @example(ops=_LATE_AGENT)
 def test_interleaved_reads_equal_a_full_scan_bit_for_bit(ops):
-    # Rows are filled into the bitset words by the next read, and a granted
-    # name may be interned before any row names it; every read must still
-    # equal a full scan under the read-time grants.
+    # Rows are filled into the bitset words and the vector table by the next
+    # read, and a granted name may be interned before any row names it; every
+    # read must still equal a full scan under the read-time grants, whether
+    # it scores the whole table or gathers its candidates' vectors.
     directory = PrincipalDirectory()
     users = [directory.add_user(name) for name in _USERS]
     agents = [directory.add_agent(name) for name in _AGENTS]
@@ -434,7 +442,8 @@ def test_interleaved_reads_equal_a_full_scan_bit_for_bit(ops):
             events.append((tick, "grant", edge))
 
     def insert(rng: random.Random, agent_bits: int) -> None:
-        key = rng.choice(_VOCABULARY)
+        # a fresh key grows the table, so it can outnumber the candidates
+        key = rng.choice(_VOCABULARY + [f"kiln {len(store)}"])
         store.insert(
             MemoryFragment(
                 id=f"f{len(store):04d}-{rng.randrange(100)}",
@@ -473,15 +482,41 @@ def test_interleaved_reads_equal_a_full_scan_bit_for_bit(ops):
                 k_user=rng.randint(0, 4), k_cross=rng.randint(0, 4), threshold=rng.uniform(-1, 1)
             )
             fragments = list(store.fragments())
-            assert store.admissible(timeline, u, a, t) == oracle_admissible(
-                fragments, events, u, a, t
-            )
+            admitted = store.admissible(timeline, u, a, t)
+            assert admitted == oracle_admissible(fragments, events, u, a, t)
+            candidates = np.count_nonzero(admitted.mask & (admitted.columns.created_at <= t))
+            event("scores the table" if len(admitted.vectors) <= candidates else "gathers")
             user_tier, cross_tier = retrieve(store, timeline, u, a, t, query, cfg)
             assert (
                 [(h.fragment_id, h.similarity) for h in user_tier],
                 [(h.fragment_id, h.similarity) for h in cross_tier],
             ) == oracle_retrieve_scan(
                 fragments, events, u, a, t, query, cfg.k_user, cfg.k_cross, cfg.threshold
+            )
+
+
+def test_views_of_one_buffer_score_their_own_vectors():
+    # np.frombuffer views of one bytes at different offsets share their base
+    # object; each must still be scored by its own content, on both sides of
+    # retrieval's scoring rule
+    directory, users, agents, _ = make_universe(1, 1, 1)
+    edge = (users[0], agents[0])
+    timeline = AccessTimeline(directory)
+    timeline.grant(edge, 0)
+    buffer = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]).tobytes()
+    embeddings = [np.frombuffer(buffer, count=4, offset=offset) for offset in (0, 32)]
+    embeddings.append(np.array([0.6, 0.8, 0.0, 0.0]))
+    store = MemoryStore(4, directory=directory)
+    for i, embedding in enumerate(embeddings):
+        provenance = Provenance(i // 2, users[0], frozenset({agents[0]}))
+        store.insert(MemoryFragment(f"f{i}", Tier.SHARED, "k", "v", embedding, provenance))
+    fragments = list(store.fragments())
+    cfg = RetrievalConfig(threshold=-1.0)
+    for t in (0, 1):  # two candidates against three vectors, then three against three
+        for query in embeddings:
+            _, cross = retrieve(store, timeline, users[0], agents[0], t, query, cfg)
+            assert ([], [(h.fragment_id, h.similarity) for h in cross]) == oracle_retrieve_scan(
+                fragments, [(0, "grant", edge)], users[0], agents[0], t, query, 10, 10, -1.0
             )
 
 

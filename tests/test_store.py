@@ -34,7 +34,7 @@ from memfabric import (
 )
 from memfabric import RetrievalConfig, retrieve
 from memfabric.errors import NonFiniteVector
-from memfabric.store import write_detail
+from memfabric.store import frozen_vector, write_detail
 from genutil import (
     make_universe,
     random_fragment,
@@ -251,6 +251,16 @@ def test_other_embeddings_are_copied(make):
     else:
         given.base[1] = 0.5
     assert f.embedding[1] == 1.0
+
+
+def test_a_vector_over_part_of_its_bytes_is_copied():
+    # adopted, its bytes would hold more or other than its content, by which
+    # the store keys its table of distinct vectors
+    buffer = np.array([9.0, 0.0, 1.0, 0.0, 0.0, 9.0]).tobytes()
+    for given in (np.frombuffer(buffer, count=4, offset=8), frozen_vector([0, 0, 1.0, 0])[::-1]):
+        f = dataclasses.replace(fragment(), embedding=given)
+        assert f.embedding is not given and f.embedding.base == given.tobytes()
+        assert f.embedding.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_provenance_bytes_stable_across_reads(directory):
@@ -519,6 +529,11 @@ def test_fill_writes_the_same_columns_in_one_batch_or_many():
     fragments = [
         random_fragment(rng, users, agents, resources, 8, f"f{i:05d}") for i in range(10_000)
     ]
+    # keys repeat, as equal vectors in distinct arrays, within a batch and across batches
+    fragments = [
+        dataclasses.replace(f, embedding=np.array(fragments[rng.randrange(3000)].embedding))
+        for f in fragments
+    ]
     reader = (users[0], agents[0], timeline.latest_tick)
     one, many = MemoryStore(8, directory), MemoryStore(8, directory)
     for fragment_ in fragments:
@@ -533,7 +548,40 @@ def test_fill_writes_the_same_columns_in_one_batch_or_many():
     assert np.array_equal(once.mask, batched.mask)
     for column_once, column_batched in zip(once.columns, batched.columns):
         assert column_once.tobytes() == column_batched.tobytes()
-    assert once.columns.embeddings.tobytes() == b"".join(f.embedding.tobytes() for f in fragments)
+    assert once.vectors.tobytes() == batched.vectors.tobytes()
+    assert len(once.vectors) == len({f.embedding.tobytes() for f in fragments})  # each once
+    by_row = once.vectors[once.columns.vector]
+    assert by_row.tobytes() == b"".join(f.embedding.tobytes() for f in fragments)
+
+
+def test_a_fill_that_fails_growing_the_vector_table_writes_it_on_the_next_read(
+    directory, monkeypatch
+):
+    import memfabric.store as store_module
+
+    regrown, failures = store_module._regrown, []
+
+    def regrown_failing_once(array, rows):
+        if array.ndim == 2 and not failures:  # the vector table is the one 2-d array
+            failures.append(rows)
+            raise MemoryError("no room for the vector table")
+        return regrown(array, rows)
+
+    monkeypatch.setattr(store_module, "_regrown", regrown_failing_once)
+    store = MemoryStore(4, directory=directory)
+    fragments = [
+        dataclasses.replace(fragment(fid=f"f{i}", created_at=i), embedding=np.eye(4)[i % 3])
+        for i in range(6)
+    ]
+    for fragment_ in fragments:
+        store.insert(fragment_)
+    reader = (scenario_timeline(directory), user("u1"), agent("a1"), 9)
+    with pytest.raises(MemoryError):
+        store.admissible(*reader)
+    admitted = store.admissible(*reader)
+    assert failures and len(admitted.vectors) == 3
+    by_row = admitted.vectors[admitted.columns.vector]
+    assert by_row.tobytes() == b"".join(f.embedding.tobytes() for f in fragments)
 
 
 def test_fragments_view_keeps_its_rows_across_inserts(directory):

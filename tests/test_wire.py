@@ -34,7 +34,7 @@ from memfabric import (
 )
 from memfabric import wire
 from memfabric.store import write_detail
-from genutil import make_universe, random_store, random_timeline
+from genutil import examples, make_universe, random_store, random_timeline
 from rtutil import StubServer, granted_service, make_runtime, refused_url
 from scenarios import REMOTE_ROLES, overlap_config, with_remote
 
@@ -57,12 +57,6 @@ DOCUMENTS = st.recursive(
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=20,
 )
-
-
-def examples(n: int) -> int:
-    """``n``, or more under a profile that asks for more (CI runs these tests
-    again with --hypothesis-profile=thorough)."""
-    return max(n, settings.default.max_examples)
 
 
 @settings(max_examples=examples(200), deadline=None)
